@@ -31,7 +31,6 @@ from .dynamics import (
     spin_chi,
     time_grid,
 )
-from .kernels import backend_name
 from .morse import (
     MorseParams,
     MorseSpectrum,
@@ -61,7 +60,7 @@ __all__ = [
     "BathConfig", "BathMode", "ConfigError", "CorrelationModel", "DEFAULT_RHO0",
     "DephasingTrace", "ErrorReport", "ExperimentConfig", "FlowReport",
     "ModePropagators", "MorseParams", "MorseSpectrum", "RegionTag", "SystemConfig",
-    "alpha", "apply_map", "backend_name", "blp_flows", "bound_energies",
+    "alpha", "apply_map", "blp_flows", "bound_energies",
     "bound_state_count", "build_correlation", "chi_series", "dense_chi",
     "dephasing_time", "digamma", "discretize", "gamma_decay", "gaussian_chi",
     "gaussian_error", "gaussian_trace", "ladder_matrix", "log_gamma",

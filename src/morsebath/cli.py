@@ -12,8 +12,11 @@ outflow) are recorded with the sentinel value -1.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import multiprocessing
 import os
 import sys
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -28,18 +31,26 @@ from .oracle import dense_chi, overlap_element, quadrature_element
 
 NO_CROSSING = -1.0
 
+# thread-count variables of the BLAS builds numpy may load; sweep workers
+# run one point each per core, so their BLAS calls stay single-threaded
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
+def _write_blocks(out_path: str | None, blocks: Iterable[list[str]]) -> None:
+    """Write each block of lines as it comes, every line newline-terminated."""
+    with contextlib.ExitStack() as stack:
+        handle = sys.stdout if out_path is None else stack.enter_context(
+            open(out_path, "w", encoding="utf-8", newline="\n"))
+        for lines in blocks:
+            handle.write("\n".join(lines) + "\n")
+
+
 def _write_lines(out_path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+    _write_blocks(out_path, [lines])
 
 
 def _system(cfg: ExperimentConfig) -> SystemConfig:
@@ -137,12 +148,29 @@ def _sweep_point(payload: tuple[str, ExperimentConfig, float, float]):
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
+@contextlib.contextmanager
+def _single_threaded_blas() -> Iterator[None]:
+    """Set BLAS_THREAD_VARS to 1 for processes started inside; restore them after."""
+    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
 def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
     points = [(kind, cfg, lam, beta)
               for lam in sorted(cfg.lambdas) for beta in sorted(cfg.betas)]
     workers = threads if threads is not None else (os.cpu_count() or 1)
     if workers > 1 and len(points) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawned workers load BLAS afresh and so read the pinned thread count
+        with _single_threaded_blas(), ProcessPoolExecutor(
+                max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
             results = list(pool.map(_sweep_point, points, chunksize=4))
     else:
         results = [_sweep_point(p) for p in points]
@@ -178,13 +206,15 @@ def cmd_gaussian_error(args: argparse.Namespace) -> int:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(time_avg)}")
     _write_lines(args.out, lines)
     if cfg.pointwise_out is not None:
-        times = time_grid(cfg.t_max, cfg.dt)
-        point_lines = ["lambda,beta,eta,t,e_chi"]
-        for lam, beta, _, pointwise in rows:
-            for t, e in zip(times, pointwise):
-                point_lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},"
-                                   f"{_fmt(t)},{_fmt(e)}")
-        _write_lines(cfg.pointwise_out, point_lines)
+        time_fields = [_fmt(t) for t in time_grid(cfg.t_max, cfg.dt)]
+
+        def point_blocks() -> Iterator[list[str]]:
+            yield ["lambda,beta,eta,t,e_chi"]
+            for lam, beta, _, pointwise in rows:
+                prefix = f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},"
+                yield [f"{prefix}{t},{_fmt(e)}" for t, e in zip(time_fields, pointwise)]
+
+        _write_blocks(cfg.pointwise_out, point_blocks())
     return 0
 
 

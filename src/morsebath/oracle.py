@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .bath import BathMode
 from .dynamics import DephasingTrace, SystemConfig
@@ -69,6 +68,9 @@ def dense_chi(modes: list[BathMode], system: SystemConfig,
 
 
 def _quadrature(lam: float, n: int, m: int, with_x: bool) -> float:
+    # imported here: scipy.integrate costs most of the package import time
+    from scipy.integrate import quad
+
     big_n = lam - 0.5
     scale = 2.0 * big_n + 1.0
     z_max = scale + 60.0

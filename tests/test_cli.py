@@ -1,8 +1,10 @@
+import os
 import re
 
 import numpy as np
 import pytest
 
+from morsebath import cli
 from morsebath.cli import main
 from morsebath.config import ConfigError, parse_config_text
 
@@ -139,6 +141,28 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert main(["sweep-dephasing", "--config", cfg, "--out", str(serial), "--threads", "1"]) == 0
     assert main(["sweep-dephasing", "--config", cfg, "--out", str(parallel), "--threads", "2"]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_sweep_pool_bytes_with_blas_env_unset(tmp_path, monkeypatch):
+    for name in cli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    text = BASE.replace("lambda = 2.5", "lambda = 1.6,2.5,3.4").replace("beta = 1.0", "beta = 1,4")
+    cfg = write_config(tmp_path, text)
+    serial = tmp_path / "serial.csv"
+    parallel = tmp_path / "parallel.csv"
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(serial), "--threads", "1"]) == 0
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(parallel), "--threads", "2"]) == 0
+    assert serial.read_bytes() == parallel.read_bytes()
+    assert not any(name in os.environ for name in cli.BLAS_THREAD_VARS)
+
+
+def test_single_threaded_blas_restores_caller_env(monkeypatch):
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    with cli._single_threaded_blas():
+        assert all(os.environ[name] == "1" for name in cli.BLAS_THREAD_VARS)
+    assert os.environ["OMP_NUM_THREADS"] == "3"
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
 
 
 def test_sweep_dephasing_sentinel_when_no_decay(tmp_path):

@@ -1,15 +1,7 @@
 import numpy as np
 import pytest
 
-from morsebath import kernels
-from morsebath import _kernels_np
-
-try:
-    from morsebath import _kernels as compiled
-except ImportError:
-    compiled = None
-
-BACKENDS = [_kernels_np] + ([compiled] if compiled is not None else [])
+from morsebath import kernels, time_grid
 
 
 def reference_phase_sum(w, f, t):
@@ -19,66 +11,94 @@ def reference_phase_sum(w, f, t):
     return out
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_phase_sum_against_reference(impl, rng):
+def test_phase_sum_against_reference(rng):
     w = rng.normal(size=37) + 1j * rng.normal(size=37)
     f = rng.uniform(-5.0, 5.0, size=37)
     t = np.linspace(0.0, 20.0, 101)
-    np.testing.assert_allclose(impl.phase_sum(w, f, t), reference_phase_sum(w, f, t),
+    np.testing.assert_allclose(kernels.phase_sum(w, f, t), reference_phase_sum(w, f, t),
                                atol=1e-12)
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_phase_sum_empty(impl):
-    t = np.linspace(0.0, 1.0, 5)
-    np.testing.assert_array_equal(impl.phase_sum(np.empty(0, complex), np.empty(0), t),
-                                  np.zeros(5, complex))
+def test_phase_sum_empty():
+    for n in (5, 50):
+        t = np.linspace(0.0, 1.0, n)
+        np.testing.assert_array_equal(kernels.phase_sum(np.empty(0, complex), np.empty(0), t),
+                                      np.zeros(n, complex))
 
 
-@pytest.mark.parametrize("impl", BACKENDS)
-def test_gamma_sum_branches(impl):
-    t = np.linspace(0.0, 10.0, 33)
-    w = np.array([0.4, 0.2])
-    d = np.array([1.3, 1e-14])
-    got = impl.gamma_sum(w, d, 0.05, t)
-    expected = (2.0 * 0.05 * t**2
-                + 4.0 * 0.4 * (1.0 - np.cos(1.3 * t)) / 1.3**2
-                + 2.0 * 0.2 * t**2)
-    np.testing.assert_allclose(got, expected, atol=1e-13)
+def test_gamma_sum_branches():
+    for n in (5, 33):
+        t = np.linspace(0.0, 10.0, n)
+        w = np.array([0.4, 0.2])
+        d = np.array([1.3, 1e-14])
+        got = kernels.gamma_sum(w, d, 0.05, t)
+        expected = (2.0 * 0.05 * t**2
+                    + 4.0 * 0.4 * (1.0 - np.cos(1.3 * t)) / 1.3**2
+                    + 2.0 * 0.2 * t**2)
+        np.testing.assert_allclose(got, expected, atol=1e-13)
+        np.testing.assert_allclose(kernels.gamma_sum(np.empty(0), np.empty(0), 0.05, t),
+                                   2.0 * 0.05 * t**2, atol=1e-15)
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
-def test_backends_agree(rng):
-    w = rng.normal(size=500) + 1j * rng.normal(size=500)
-    f = rng.uniform(-8.0, 8.0, size=500)
-    t = np.linspace(0.0, 20.0, 257)
-    np.testing.assert_allclose(compiled.phase_sum(w, f, t),
-                               _kernels_np.phase_sum(w, f, t), atol=1e-11)
-    wg = np.abs(rng.normal(size=300))
-    dg = rng.uniform(-4.0, 4.0, size=300)
-    np.testing.assert_allclose(compiled.gamma_sum(wg, dg, 0.1, t),
-                               _kernels_np.gamma_sum(wg, dg, 0.1, t),
-                               rtol=1e-12, atol=1e-11)
+@pytest.mark.parametrize("t_max, dt", [(20.0, 0.01), (5.0, 0.05), (5.0, 0.01), (100.0, 0.1),
+                                       (1.0, 0.003)])
+def test_uniform_split_covers_cli_grids(t_max, dt):
+    times = time_grid(t_max, dt)
+    starts, offsets = kernels._uniform_split(times)
+    width = offsets.shape[0]
+    assert width == int(np.ceil(np.sqrt(times.shape[0])))
+    assert starts.shape[0] * width >= times.shape[0] > (starts.shape[0] - 1) * width
+    grid = (starts[:, None] + offsets[None, :]).ravel()[:times.shape[0]]
+    np.testing.assert_allclose(grid, times, rtol=0.0, atol=1e-13 * t_max)
 
 
-def test_backend_name():
-    assert kernels.backend_name() in ("compiled", "numpy")
+def test_uniform_split_rejects_short_and_irregular_grids(rng):
+    assert kernels._uniform_split(np.linspace(0.0, 1.0, 15)) is None
+    assert kernels._uniform_split(np.linspace(0.0, 1.0, 16)) is not None
+    jittered = np.linspace(0.0, 20.0, 2001)
+    jittered[700] += 1e-9
+    assert kernels._uniform_split(jittered) is None
+    assert kernels._uniform_split(np.sort(rng.uniform(0.0, 20.0, 300))) is None
 
 
-@pytest.mark.skipif(compiled is None, reason="compiled kernels not built")
-def test_full_chi_path_backend_parity(monkeypatch, system, short_grid):
-    # the dynamics and correlation layers only reach the kernels through
-    # the selector module, so swapping the functions exercises the full
-    # pipeline on the fallback
-    from morsebath import chi_series, gaussian_trace
-    from helpers import make_bath
+GRIDS = {
+    "cli-grid": np.arange(2001) * 0.01,
+    "offset-start": 3.7 + np.arange(250) * 0.05,
+    "negative-start": np.linspace(-2.0, 11.0, 1000),
+    "shortest-blocked": np.linspace(0.5, 1.5, 16),
+    "below-cutoff": np.linspace(0.0, 2.0, 15),
+    "irregular": np.sort(np.random.default_rng(7).uniform(0.0, 20.0, 400)),
+}
 
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=10)
-    chi_compiled = chi_series(modes, system, short_grid).chi
-    gauss_compiled = gaussian_trace(modes, system, short_grid).chi
-    monkeypatch.setattr(kernels, "phase_sum", _kernels_np.phase_sum)
-    monkeypatch.setattr(kernels, "gamma_sum", _kernels_np.gamma_sum)
-    chi_numpy = chi_series(modes, system, short_grid).chi
-    gauss_numpy = gaussian_trace(modes, system, short_grid).chi
-    assert np.abs(chi_compiled - chi_numpy).max() < 1e-12
-    assert np.abs(gauss_compiled - gauss_numpy).max() < 1e-12
+
+@pytest.mark.parametrize("name", GRIDS)
+def test_phase_sum_blocked_matches_direct(name, rng, monkeypatch):
+    t = GRIDS[name]
+    w = rng.normal(size=200) + 1j * rng.normal(size=200)
+    f = rng.uniform(-5.0, 5.0, size=200)
+    blocked = kernels.phase_sum(w, f, t)
+    monkeypatch.setattr(kernels, "_uniform_split", lambda times: None)  # direct path
+    np.testing.assert_allclose(blocked, kernels.phase_sum(w, f, t), rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [2001, 11])
+@pytest.mark.parametrize("delta", np.concatenate([-np.logspace(-6, 1, 15),
+                                                  np.logspace(-6, 1, 15)]))
+def test_gamma_sum_matches_sine_form(delta, n):
+    # 8 w sin^2(delta t / 2) / delta^2 has no cancellation; keep |delta| t <= 3
+    # so the reference stays away from the zeros of sin
+    t = np.linspace(0.0, min(20.0, 3.0 / abs(delta)), n)
+    w = 0.7
+    expected = 8.0 * w * np.sin(0.5 * delta * t) ** 2 / delta**2
+    got = kernels.gamma_sum(np.array([w]), np.array([delta]), 0.0, t)
+    np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
+
+
+def test_gamma_sum_blocked_matches_direct(rng, monkeypatch):
+    t = np.arange(2001) * 0.01
+    w = np.abs(rng.normal(size=300))
+    d = rng.uniform(-4.0, 4.0, size=300)
+    d[:5] = [4.5e-3, -4.5e-3, 1e-6, 1e-13, 0.0]
+    blocked = kernels.gamma_sum(w, d, 0.1, t)
+    monkeypatch.setattr(kernels, "_uniform_split", lambda times: None)
+    np.testing.assert_allclose(blocked, kernels.gamma_sum(w, d, 0.1, t), rtol=1e-13)
