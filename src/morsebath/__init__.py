@@ -7,7 +7,7 @@ them: dephasing times, information backflow, and the exact-vs-Gaussian
 error.
 """
 
-from .bath import BathConfig, BathMode, discretize, mode_thermal, spectral_density
+from .bath import Bath, BathConfig, BathMode, bath_arrays, discretize, mode_thermal, spectral_density
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_text
 from .correlation import (
     CorrelationModel,
@@ -25,7 +25,9 @@ from .dynamics import (
     SystemConfig,
     apply_map,
     chi_series,
+    chi_traces,
     gaussian_trace,
+    gaussian_traces,
     mode_factor,
     mode_propagators,
     spin_chi,
@@ -57,13 +59,13 @@ from .specfun import digamma, log_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "BathConfig", "BathMode", "ConfigError", "CorrelationModel", "DEFAULT_RHO0",
+    "Bath", "BathConfig", "BathMode", "ConfigError", "CorrelationModel", "DEFAULT_RHO0",
     "DephasingTrace", "ErrorReport", "ExperimentConfig", "FlowReport",
     "ModePropagators", "MorseParams", "MorseSpectrum", "RegionTag", "SystemConfig",
-    "alpha", "apply_map", "blp_flows", "bound_energies",
-    "bound_state_count", "build_correlation", "chi_series", "dense_chi",
+    "alpha", "apply_map", "bath_arrays", "blp_flows", "bound_energies",
+    "bound_state_count", "build_correlation", "chi_series", "chi_traces", "dense_chi",
     "dephasing_time", "digamma", "discretize", "gamma_decay", "gaussian_chi",
-    "gaussian_error", "gaussian_trace", "ladder_matrix", "log_gamma",
+    "gaussian_error", "gaussian_trace", "gaussian_traces", "ladder_matrix", "log_gamma",
     "mean_field_shift", "mode_factor", "mode_propagators", "mode_thermal",
     "offset_ratio", "overlap_element", "parse_config", "parse_config_text",
     "quadrature_element", "region_classify", "spectral_density", "spectrum",

@@ -10,17 +10,20 @@ discretization
 with the ohmic density J(w) = Theta(2 omega_c - w) eta (w/omega_c)
 exp(-w/omega_c).  The hard cut uses the boundary convention
 Theta(0) = 0, so the k = K mode carries exactly zero coupling.
+
+``bath_arrays`` holds the K modes of one lam as arrays, with the thermal
+data of any number of betas; ``discretize`` gives the per-mode view of
+one beta.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-import math
-
-from .morse import MorseParams, MorseSpectrum, bound_energies, bound_state_count, x_matrix
+from .morse import MorseSpectrum, bound_state_count, x_matrix
 
 
 @dataclass(frozen=True)
@@ -89,57 +92,117 @@ def spectral_density(omega, eta: float, omega_c: float):
     return j
 
 
-def _thermal(h_diag: np.ndarray, b_matrix: np.ndarray, beta: float):
-    """Ground-shifted Boltzmann weights and the renormalized coupling."""
-    shifted = np.exp(-beta * (h_diag - h_diag[0]))
-    partition = float(shifted.sum())
-    weights = shifted / partition
-    mean_b = float(weights @ np.diag(b_matrix))
-    b_tilde = b_matrix - mean_b * np.eye(len(h_diag))
-    return weights, partition, mean_b, b_tilde
+def _thermal(energies: np.ndarray, couplings: np.ndarray, betas: np.ndarray):
+    """Weights (n_beta, K, d), partitions and mean couplings (n_beta, K) of every beta.
+
+    Weights use the ground-energy shift exp(-beta (E_n - E_0)) / Z so
+    beta as large as 1e4 cannot underflow the whole vector.
+    """
+    if not np.all(betas > 0.0):
+        raise ValueError(f"beta must be positive, got {betas.tolist()}")
+    shifted = np.exp(-betas[:, None, None] * (energies - energies[:, :1]))
+    partition = shifted.sum(axis=-1)
+    weights = shifted / partition[..., None]
+    # one BLAS dot of fresh (aligned) vectors per mode: the dot's rounding
+    # depends on the operands' alignment, and this is the rounding of the
+    # one-mode-at-a-time thermal data
+    diags = [np.diag(b) for b in couplings]
+    mean_b = np.array([[p.copy() @ b for p, b in zip(rows, diags)] for rows in weights])
+    return weights, partition, mean_b
 
 
 def mode_thermal(mode: BathMode, beta: float):
     """Thermal data of one mode at inverse temperature beta.
 
-    Returns (weights, partition, mean_b, b_tilde).  Weights use the
-    ground-energy shift exp(-beta (E_n - E_0)) / Z so beta as large as
-    1e4 cannot underflow the whole vector.
+    Returns (weights, partition, mean_b, b_tilde), as discretize would
+    give them at this beta.
     """
-    if not beta > 0.0:
-        raise ValueError(f"beta must be positive, got {beta}")
-    return _thermal(mode.h_diag, mode.b_matrix, beta)
+    weights, partition, mean_b = _thermal(mode.h_diag[None], mode.b_matrix[None],
+                                          np.array([beta], dtype=float))
+    mean_b = float(mean_b[0, 0])
+    return (weights[0, 0], float(partition[0, 0]), mean_b,
+            mode.b_matrix - mean_b * np.eye(mode.count))
+
+
+@dataclass(frozen=True)
+class Bath:
+    """The K modes of one lam at one or more inverse temperatures, as arrays.
+
+    All modes share lam and so the level count d.  omega and g are (K,);
+    energies (K, d) and couplings (K, d, d) = g_k sqrt(2 lam) x hold
+    H_k and B_k, which do not depend on beta.  weights (n_beta, K, d),
+    partition and mean_b (n_beta, K) are the thermal data of each beta,
+    as in BathMode.
+    """
+
+    omega: np.ndarray
+    g: np.ndarray
+    energies: np.ndarray
+    couplings: np.ndarray
+    weights: np.ndarray
+    partition: np.ndarray
+    mean_b: np.ndarray
+
+    @classmethod
+    def from_modes(cls, modes: list[BathMode], renormalized: bool = False) -> Bath:
+        """One-beta bath of these modes; couplings are b_tilde when renormalized."""
+        return cls(
+            omega=np.array([m.omega for m in modes]),
+            g=np.array([m.g for m in modes]),
+            energies=np.array([m.h_diag for m in modes]),
+            couplings=np.array([m.b_tilde if renormalized else m.b_matrix for m in modes]),
+            weights=np.array([m.weights for m in modes])[None],
+            partition=np.array([[m.partition for m in modes]]),
+            mean_b=np.array([[m.mean_b for m in modes]]),
+        )
+
+
+def bath_arrays(config: BathConfig, betas=None) -> Bath:
+    """The K discretized modes of config.lam at every beta (default: config.beta).
+
+    The beta-free arrays are built once; the thermal data of all betas
+    come from one vectorized expression.
+    """
+    lam = config.lam
+    count = bound_state_count(lam)
+    if count == 0:
+        raise ValueError(f"lam = {lam} binds no state")
+    ladder = math.sqrt(2.0 * lam) * x_matrix(lam)
+    omega = 2.0 * config.omega_c * np.arange(1, config.k_modes + 1) / config.k_modes
+    g = np.sqrt(2.0 * config.omega_c / config.k_modes
+                * spectral_density(omega, config.eta, config.omega_c))
+    # bound_energies of every mode: -(omega / 2 lam) (lam - (n + 1/2))^2
+    energies = -(omega[:, None] / (2.0 * lam)) * (lam - (np.arange(count) + 0.5)) ** 2
+    couplings = g[:, None, None] * ladder
+    betas = np.array([config.beta] if betas is None else betas, dtype=float)
+    weights, partition, mean_b = _thermal(energies, couplings, betas)
+    return Bath(omega=omega, g=g, energies=energies, couplings=couplings,
+                weights=weights, partition=partition, mean_b=mean_b)
 
 
 def discretize(config: BathConfig) -> list[BathMode]:
-    """Build the K discretized modes, each with spectrum and thermal data."""
-    # position elements depend on lam only: compute once, share across modes
-    count = bound_state_count(config.lam)
+    """Build the K discretized modes, each with spectrum and thermal data.
+
+    The modes are views of ``bath_arrays(config)`` at config.beta.
+    """
+    bath = bath_arrays(config)
+    count = bath.energies.shape[1]
     x_elements = x_matrix(config.lam)
-    ladder = math.sqrt(2.0 * config.lam) * x_elements
     modes = []
-    for k in range(1, config.k_modes + 1):
-        omega_k = 2.0 * config.omega_c * k / config.k_modes
-        g_k = float(np.sqrt(2.0 * config.omega_c / config.k_modes
-                            * spectral_density(omega_k, config.eta, config.omega_c)))
-        spec = MorseSpectrum(
-            count=count,
-            energies=bound_energies(MorseParams(omega=omega_k, lam=config.lam)),
-            x_elements=x_elements,
-            big_n=config.lam - 0.5,
-        )
-        b_matrix = g_k * ladder
-        weights, partition, mean_b, b_tilde = _thermal(spec.energies, b_matrix, config.beta)
+    for k in range(config.k_modes):
+        b_matrix = bath.couplings[k]
+        mean_b = float(bath.mean_b[0, k])
         modes.append(BathMode(
-            index=k,
-            omega=omega_k,
-            g=g_k,
-            spectrum=spec,
-            h_diag=spec.energies,
+            index=k + 1,
+            omega=float(bath.omega[k]),
+            g=float(bath.g[k]),
+            spectrum=MorseSpectrum(count=count, energies=bath.energies[k],
+                                   x_elements=x_elements, big_n=config.lam - 0.5),
+            h_diag=bath.energies[k],
             b_matrix=b_matrix,
-            weights=weights,
-            partition=partition,
+            weights=bath.weights[0, k],
+            partition=float(bath.partition[0, k]),
             mean_b=mean_b,
-            b_tilde=b_tilde,
+            b_tilde=b_matrix - mean_b * np.eye(count),
         ))
     return modes

@@ -3,8 +3,9 @@
 Subcommands: spectrum, bath, correlation, dynamics, sweep-dephasing,
 sweep-backflow, gaussian-error, oracle-check.  File outputs are byte
 identical across runs of the same configuration; floats are written in
-scientific notation with 12 significant digits.  Sweep rows are ordered
-lexicographically by (lambda, beta) no matter how the points were
+scientific notation with 12 significant digits.  A sweep runs one task
+per lambda, covering all of its betas; rows are ordered
+lexicographically by (lambda, beta) no matter how the tasks were
 scheduled.  Quantities that can be undefined (no threshold crossing, no
 outflow) are recorded with the sentinel value -1.
 """
@@ -21,10 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
-from .bath import BathConfig, discretize
+from .bath import BathConfig, bath_arrays, discretize
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
-from .dynamics import SystemConfig, chi_series, gaussian_trace, time_grid
+from .dynamics import SystemConfig, chi_series, chi_traces, gaussian_traces, time_grid
 from .morse import MorseParams, bound_state_count, spectrum, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
@@ -108,12 +109,12 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 def cmd_dynamics(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     lam, beta = cfg.single_point()
-    modes = discretize(_bath_config(cfg, lam, beta))
+    bath = bath_arrays(_bath_config(cfg, lam, beta))
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
-    exact = chi_series(modes, system, times)
-    gauss = gaussian_trace(modes, system, times,
-                           second_order_phase=cfg.gauss_second_order_phase)
+    exact, = chi_traces(bath, system, times)
+    gauss, = gaussian_traces(bath, system, times,
+                             second_order_phase=cfg.gauss_second_order_phase)
     lines = ["t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss"]
     for t, c, g in zip(times, exact.chi, gauss.chi):
         lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
@@ -124,28 +125,49 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_point(payload: tuple[str, ExperimentConfig, float, float]):
-    """One (lambda, beta) sweep point; top level so worker processes can load it."""
-    kind, cfg, lam, beta = payload
-    modes = discretize(_bath_config(cfg, lam, beta))
+def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float]) -> list:
+    """Sweep rows of every beta at one lambda, in the order of betas."""
+    bath = bath_arrays(_bath_config(cfg, lam, betas[0]), betas)
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
+    exact = chi_traces(bath, system, times)
     if kind == "dephasing":
-        trace = chi_series(modes, system, times)
-        tau = dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
-        return (lam, beta, tau if tau is not None else NO_CROSSING)
+        rows = []
+        for beta, trace in zip(betas, exact):
+            tau = dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
+            rows.append((lam, beta, tau if tau is not None else NO_CROSSING))
+        return rows
     if kind == "backflow":
-        trace = chi_series(modes, system, times)
-        flows = blp_flows(np.abs(trace.chi))
-        ratio = flows.ratio if flows.ratio is not None else NO_CROSSING
-        return (lam, beta, flows.n_minus, flows.n_plus, ratio)
+        rows = []
+        for beta, trace in zip(betas, exact):
+            flows = blp_flows(np.abs(trace.chi))
+            ratio = flows.ratio if flows.ratio is not None else NO_CROSSING
+            rows.append((lam, beta, flows.n_minus, flows.n_plus, ratio))
+        return rows
     if kind == "gaussian-error":
-        exact = chi_series(modes, system, times)
-        gauss = gaussian_trace(modes, system, times,
-                               second_order_phase=cfg.gauss_second_order_phase)
-        report = gaussian_error(exact, gauss, cfg.rho0)
-        return (lam, beta, report.time_avg, report.pointwise)
+        gauss = gaussian_traces(bath, system, times,
+                                second_order_phase=cfg.gauss_second_order_phase)
+        rows = []
+        for beta, e, g in zip(betas, exact, gauss):
+            report = gaussian_error(e, g, cfg.rho0)
+            rows.append((lam, beta, report.time_avg, report.pointwise))
+        return rows
     raise ValueError(f"unknown sweep kind {kind!r}")
+
+
+def _sweep_point(payload: tuple[str, ExperimentConfig, float]) -> list:
+    """Rows of every beta at one lambda; top level so worker processes can load it.
+
+    A failure is re-raised naming the lambda and betas of the task.
+    """
+    kind, cfg, lam = payload
+    betas = sorted(cfg.betas)
+    try:
+        return _lambda_rows(kind, cfg, lam, betas)
+    except Exception as exc:
+        raise RuntimeError(f"sweep point lambda = {lam:.12g}, beta = "
+                           f"{', '.join(f'{b:.12g}' for b in betas)}: "
+                           f"{type(exc).__name__}: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -164,17 +186,16 @@ def _single_threaded_blas() -> Iterator[None]:
 
 
 def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
-    points = [(kind, cfg, lam, beta)
-              for lam in sorted(cfg.lambdas) for beta in sorted(cfg.betas)]
+    tasks = [(kind, cfg, lam) for lam in sorted(cfg.lambdas)]
     workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(points) > 1:
+    if workers > 1 and len(tasks) > 1:
         # spawned workers load BLAS afresh and so read the pinned thread count
         with _single_threaded_blas(), ProcessPoolExecutor(
                 max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            results = list(pool.map(_sweep_point, points, chunksize=4))
+            blocks = list(pool.map(_sweep_point, tasks, chunksize=1))
     else:
-        results = [_sweep_point(p) for p in points]
-    return sorted(results, key=lambda row: (row[0], row[1]))
+        blocks = [_sweep_point(task) for task in tasks]
+    return sorted((row for rows in blocks for row in rows), key=lambda row: (row[0], row[1]))
 
 
 def cmd_sweep_dephasing(args: argparse.Namespace) -> int:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import BathMode
+from .bath import Bath, BathMode
 from . import kernels
 
 # Terms whose cumulative weight falls below this fraction of alpha(0) are
@@ -32,60 +32,74 @@ NEGLIGIBLE_WEIGHT = 1e-13
 
 @dataclass(frozen=True)
 class CorrelationModel:
-    """Offset plus spectral terms of the second-order correlation."""
+    """Offset plus spectral terms of the second-order correlation.
 
-    offset_c0: float
+    For one temperature offset_c0 is a float and weights are (T,).  A
+    model of n_beta temperatures holds offset_c0 (n_beta,) and weights
+    (T, n_beta) over the union of the terms the betas keep, zero where
+    a beta dropped one; the deltas (T,) are shared.
+    """
+
+    offset_c0: float | np.ndarray
     weights: np.ndarray
     deltas: np.ndarray
 
 
-def build_correlation(modes: list[BathMode], *,
+def build_correlation(modes: list[BathMode] | Bath, *,
                       weight_cutoff: float = NEGLIGIBLE_WEIGHT) -> CorrelationModel:
     """Aggregate offset and time-dependent terms over all modes.
 
     offset_c0 = sum_{k,n} p_kn b_tilde[n,n]^2; the term list enumerates
-    every ordered pair n != p of every mode.  Terms carrying a
-    negligible fraction of the total weight are discarded (see
-    ``NEGLIGIBLE_WEIGHT``); pass ``weight_cutoff=0`` to keep all.
+    every ordered pair n != p of every mode, with the gap E_n - E_p and
+    the weight p_n b[n,p]^2 (b_tilde and b share the off-diagonal).
+    Terms carrying a negligible fraction of a beta's total weight are
+    discarded for that beta (see ``NEGLIGIBLE_WEIGHT``); pass
+    ``weight_cutoff=0`` to keep all.  A list of modes gives the
+    one-temperature model, a Bath the model of all its betas.
     """
-    c0 = 0.0
-    all_w = []
-    all_d = []
-    for mode in modes:
-        bt2 = mode.b_tilde * mode.b_tilde
-        c0 += float(mode.weights @ np.diag(bt2))
-        d = mode.count
-        if d < 2:
-            continue
-        w_mat = mode.weights[:, None] * bt2
-        d_mat = mode.h_diag[:, None] - mode.h_diag[None, :]
-        off = ~np.eye(d, dtype=bool)
-        all_w.append(w_mat[off])
-        all_d.append(d_mat[off])
-    if all_w:
-        w = np.concatenate(all_w)
-        deltas = np.concatenate(all_d)
-    else:
-        w = np.empty(0)
-        deltas = np.empty(0)
-    total = float(w.sum())
-    if total > 0.0 and weight_cutoff > 0.0:
-        order = np.argsort(w, kind="stable")
-        cum = np.cumsum(w[order])
-        keep = np.sort(order[cum > weight_cutoff * total])
-        w = w[keep]
-        deltas = deltas[keep]
-    return CorrelationModel(offset_c0=c0, weights=w, deltas=deltas)
+    bath = modes if isinstance(modes, Bath) else Bath.from_modes(modes)
+    p = bath.weights
+    n_beta, _, d = p.shape
+    # C0: one dot product of fresh vectors per mode (a BLAS dot rounds
+    # by operand alignment), then a running sum over the modes in order
+    bt_diag = np.diagonal(bath.couplings, axis1=-2, axis2=-1) - bath.mean_b[..., None]
+    c0 = np.cumsum([[pk.copy() @ (bk * bk) for pk, bk in zip(pb, btb)]
+                    for pb, btb in zip(p, bt_diag)], axis=-1)[:, -1]
+    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
+    b2 = bath.couplings[:, rows, cols]
+    b2 *= b2
+    w = p[:, :, rows]
+    w *= b2
+    del b2
+    w = w.reshape(n_beta, -1)
+    keep = kernels.kept_terms(w, weight_cutoff * w.sum(axis=-1))
+    union = keep.any(axis=0)
+    w = w[:, union]
+    w[~keep[:, union]] = 0.0
+    # gaps of the kept terms only: term i is pair i % T of mode i // T
+    mode, pair = np.divmod(np.flatnonzero(union), rows.size)
+    deltas = bath.energies[mode, rows[pair]] - bath.energies[mode, cols[pair]]
+    model = CorrelationModel(offset_c0=c0, weights=np.ascontiguousarray(w.T), deltas=deltas)
+    if isinstance(modes, Bath):
+        return model
+    return CorrelationModel(offset_c0=float(c0[0]), weights=model.weights[:, 0],
+                            deltas=model.deltas)
+
+
+def _at(out: np.ndarray, t):
+    """out on the grid, or its value at a scalar t (a Python number for one weight set)."""
+    if np.ndim(t) > 0:
+        return out
+    value = out[..., 0]
+    return value.item() if value.ndim == 0 else value
 
 
 def alpha(model: CorrelationModel, t):
     """Correlation function C0 + sum_j w_j exp(i Delta_j t) at time(s) t."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = model.offset_c0 + kernels.phase_sum(
+    out = np.asarray(model.offset_c0)[..., None] + kernels.phase_sum(
         model.weights.astype(np.complex128), model.deltas, ts)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(out[0])
-    return out
+    return _at(out, t)
 
 
 def offset_ratio(model: CorrelationModel) -> float:
@@ -99,32 +113,33 @@ def offset_ratio(model: CorrelationModel) -> float:
 def gamma_decay(model: CorrelationModel, t):
     """Decay exponent Gamma(t) = 4 Re of the double integral of alpha."""
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = kernels.gamma_sum(model.weights, model.deltas, model.offset_c0, ts)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return float(out[0])
-    return out
+    return _at(kernels.gamma_sum(model.weights, model.deltas, model.offset_c0, ts), t)
 
 
-def mean_field_shift(modes: list[BathMode]) -> float:
+def mean_field_shift(modes: list[BathMode] | Bath):
     """Phase velocity 2 <B> of the mean-field part of the coupling.
 
     The coherence picked out by the dynamical map rotates at
     omega_s + 2 <B>_beta once the coupling is split into mean plus
     fluctuation; the Gaussian surrogate carries that shift explicitly.
+    A Bath gives one shift per beta, summed over the modes in order.
     """
+    if isinstance(modes, Bath):
+        return 2.0 * np.cumsum(modes.mean_b, axis=-1)[:, -1]
     return 2.0 * sum(mode.mean_b for mode in modes)
 
 
 def _second_order_phase(model: CorrelationModel, ts: np.ndarray) -> np.ndarray:
     """Im of the double integral: sum_j 4 w_j (t/Delta - sin(Delta t)/Delta^2)."""
-    out = np.zeros_like(ts)
     big = np.abs(model.deltas) >= kernels.ZERO_FREQ_TOL
     w = model.weights[big]
     d = model.deltas[big]
+    out = np.zeros(w.shape[1:] + ts.shape)
     for start in range(0, w.shape[0], 2048):
         wk = w[start:start + 2048]
         dk = d[start:start + 2048]
-        out += (4.0 * wk / dk) @ (ts[None, :] - np.sin(dk[:, None] * ts[None, :]) / dk[:, None])
+        out += (4.0 * wk / dk.reshape((-1,) + (1,) * (wk.ndim - 1))).T @ (
+            ts[None, :] - np.sin(dk[:, None] * ts[None, :]) / dk[:, None])
     return out
 
 
@@ -138,11 +153,9 @@ def gaussian_chi(model: CorrelationModel, omega_s: float, mean_shift: float, t,
     convention of the surrogate's closed form.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    phase = (omega_s + mean_shift) * ts
+    phase = np.multiply.outer(omega_s + np.asarray(mean_shift), ts)
     if second_order_phase:
         phase = phase - _second_order_phase(model, ts)
     out = np.exp(1j * phase - kernels.gamma_sum(
         model.weights, model.deltas, model.offset_c0, ts))
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(out[0])
-    return out
+    return _at(out, t)

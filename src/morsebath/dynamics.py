@@ -28,12 +28,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .bath import BathMode
+from .bath import Bath, BathMode
 from .correlation import CorrelationModel, build_correlation, gaussian_chi, mean_field_shift
 
 # Per-mode factor terms whose cumulative magnitude is below this bound
 # are dropped; the induced error in chi is below K * 1e-14.
 NEGLIGIBLE_TERM_MASS = 1e-14
+
+# a mode block holds at most this many elements per stacked d x d array:
+# 40 modes fit up to d = 10, and from d = 46 up each mode is its own block
+_BLOCK_ELEMENTS = 4096
 
 # Initial impurity state (1/2)(identity + sigma_x / 2): unit trace with
 # coherence 1/4.
@@ -62,7 +66,12 @@ class SystemConfig:
 
 @dataclass(frozen=True)
 class ModePropagators:
-    """Eigendecompositions of Hk_plus and Hk_minus plus thermal weights."""
+    """Eigendecompositions of Hk_plus and Hk_minus plus thermal weights.
+
+    For one mode: evals (d,), evecs (d, d) and weights (d,).  For a block
+    of m modes at n_beta temperatures the eigenpairs gain a leading mode
+    axis and weights are (n_beta, m, d).
+    """
 
     evals_plus: np.ndarray
     evecs_plus: np.ndarray
@@ -88,45 +97,86 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     return np.arange(n_steps + 1) * dt
 
 
+def _block_propagators(energies: np.ndarray, couplings: np.ndarray,
+                       weights: np.ndarray) -> ModePropagators:
+    """Stacked eigendecompositions of H_pm = diag(E) +- B over a block of modes."""
+    idx = np.arange(energies.shape[-1])
+    h = np.zeros(couplings.shape)
+    h[:, idx, idx] = energies
+    evals_plus, evecs_plus = np.linalg.eigh(h + couplings)
+    evals_minus, evecs_minus = np.linalg.eigh(h - couplings)
+    return ModePropagators(evals_plus, evecs_plus, evals_minus, evecs_minus, weights)
+
+
 def mode_propagators(mode: BathMode, renormalized: bool = False) -> ModePropagators:
-    """Eigendecompose Hk_pm = diag(E) +- B (or +- B_tilde) once per mode."""
+    """Eigendecompose Hk_pm = diag(E) +- B (or +- B_tilde) of one mode."""
     b = mode.b_tilde if renormalized else mode.b_matrix
-    h_plus = np.diag(mode.h_diag) + b
-    h_minus = np.diag(mode.h_diag) - b
-    evals_plus, evecs_plus = np.linalg.eigh(h_plus)
-    evals_minus, evecs_minus = np.linalg.eigh(h_minus)
-    return ModePropagators(evals_plus, evecs_plus, evals_minus, evecs_minus, mode.weights)
+    block = _block_propagators(mode.h_diag[None], b[None], mode.weights)
+    return ModePropagators(block.evals_plus[0], block.evecs_plus[0],
+                           block.evals_minus[0], block.evecs_minus[0], mode.weights)
 
 
-def _phase_terms(prop: ModePropagators,
+def _phase_terms(block: ModePropagators,
                  drop_tol: float = NEGLIGIBLE_TERM_MASS) -> tuple[np.ndarray, np.ndarray]:
-    """Flattened (weights, frequencies) of one mode's trace factor.
+    """Terms-first (m T, n_beta) weights and (m T,) frequencies of a mode block.
 
-    Entries are pruned from the smallest magnitudes up while the dropped
-    mass stays below drop_tol, which bounds the per-mode factor error by
-    the same amount (|exp(i w t)| = 1).
+    Mode k's trace factor at each beta is sum_{a,b} W[a,b] exp(i
+    (L_plus[b] - L_minus[a]) t).  Each (beta, mode) is pruned from its
+    smallest |W| up while the dropped mass stays below drop_tol, which
+    bounds the factor error by the same amount (|exp(i w t)| = 1).  Every
+    mode keeps the union of its betas' terms, in index order, with zero
+    weight where a beta dropped one, padded to a common count T with
+    zero-weight terms.
     """
-    a = prop.evecs_minus.T @ (prop.weights[:, None] * prop.evecs_plus)
-    b = prop.evecs_plus.T @ prop.evecs_minus
-    w = (a * b.T).ravel()
-    freqs = (prop.evals_plus[None, :] - prop.evals_minus[:, None]).ravel()
-    if drop_tol > 0.0 and w.size > 1:
-        order = np.argsort(np.abs(w), kind="stable")
-        cum = np.cumsum(np.abs(w)[order])
-        keep = np.sort(order[cum > drop_tol])
-        w = w[keep]
-        freqs = freqs[keep]
-    return w, freqs
+    a = block.evecs_minus.swapaxes(-1, -2) @ (block.weights[..., :, None] * block.evecs_plus)
+    b = block.evecs_plus.swapaxes(-1, -2) @ block.evecs_minus
+    n_beta, m, d = block.weights.shape
+    w = (a * b.swapaxes(-1, -2)).reshape(n_beta, m, d * d)
+    freqs = (block.evals_plus[:, None, :] - block.evals_minus[:, :, None]).reshape(m, d * d)
+    keep = kernels.kept_terms(np.abs(w), drop_tol)
+    union = keep.any(axis=0)
+    order = np.argsort(~union, axis=-1, kind="stable")[:, :union.sum(axis=-1).max()]
+    w = np.take_along_axis(np.where(keep, w, 0.0), order[None], axis=-1)
+    freqs = np.take_along_axis(freqs, order, axis=-1)
+    return w.transpose(1, 2, 0).reshape(-1, n_beta), freqs.ravel()
 
 
 def mode_factor(prop: ModePropagators, t):
     """Per-mode trace factor tr(exp(-i H- t) rho exp(+i H+ t)) at time(s) t."""
-    w, freqs = _phase_terms(prop)
+    block = ModePropagators(prop.evals_plus[None], prop.evecs_plus[None], prop.evals_minus[None],
+                            prop.evecs_minus[None], prop.weights[None, None])
+    w, freqs = _phase_terms(block)
     ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = kernels.phase_sum(w.astype(np.complex128), freqs, ts)
+    out = kernels.phase_sum(w[:, 0], freqs, ts)
     if np.isscalar(t) or np.asarray(t).ndim == 0:
         return complex(out[0])
     return out
+
+
+def _chi(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
+    """Exact decay factor of every beta of the bath, (n_beta, n).
+
+    Modes go in blocks of at most _BLOCK_ELEMENTS / d^2; each block takes
+    one stacked eigh per sign and one phase sum for all its modes and
+    betas, and chi is the product of the mode factors in mode order.
+    """
+    n_modes, d = bath.energies.shape
+    size = max(1, _BLOCK_ELEMENTS // (d * d))
+    chi = np.repeat(np.exp(1j * omega_s * times)[None], bath.weights.shape[0], axis=0)
+    for start in range(0, n_modes, size):
+        s = slice(start, start + size)
+        block = _block_propagators(bath.energies[s], bath.couplings[s], bath.weights[:, s])
+        w, freqs = _phase_terms(block)
+        for factor in kernels.phase_sum(w, freqs, times, groups=block.evals_plus.shape[0]):
+            chi = chi * factor
+    return chi
+
+
+def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray) -> list[DephasingTrace]:
+    """Exact decay factor of every beta of one lam, sharing its eigendecompositions."""
+    times = np.asarray(times, dtype=float)
+    return [DephasingTrace(times=times, chi=chi, variant="exact")
+            for chi in _chi(bath, system.omega_s, times)]
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray,
@@ -137,12 +187,7 @@ def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray,
     the result then differs from the bare one by the global phase
     exp(2i <B> t).
     """
-    times = np.asarray(times, dtype=float)
-    chi = np.exp(1j * system.omega_s * times)
-    for mode in modes:
-        w, freqs = _phase_terms(mode_propagators(mode, renormalized=renormalized))
-        chi = chi * kernels.phase_sum(w.astype(np.complex128), freqs, times)
-    return DephasingTrace(times=times, chi=chi, variant="exact")
+    return chi_traces(Bath.from_modes(modes, renormalized), system, times)[0]
 
 
 def _pauli_vector(h: np.ndarray) -> tuple[float, float, float]:
@@ -196,6 +241,15 @@ def spin_chi(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> 
         rho = np.diag(mode.weights).astype(complex)
         chi = chi * np.einsum("tij,jk,tki->t", v_minus, rho, u_plus)
     return DephasingTrace(times=times, chi=chi, variant="spin-fast-path")
+
+
+def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
+                    second_order_phase: bool = False) -> list[DephasingTrace]:
+    """Gaussian surrogate trace of every beta of one lam, from one correlation build."""
+    times = np.asarray(times, dtype=float)
+    chi = gaussian_chi(build_correlation(bath), system.omega_s, mean_field_shift(bath), times,
+                       second_order_phase=second_order_phase)
+    return [DephasingTrace(times=times, chi=row, variant="gaussian") for row in chi]
 
 
 def gaussian_trace(modes: list[BathMode], system: SystemConfig, times: np.ndarray,

@@ -1,7 +1,12 @@
 """Weighted phase sums over a time grid: the hot loop of chi(t) and Gamma(t).
 
-    phase_sum(weights, freqs, times)            -> complex128[n]
-    gamma_sum(weights, deltas, offset, times)   -> float64[n]
+    phase_sum(weights, freqs, times, groups=None) -> complex128[..., n]
+    gamma_sum(weights, deltas, offset, times)     -> float64[..., n]
+
+Weights come terms first: (T,) for one set of weights, or (T, c) for c
+sets that share the frequencies (one per inverse temperature).  The
+result is (n,) or (c, n); each extra column costs matrix-product rows,
+not exponentials.
 
 Every grid the CLI builds is uniform, t_j = t0 + j dt.  Writing
 j = b B + s with B = ceil(sqrt(n)) splits each exponential,
@@ -9,9 +14,12 @@ j = b B + s with B = ceil(sqrt(n)) splits each exponential,
     exp(i f t_j) = exp(i f (t0 + b B dt)) * exp(i f s dt),
 
 so a chunk of T terms costs T (n_b + B) exponentials and one matrix
-product (T x n_b)^T @ (T x B) instead of T n exponentials.  Grids that
+product (T x c n_b)^T @ (T x B) instead of T n exponentials.  Grids that
 are short or not uniform take the direct outer-product path.  Work is
 chunked over terms so the temporaries stay bounded in memory.
+
+``kept_terms`` is the pruning rule of both term lists (mode factors and
+correlation terms).
 """
 
 from __future__ import annotations
@@ -30,6 +38,39 @@ _MIN_BLOCKED = 16
 _UNIFORM_EPS = 4.0
 
 ZERO_FREQ_TOL = 1e-12
+
+
+def kept_terms(magnitudes: np.ndarray, tol) -> np.ndarray:
+    """Mask of the terms that survive mass pruning, row by row along the last axis.
+
+    Each row drops its entries from the smallest up while their running
+    sum stays <= tol (a scalar, or one value per row), so the dropped
+    mass is at most tol.  Ties at the cut are dropped lowest index
+    first, which keeps exactly the set a stable argsort would.  Exact
+    zeros are always dropped and never sorted.  A row with tol <= 0
+    keeps everything.
+    """
+    mags = np.asarray(magnitudes, dtype=np.float64)
+    rows = mags.reshape(math.prod(mags.shape[:-1]), mags.shape[-1])
+    tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), mags.shape[:-1]).reshape(-1, 1)
+    prune = tols > 0.0
+    keep = np.broadcast_to(~prune, rows.shape).copy()
+    # zeros sort first and add nothing to the running sum, so leaving out
+    # the columns that are zero in every row moves no cut
+    live = rows.any(axis=0)
+    if not live.any():
+        return keep.reshape(mags.shape)
+    sub = rows[:, live]
+    ordered = np.sort(sub, axis=-1)
+    n_drop = np.count_nonzero(np.cumsum(ordered, axis=-1) <= tols, axis=-1, keepdims=True)
+    n_drop[~prune] = 0
+    cut = np.take_along_axis(ordered, np.maximum(n_drop - 1, 0), axis=-1)
+    del ordered
+    cut[n_drop == 0] = -np.inf
+    tie = sub == cut
+    tie_drops = n_drop - np.count_nonzero(sub < cut, axis=-1, keepdims=True)
+    keep[:, live] = (sub > cut) | (tie & (np.cumsum(tie, axis=-1) > tie_drops))
+    return keep.reshape(mags.shape)
 
 
 def _uniform_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
@@ -51,55 +92,73 @@ def _uniform_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     return starts, steps[:width] * dt
 
 
-def _chunks(m: int):
-    for start in range(0, m, _CHUNK):
-        yield slice(start, start + _CHUNK)
+def _chunks(m: int, groups: int = 1):
+    """Slices of at most _CHUNK terms in all over `groups` runs of m terms; one if m = 0."""
+    size = max(1, _CHUNK // groups)
+    for start in range(0, max(m, 1), size):
+        yield slice(start, start + size)
 
 
-def _blocked_sum(factors, split: tuple[np.ndarray, np.ndarray], n: int, dtype) -> np.ndarray:
-    """Sum of left^T @ right over the per-chunk (T x n_b, T x B) factor pairs.
+def _blocked_sum(factors, shape: tuple[int, int], n: int) -> np.ndarray:
+    """Sum of left^T @ right over (g, T, c n_b) and (g, T, B) factor pairs.
 
-    Entry (b, s) of the sum is the value at grid point j = b B + s; the
-    padding past n is dropped.
+    Entry (b, s) of each product is the value at grid point j = b B + s;
+    the result has shape (g, c, n), the padding past n dropped.
     """
-    starts, offsets = split
-    acc = np.zeros((starts.shape[0], offsets.shape[0]), dtype=dtype)
-    for left, right in factors:
-        acc += left.T @ right
-    return acc.ravel()[:n]
+    parts = (left.swapaxes(1, 2) @ right for left, right in factors)
+    acc = next(parts)
+    for part in parts:
+        acc += part
+    return acc.reshape(shape + (-1,))[..., :n]
 
 
-def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """out[j] = sum_i weights[i] * exp(1j * freqs[i] * times[j])."""
+def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
+              groups: int | None = None) -> np.ndarray:
+    """out[..., j] = sum_i weights[i, ...] * exp(1j * freqs[i] * times[j]).
+
+    With ``groups = g`` the T terms are g consecutive runs of T / g terms,
+    each summed on its own, and the result gains a leading axis of
+    length g: one call serves the modes of a block, whose factors are
+    multiplied, not added, afterwards.
+    """
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
+    g = 1 if groups is None else groups
+    cols = weights.shape[1:]
+    c = math.prod(cols)
+    w = weights.reshape(g, weights.shape[0] // g, c)
+    f = freqs.reshape(g, -1, 1)
+    n = times.shape[0]
     split = _uniform_split(times)
     if split is None:
-        out = np.zeros(times.shape[0], dtype=np.complex128)
-        for k in _chunks(weights.shape[0]):
-            out += weights[k] @ np.exp(1j * freqs[k, None] * times)
-        return out
-    starts, offsets = split
+        out = np.zeros((g, c, n), dtype=np.complex128)
+        for k in _chunks(w.shape[1], g):
+            out += w[:, k].swapaxes(1, 2) @ np.exp(1j * f[:, k] * times)
+    else:
+        starts, offsets = split
 
-    def factors():
-        for k in _chunks(weights.shape[0]):
-            f = freqs[k, None]
-            yield weights[k, None] * np.exp(1j * f * starts), np.exp(1j * f * offsets)
+        def factors():
+            for k in _chunks(w.shape[1], g):
+                fk = f[:, k]
+                left = w[:, k, :, None] * np.exp(1j * fk * starts)[:, :, None, :]
+                yield left.reshape(g, left.shape[1], c * starts.shape[0]), np.exp(1j * fk * offsets)
 
-    return _blocked_sum(factors(), split, times.shape[0], np.complex128)
+        out = _blocked_sum(factors(), (g, c), n)
+    return out.reshape(((g,) if groups is not None else ()) + cols + (n,))
 
 
-def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset: float,
+def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
               times: np.ndarray) -> np.ndarray:
     """Closed-form double time integral of the correlation function.
 
-    out[j] = 2 * offset * t^2
-             + sum_i 8 * weights[i] * sin^2(deltas[i] * t / 2) / deltas[i]^2,
+    out[..., j] = 2 * offset * t^2
+                  + sum_i 8 * weights[i, ...] * sin^2(deltas[i] * t / 2) / deltas[i]^2,
 
     which is 4 w (1 - cos(delta t)) / delta^2 without the cancellation
-    of 1 - cos at small delta t.  Terms with |delta| < ZERO_FREQ_TOL
-    take the removable-singularity limit 2 * w * t^2.
+    of 1 - cos at small delta t.  offset is a scalar, or one value per
+    weight column.  Terms with |delta| < ZERO_FREQ_TOL take the
+    removable-singularity limit 2 * w * t^2.
 
     On a uniform grid t = a + b, with a a block start and b an in-block
     offset.  With x = delta a and y = delta b,
@@ -115,30 +174,37 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset: float,
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     deltas = np.ascontiguousarray(deltas, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
+    cols = weights.shape[1:]
+    w = weights.reshape(weights.shape[0], math.prod(cols))
     t2 = times * times
-    out = 2.0 * offset * t2
+    out = np.zeros((w.shape[1], times.shape[0]))
+    out += 2.0 * np.asarray(offset, dtype=np.float64).reshape(-1, 1) * t2
     small = np.abs(deltas) < ZERO_FREQ_TOL
     if np.any(small):
-        out += 2.0 * weights[small].sum() * t2
+        out += 2.0 * w[small].sum(axis=0)[:, None] * t2
     d = deltas[~small]
-    coef = 4.0 * weights[~small] / (d * d)
+    coef = 4.0 * w[~small] / (d * d)[:, None]
     split = _uniform_split(times)
     if split is None:
         for k in _chunks(d.shape[0]):
             half = np.sin(0.5 * d[k, None] * times)
-            out += coef[k] @ (2.0 * half * half)
-        return out
+            out += coef[k].T @ (2.0 * half * half)
+        return out.reshape(cols + (-1,))
     starts, offsets = split
     ones = np.ones((1, offsets.shape[0]))
 
     def factors():
         for k in _chunks(d.shape[0]):
-            dk, ck = d[k, None], coef[k, None]
+            dk, ck = d[k, None], coef[k, :, None]
             a = dk * starts
             half_a = np.sin(0.5 * a)
             half_b = np.sin(0.5 * dk * offsets)
-            row = ck.T @ (2.0 * half_a * half_a)
-            yield (np.concatenate([ck * np.cos(a), ck * np.sin(a), row]),
-                   np.concatenate([2.0 * half_b * half_b, np.sin(dk * offsets), ones]))
+            rows = (dk.shape[0], coef.shape[1] * starts.shape[0])
+            left = np.concatenate([(ck * np.cos(a)[:, None]).reshape(rows),
+                                   (ck * np.sin(a)[:, None]).reshape(rows),
+                                   (coef[k].T @ (2.0 * half_a * half_a)).reshape(1, -1)])
+            yield (left[None],
+                   np.concatenate([2.0 * half_b * half_b, np.sin(dk * offsets), ones])[None])
 
-    return out + _blocked_sum(factors(), split, times.shape[0], np.float64)
+    out = out + _blocked_sum(factors(), (1, w.shape[1]), times.shape[0])[0]
+    return out.reshape(cols + (-1,))

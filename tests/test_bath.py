@@ -79,6 +79,12 @@ def test_mode_thermal_recomputes_at_new_beta():
         mode_thermal(modes[0], beta=0.0)
 
 
+def test_lambda_without_bound_state_is_rejected():
+    # lam + 1/2 within 1e-9 of 1: the count is 0
+    with pytest.raises(ValueError, match="binds no state"):
+        make_bath(lam=0.5 + 1e-10, beta=1.0, k_modes=2)
+
+
 def test_bath_config_validation():
     with pytest.raises(ValueError):
         BathConfig(eta=-1.0, omega_c=1.0, k_modes=4, lam=2.5, beta=1.0)

@@ -229,3 +229,18 @@ def test_scientific_notation_everywhere(tmp_path):
     for row in read_rows(out)[1:]:
         for field in row:
             assert SCI.match(field), field
+
+
+def test_sweep_failure_names_lambda_and_betas(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise FloatingPointError("overflow in a layer")
+
+    monkeypatch.setattr(cli, "dephasing_time", broken)
+    text = BASE.replace("lambda = 2.5", "lambda = 2.6,1.6").replace("beta = 1.0", "beta = 4,1")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "s.csv"
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
+    err = capsys.readouterr().err
+    assert "lambda = 1.6, beta = 1, 4" in err
+    assert "FloatingPointError: overflow in a layer" in err
+    assert not out.exists()

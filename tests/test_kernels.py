@@ -102,3 +102,43 @@ def test_gamma_sum_blocked_matches_direct(rng, monkeypatch):
     blocked = kernels.gamma_sum(w, d, 0.1, t)
     monkeypatch.setattr(kernels, "_uniform_split", lambda times: None)
     np.testing.assert_allclose(blocked, kernels.gamma_sum(w, d, 0.1, t), rtol=1e-13)
+
+
+def stable_kept(mags, tol):
+    """The pruning rule as a stable argsort states it."""
+    keep = np.ones(mags.shape, dtype=bool)
+    if tol > 0.0:
+        order = np.argsort(mags, kind="stable")
+        keep[:] = False
+        keep[order[np.cumsum(mags[order]) > tol]] = True
+    return keep
+
+
+def test_kept_terms_matches_stable_argsort(rng):
+    for _ in range(200):
+        size = int(rng.integers(1, 60))
+        mags = rng.exponential(size=size) * 10.0 ** rng.uniform(-16, 0)
+        mags[rng.random(size) < 0.3] = 0.0  # planted zeros, as from underflowed weights
+        # ties straddling the cut: equal values, a tolerance inside their running sum
+        tie = rng.choice(size, size=int(rng.integers(0, size + 1)), replace=False)
+        mags[tie] = mags.max() if tie.size else 0.0
+        below = np.sort(mags)
+        tol = float(np.cumsum(below)[int(rng.integers(0, size))]) * rng.choice([1.0, 1.0 + 1e-9, 0.5])
+        np.testing.assert_array_equal(kernels.kept_terms(mags, tol), stable_kept(mags, tol))
+
+
+def test_kept_terms_rows_and_edge_cases(rng):
+    mags = np.abs(rng.normal(size=(3, 4, 25)))
+    mags[0, 1, :10] = 0.0
+    tols = rng.uniform(0.0, 3.0, size=(3, 4))
+    tols[2, 3] = 0.0  # keeps everything, zeros included
+    got = kernels.kept_terms(mags, tols)
+    for i in range(3):
+        for j in range(4):
+            np.testing.assert_array_equal(got[i, j], stable_kept(mags[i, j], tols[i, j]))
+    ties = np.full(6, 0.1)
+    np.testing.assert_array_equal(kernels.kept_terms(ties, 0.25),
+                                  [False, False, True, True, True, True])
+    assert kernels.kept_terms(np.zeros(4), 1e-14).sum() == 0
+    assert kernels.kept_terms(np.zeros(4), 0.0).all()
+    assert kernels.kept_terms(np.empty((2, 0)), 1e-14).shape == (2, 0)
