@@ -21,16 +21,12 @@ from .correlation import (
 from .dynamics import (
     DEFAULT_RHO0,
     DephasingTrace,
-    ModePropagators,
     SystemConfig,
     apply_map,
     chi_series,
     chi_traces,
     gaussian_trace,
     gaussian_traces,
-    mode_factor,
-    mode_propagators,
-    spin_chi,
     time_grid,
 )
 from .morse import (
@@ -61,13 +57,13 @@ __version__ = "0.1.0"
 __all__ = [
     "Bath", "BathConfig", "BathMode", "ConfigError", "CorrelationModel", "DEFAULT_RHO0",
     "DephasingTrace", "ErrorReport", "ExperimentConfig", "FlowReport",
-    "ModePropagators", "MorseParams", "MorseSpectrum", "RegionTag", "SystemConfig",
+    "MorseParams", "MorseSpectrum", "RegionTag", "SystemConfig",
     "alpha", "apply_map", "bath_arrays", "blp_flows", "bound_energies",
     "bound_state_count", "build_correlation", "chi_series", "chi_traces", "dense_chi",
     "dephasing_time", "digamma", "discretize", "gamma_decay", "gaussian_chi",
     "gaussian_error", "gaussian_trace", "gaussian_traces", "ladder_matrix", "log_gamma",
-    "mean_field_shift", "mode_factor", "mode_propagators", "mode_thermal",
+    "mean_field_shift", "mode_thermal",
     "offset_ratio", "overlap_element", "parse_config", "parse_config_text",
     "quadrature_element", "region_classify", "spectral_density", "spectrum",
-    "spin_chi", "time_grid", "trace_distance", "wavefunction", "x_matrix",
+    "time_grid", "trace_distance", "wavefunction", "x_matrix",
 ]

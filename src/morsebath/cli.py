@@ -4,21 +4,23 @@ Subcommands: spectrum, bath, correlation, dynamics, sweep-dephasing,
 sweep-backflow, gaussian-error, oracle-check.  File outputs are byte
 identical across runs of the same configuration; floats are written in
 scientific notation with 12 significant digits.  A sweep runs one task
-per lambda, covering all of its betas; rows are ordered
-lexicographically by (lambda, beta) no matter how the tasks were
-scheduled.  Quantities that can be undefined (no threshold crossing, no
-outflow) are recorded with the sentinel value -1.
+per lambda, covering all of its betas, on a pool of threads in this
+process; rows are ordered lexicographically by (lambda, beta) no matter
+how the tasks were scheduled.  Quantities that can be undefined (no
+threshold crossing, no outflow) are recorded with the sentinel value -1.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import multiprocessing
+import ctypes
+import functools
+import glob
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,10 +33,6 @@ from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
 
 NO_CROSSING = -1.0
-
-# thread-count variables of the BLAS builds numpy may load; sweep workers
-# run one point each per core, so their BLAS calls stay single-threaded
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _fmt(x: float) -> str:
@@ -155,12 +153,11 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
-def _sweep_point(payload: tuple[str, ExperimentConfig, float]) -> list:
-    """Rows of every beta at one lambda; top level so worker processes can load it.
+def _sweep_point(kind: str, cfg: ExperimentConfig, lam: float) -> list:
+    """Rows of every beta at one lambda.
 
     A failure is re-raised naming the lambda and betas of the task.
     """
-    kind, cfg, lam = payload
     betas = sorted(cfg.betas)
     try:
         return _lambda_rows(kind, cfg, lam, betas)
@@ -170,31 +167,46 @@ def _sweep_point(payload: tuple[str, ExperimentConfig, float]) -> list:
                            f"{type(exc).__name__}: {exc}") from exc
 
 
-@contextlib.contextmanager
-def _single_threaded_blas() -> Iterator[None]:
-    """Set BLAS_THREAD_VARS to 1 for processes started inside; restore them after."""
-    saved = {name: os.environ.get(name) for name in BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
+def _openblas_threads():
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None if not found."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
+        try:
+            # the library numpy already loaded: dlopen returns the same handle
+            lib = ctypes.CDLL(path)
+            get = lib.scipy_openblas_get_num_threads64_
+            set_ = lib.scipy_openblas_set_num_threads64_
+        except (OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        return get, set_
+    return None
 
 
 def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
-    tasks = [(kind, cfg, lam) for lam in sorted(cfg.lambdas)]
+    """Rows of every (lambda, beta) of the sweep, one task per lambda.
+
+    With more than one worker the tasks run on a thread pool while BLAS
+    is pinned to one thread, so the workers do not oversubscribe the
+    cores; the caller's BLAS thread count is restored afterwards.  When
+    the BLAS thread count cannot be set the tasks run serially.
+    """
+    lams = sorted(cfg.lambdas)
+    point = functools.partial(_sweep_point, kind, cfg)
     workers = threads if threads is not None else (os.cpu_count() or 1)
-    if workers > 1 and len(tasks) > 1:
-        # spawned workers load BLAS afresh and so read the pinned thread count
-        with _single_threaded_blas(), ProcessPoolExecutor(
-                max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
-            blocks = list(pool.map(_sweep_point, tasks, chunksize=1))
+    blas = _openblas_threads() if workers > 1 and len(lams) > 1 else None
+    if blas is None:
+        blocks = [point(lam) for lam in lams]
     else:
-        blocks = [_sweep_point(task) for task in tasks]
+        get_threads, set_threads = blas
+        caller_threads = get_threads()
+        set_threads(1)
+        try:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                blocks = list(pool.map(point, lams))
+        finally:
+            set_threads(caller_threads)
     return sorted((row for rows in blocks for row in rows), key=lambda row: (row[0], row[1]))
 
 

@@ -65,22 +65,6 @@ class SystemConfig:
 
 
 @dataclass(frozen=True)
-class ModePropagators:
-    """Eigendecompositions of Hk_plus and Hk_minus plus thermal weights.
-
-    For one mode: evals (d,), evecs (d, d) and weights (d,).  For a block
-    of m modes at n_beta temperatures the eigenpairs gain a leading mode
-    axis and weights are (n_beta, m, d).
-    """
-
-    evals_plus: np.ndarray
-    evecs_plus: np.ndarray
-    evals_minus: np.ndarray
-    evecs_minus: np.ndarray
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class DephasingTrace:
     """Decay factor chi on a uniform time grid."""
 
@@ -97,60 +81,43 @@ def time_grid(t_max: float, dt: float) -> np.ndarray:
     return np.arange(n_steps + 1) * dt
 
 
-def _block_propagators(energies: np.ndarray, couplings: np.ndarray,
-                       weights: np.ndarray) -> ModePropagators:
-    """Stacked eigendecompositions of H_pm = diag(E) +- B over a block of modes."""
+def _block_eigh(energies: np.ndarray, couplings: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Stacked eigendecompositions of H_pm = diag(E) +- B over a block of modes.
+
+    Returns (evals_plus, evecs_plus, evals_minus, evecs_minus) with a
+    leading mode axis: evals (m, d) and evecs (m, d, d).
+    """
     idx = np.arange(energies.shape[-1])
     h = np.zeros(couplings.shape)
     h[:, idx, idx] = energies
-    evals_plus, evecs_plus = np.linalg.eigh(h + couplings)
-    evals_minus, evecs_minus = np.linalg.eigh(h - couplings)
-    return ModePropagators(evals_plus, evecs_plus, evals_minus, evecs_minus, weights)
+    return (*np.linalg.eigh(h + couplings), *np.linalg.eigh(h - couplings))
 
 
-def mode_propagators(mode: BathMode, renormalized: bool = False) -> ModePropagators:
-    """Eigendecompose Hk_pm = diag(E) +- B (or +- B_tilde) of one mode."""
-    b = mode.b_tilde if renormalized else mode.b_matrix
-    block = _block_propagators(mode.h_diag[None], b[None], mode.weights)
-    return ModePropagators(block.evals_plus[0], block.evecs_plus[0],
-                           block.evals_minus[0], block.evecs_minus[0], mode.weights)
-
-
-def _phase_terms(block: ModePropagators,
+def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray,
                  drop_tol: float = NEGLIGIBLE_TERM_MASS) -> tuple[np.ndarray, np.ndarray]:
     """Terms-first (m T, n_beta) weights and (m T,) frequencies of a mode block.
 
-    Mode k's trace factor at each beta is sum_{a,b} W[a,b] exp(i
-    (L_plus[b] - L_minus[a]) t).  Each (beta, mode) is pruned from its
-    smallest |W| up while the dropped mass stays below drop_tol, which
-    bounds the factor error by the same amount (|exp(i w t)| = 1).  Every
-    mode keeps the union of its betas' terms, in index order, with zero
-    weight where a beta dropped one, padded to a common count T with
-    zero-weight terms.
+    eig is the block's `_block_eigh` and weights its (n_beta, m, d)
+    thermal weights.  Mode k's trace factor at each beta is sum_{a,b}
+    W[a,b] exp(i (L_plus[b] - L_minus[a]) t).  Each (beta, mode) is
+    pruned from its smallest |W| up while the dropped mass stays below
+    drop_tol, which bounds the factor error by the same amount
+    (|exp(i w t)| = 1).  Every mode keeps the union of its betas' terms,
+    in index order, with zero weight where a beta dropped one, padded to
+    a common count T with zero-weight terms.
     """
-    a = block.evecs_minus.swapaxes(-1, -2) @ (block.weights[..., :, None] * block.evecs_plus)
-    b = block.evecs_plus.swapaxes(-1, -2) @ block.evecs_minus
-    n_beta, m, d = block.weights.shape
+    evals_plus, evecs_plus, evals_minus, evecs_minus = eig
+    a = evecs_minus.swapaxes(-1, -2) @ (weights[..., :, None] * evecs_plus)
+    b = evecs_plus.swapaxes(-1, -2) @ evecs_minus
+    n_beta, m, d = weights.shape
     w = (a * b.swapaxes(-1, -2)).reshape(n_beta, m, d * d)
-    freqs = (block.evals_plus[:, None, :] - block.evals_minus[:, :, None]).reshape(m, d * d)
+    freqs = (evals_plus[:, None, :] - evals_minus[:, :, None]).reshape(m, d * d)
     keep = kernels.kept_terms(np.abs(w), drop_tol)
     union = keep.any(axis=0)
     order = np.argsort(~union, axis=-1, kind="stable")[:, :union.sum(axis=-1).max()]
     w = np.take_along_axis(np.where(keep, w, 0.0), order[None], axis=-1)
     freqs = np.take_along_axis(freqs, order, axis=-1)
     return w.transpose(1, 2, 0).reshape(-1, n_beta), freqs.ravel()
-
-
-def mode_factor(prop: ModePropagators, t):
-    """Per-mode trace factor tr(exp(-i H- t) rho exp(+i H+ t)) at time(s) t."""
-    block = ModePropagators(prop.evals_plus[None], prop.evecs_plus[None], prop.evals_minus[None],
-                            prop.evecs_minus[None], prop.weights[None, None])
-    w, freqs = _phase_terms(block)
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = kernels.phase_sum(w[:, 0], freqs, ts)
-    if np.isscalar(t) or np.asarray(t).ndim == 0:
-        return complex(out[0])
-    return out
 
 
 def _chi(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
@@ -165,9 +132,9 @@ def _chi(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
     chi = np.repeat(np.exp(1j * omega_s * times)[None], bath.weights.shape[0], axis=0)
     for start in range(0, n_modes, size):
         s = slice(start, start + size)
-        block = _block_propagators(bath.energies[s], bath.couplings[s], bath.weights[:, s])
-        w, freqs = _phase_terms(block)
-        for factor in kernels.phase_sum(w, freqs, times, groups=block.evals_plus.shape[0]):
+        energies = bath.energies[s]
+        w, freqs = _phase_terms(_block_eigh(energies, bath.couplings[s]), bath.weights[:, s])
+        for factor in kernels.phase_sum(w, freqs, times, groups=len(energies)):
             chi = chi * factor
     return chi
 
@@ -188,59 +155,6 @@ def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray,
     exp(2i <B> t).
     """
     return chi_traces(Bath.from_modes(modes, renormalized), system, times)[0]
-
-
-def _pauli_vector(h: np.ndarray) -> tuple[float, float, float]:
-    """Scalar part and (x, z) components of a real symmetric 2x2 matrix."""
-    c0 = 0.5 * (h[0, 0] + h[1, 1])
-    cx = h[0, 1]
-    cz = 0.5 * (h[0, 0] - h[1, 1])
-    return c0, cx, cz
-
-
-def _spin_exponentials(mode: BathMode, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Closed cos/sin forms of exp(+i H+ t) and exp(-i H- t) for d = 2."""
-    h_plus = np.diag(mode.h_diag) + mode.b_matrix
-    h_minus = np.diag(mode.h_diag) - mode.b_matrix
-    c0, cx, cz = _pauli_vector(h_plus)
-    d0, dx, dz = _pauli_vector(h_minus)
-    nt = times.shape[0]
-    u_plus = np.empty((nt, 2, 2), dtype=complex)
-    v_minus = np.empty((nt, 2, 2), dtype=complex)
-    for (a0, ax, az, sgn, out) in ((c0, cx, cz, 1.0, u_plus), (d0, dx, dz, -1.0, v_minus)):
-        norm = np.hypot(ax, az)
-        if norm > 0.0:
-            cos_t = np.cos(norm * times)
-            sin_n = np.sin(norm * times) / norm
-        else:
-            cos_t = np.ones_like(times)
-            sin_n = times.copy()
-        phase = np.exp(1j * sgn * a0 * times)
-        out[:, 0, 0] = phase * (cos_t + 1j * sgn * sin_n * az)
-        out[:, 1, 1] = phase * (cos_t - 1j * sgn * sin_n * az)
-        out[:, 0, 1] = phase * (1j * sgn * sin_n * ax)
-        out[:, 1, 0] = out[:, 0, 1]
-    return u_plus, v_minus
-
-
-def spin_chi(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:
-    """Fast path for a two-level (spin) environment, 1.5 < lam <= 2.5.
-
-    Each mode factor is evaluated from the closed cos/sin forms of the
-    2x2 exponentials; the result agrees with `chi_series` to rounding.
-    """
-    for mode in modes:
-        if mode.count != 2:
-            raise ValueError(
-                f"spin_chi requires exactly 2 bound states per mode, "
-                f"mode {mode.index} has {mode.count}")
-    times = np.asarray(times, dtype=float)
-    chi = np.exp(1j * system.omega_s * times)
-    for mode in modes:
-        u_plus, v_minus = _spin_exponentials(mode, times)
-        rho = np.diag(mode.weights).astype(complex)
-        chi = chi * np.einsum("tij,jk,tki->t", v_minus, rho, u_plus)
-    return DephasingTrace(times=times, chi=chi, variant="spin-fast-path")
 
 
 def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray,

@@ -1,5 +1,8 @@
 import os
 import re
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from morsebath.cli import main
 from morsebath.config import ConfigError, parse_config_text
 
 SCI = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -143,26 +147,98 @@ def test_sweep_parallel_matches_serial(tmp_path):
     assert serial.read_bytes() == parallel.read_bytes()
 
 
-def test_sweep_pool_bytes_with_blas_env_unset(tmp_path, monkeypatch):
-    for name in cli.BLAS_THREAD_VARS:
-        monkeypatch.delenv(name, raising=False)
+def run_cli(args, blas_threads=None):
+    """Run the CLI in a fresh process with OPENBLAS_NUM_THREADS set, or unset if None."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = str(blas_threads)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-m", "morsebath.cli", *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_sweep_pool_bytes_with_blas_env_unset(tmp_path):
+    # fig3-style sweep, d from 2 to 20; OPENBLAS_NUM_THREADS unset, 1 and 2
+    text = ("k_modes = 40\neta = 2.0\nlambda = 1.6,2.6,7.5,20.1\nbeta = 1,4,7,10\n"
+            "t_max = 20.0\ndt = 0.01\nthreshold = 0.1\n")
+    cfg = write_config(tmp_path, text)
+    outputs = set()
+    for blas_threads in (None, 1, 2):
+        for workers in ("1", "2"):
+            out = tmp_path / f"blas{blas_threads}_workers{workers}.csv"
+            proc = run_cli(["sweep-dephasing", "--config", cfg, "--out", str(out),
+                            "--threads", workers], blas_threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.add(out.read_bytes())
+    assert len(outputs) == 1
+
+
+@pytest.fixture
+def blas_threads():
+    """Getter of numpy's OpenBLAS thread count, set to 2 for the test and restored after."""
+    blas = cli._openblas_threads()
+    if blas is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter here")
+    get_threads, set_threads = blas
+    saved = get_threads()
+    set_threads(2)
+    yield get_threads
+    set_threads(saved)
+
+
+def test_sweep_pool_pins_blas_and_restores_caller_count(tmp_path, monkeypatch, blas_threads):
+    text = BASE.replace("lambda = 2.5", "lambda = 2.5,2.6,2.7").replace("beta = 1.0", "beta = 1,4")
+    cfg = write_config(tmp_path, text)
+    out = str(tmp_path / "s.csv")
+    seen = []
+    lambda_rows = cli._lambda_rows
+
+    def recording(*args):
+        seen.append(blas_threads())
+        return lambda_rows(*args)
+
+    def failing(*args):
+        seen.append(blas_threads())
+        raise FloatingPointError("overflow in a layer")
+
+    monkeypatch.setattr(cli, "_lambda_rows", recording)
+    assert main(["sweep-dephasing", "--config", cfg, "--out", out, "--threads", "2"]) == 0
+    assert seen == [1, 1, 1]
+    assert blas_threads() == 2
+    monkeypatch.setattr(cli, "_lambda_rows", failing)
+    assert main(["sweep-dephasing", "--config", cfg, "--out", out, "--threads", "2"]) == 2
+    assert seen[3:] and set(seen[3:]) == {1}  # tasks not started are cancelled
+    assert blas_threads() == 2
+
+
+def test_sweep_runs_serially_without_blas_setter(tmp_path, monkeypatch):
     text = BASE.replace("lambda = 2.5", "lambda = 1.6,2.5,3.4").replace("beta = 1.0", "beta = 1,4")
     cfg = write_config(tmp_path, text)
+    pooled = tmp_path / "pooled.csv"
     serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert main(["sweep-dephasing", "--config", cfg, "--out", str(serial), "--threads", "1"]) == 0
-    assert main(["sweep-dephasing", "--config", cfg, "--out", str(parallel), "--threads", "2"]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-    assert not any(name in os.environ for name in cli.BLAS_THREAD_VARS)
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(pooled), "--threads", "2"]) == 0
+    threads = []
+    lambda_rows = cli._lambda_rows
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        return lambda_rows(*args)
+
+    monkeypatch.setattr(cli, "_lambda_rows", recording)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(serial), "--threads", "2"]) == 0
+    assert threads == [threading.get_ident()] * 3
+    assert serial.read_bytes() == pooled.read_bytes()
 
 
-def test_single_threaded_blas_restores_caller_env(monkeypatch):
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    with cli._single_threaded_blas():
-        assert all(os.environ[name] == "1" for name in cli.BLAS_THREAD_VARS)
-    assert os.environ["OMP_NUM_THREADS"] == "3"
-    assert "OPENBLAS_NUM_THREADS" not in os.environ
+def test_cli_import_loads_no_process_pool_or_integrator():
+    code = ("import sys, morsebath.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'scipy.integrate') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_sweep_dephasing_sentinel_when_no_decay(tmp_path):
@@ -239,8 +315,10 @@ def test_sweep_failure_names_lambda_and_betas(tmp_path, monkeypatch, capsys):
     text = BASE.replace("lambda = 2.5", "lambda = 2.6,1.6").replace("beta = 1.0", "beta = 4,1")
     cfg = write_config(tmp_path, text)
     out = tmp_path / "s.csv"
-    assert main(["sweep-dephasing", "--config", cfg, "--out", str(out), "--threads", "1"]) == 2
-    err = capsys.readouterr().err
-    assert "lambda = 1.6, beta = 1, 4" in err
-    assert "FloatingPointError: overflow in a layer" in err
-    assert not out.exists()
+    for workers in ("1", "2"):
+        assert main(["sweep-dephasing", "--config", cfg, "--out", str(out),
+                     "--threads", workers]) == 2
+        err = capsys.readouterr().err
+        assert "lambda = 1.6, beta = 1, 4" in err
+        assert "FloatingPointError: overflow in a layer" in err
+        assert not out.exists()

@@ -5,17 +5,19 @@ import pytest
 
 from morsebath import (
     DEFAULT_RHO0,
+    BathConfig,
     SystemConfig,
     apply_map,
+    bath_arrays,
     chi_series,
     mean_field_shift,
-    mode_factor,
-    mode_propagators,
-    spin_chi,
     time_grid,
 )
-from morsebath.dynamics import _spin_exponentials
+from morsebath.dynamics import _block_eigh
 from helpers import make_bath
+
+# no impurity phase: chi of one mode is that mode's trace factor
+SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
 
 
 def test_time_grid():
@@ -38,25 +40,22 @@ def test_system_config_validation():
 
 
 def test_propagator_reconstruction():
-    modes = make_bath(lam=2.6, beta=1.0, eta=2.0, k_modes=5)
-    for mode in modes:
-        prop = mode_propagators(mode)
-        h_plus = np.diag(mode.h_diag) + mode.b_matrix
-        rebuilt = (prop.evecs_plus * prop.evals_plus) @ prop.evecs_plus.T
-        assert np.abs(rebuilt - h_plus).max() < 1e-10
-        h_minus = np.diag(mode.h_diag) - mode.b_matrix
-        rebuilt = (prop.evecs_minus * prop.evals_minus) @ prop.evecs_minus.T
-        assert np.abs(rebuilt - h_minus).max() < 1e-10
+    bath = bath_arrays(BathConfig(eta=2.0, omega_c=1.0, k_modes=5, lam=2.6, beta=1.0))
+    evals_plus, evecs_plus, evals_minus, evecs_minus = _block_eigh(bath.energies, bath.couplings)
+    for k, (energies, b) in enumerate(zip(bath.energies, bath.couplings)):
+        for sign, evals, evecs in ((1.0, evals_plus[k], evecs_plus[k]),
+                                   (-1.0, evals_minus[k], evecs_minus[k])):
+            rebuilt = (evecs * evals) @ evecs.T
+            assert np.abs(rebuilt - (np.diag(energies) + sign * b)).max() < 1e-10
 
 
 def test_mode_factor_basics(short_grid):
     modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=4)
-    prop = mode_propagators(modes[0])
-    assert mode_factor(prop, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-13)
+    factor = chi_series(modes[:1], SILENT, short_grid).chi
+    assert factor[0] == pytest.approx(1.0 + 0.0j, abs=1e-13)
     # zero-coupling boundary mode: H+ = H-, the factor stays at one
     assert modes[-1].g == 0.0
-    prop_free = mode_propagators(modes[-1])
-    np.testing.assert_allclose(mode_factor(prop_free, short_grid),
+    np.testing.assert_allclose(chi_series(modes[-1:], SILENT, short_grid).chi,
                                np.ones_like(short_grid), atol=1e-12)
 
 
@@ -66,7 +65,7 @@ def test_mode_factor_single_state_phase(short_grid):
     mode = modes[1]
     assert mode.count == 1
     b00 = mode.b_matrix[0, 0]
-    factor = mode_factor(mode_propagators(mode), short_grid)
+    factor = chi_series([mode], SILENT, short_grid).chi
     np.testing.assert_allclose(factor, np.exp(2j * b00 * short_grid), atol=1e-12)
     np.testing.assert_allclose(np.abs(factor), 1.0, atol=1e-13)
 
@@ -103,33 +102,6 @@ def test_mean_field_phase_identity(system, short_grid):
     renorm = chi_series(modes, system, short_grid, renormalized=True).chi
     shift = mean_field_shift(modes)
     assert np.abs(bare - np.exp(1j * shift * short_grid) * renorm).max() < 1e-11
-
-
-def test_spin_chi_matches_exact(system, full_grid):
-    modes = make_bath(lam=2.3, beta=4.0, eta=0.5, k_modes=5)
-    fast = spin_chi(modes, system, full_grid)
-    exact = chi_series(modes, system, full_grid)
-    assert fast.variant == "spin-fast-path"
-    assert np.abs(fast.chi - exact.chi).max() < 1e-12
-
-
-def test_spin_chi_requires_two_levels(system, short_grid):
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=3)
-    with pytest.raises(ValueError):
-        spin_chi(modes, system, short_grid)
-
-
-def test_spin_exponentials_unitary():
-    modes = make_bath(lam=2.3, beta=4.0, eta=0.5, k_modes=3)
-    ts = np.linspace(0.0, 20.0, 64)
-    for mode in modes:
-        u_plus, v_minus = _spin_exponentials(mode, ts)
-        for mats in (u_plus, v_minus):
-            dets = mats[:, 0, 0] * mats[:, 1, 1] - mats[:, 0, 1] * mats[:, 1, 0]
-            np.testing.assert_allclose(np.abs(dets), 1.0, atol=1e-12)
-            # unitarity proper: U U^dag = 1
-            prods = mats @ mats.conj().transpose(0, 2, 1)
-            assert np.abs(prods - np.eye(2)).max() < 1e-12
 
 
 def test_apply_map():

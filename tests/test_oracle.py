@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from morsebath import (
+    DEFAULT_RHO0,
+    SystemConfig,
     chi_series,
     dense_chi,
-    mode_factor,
-    mode_propagators,
     overlap_element,
     quadrature_element,
     time_grid,
@@ -19,7 +19,7 @@ def test_dense_single_mode_matches_factor(system):
     modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=2)[:1]
     ts = time_grid(20.0, 0.05)
     dense = dense_chi(modes, system, ts)
-    factor = mode_factor(mode_propagators(modes[0]), ts)
+    factor = chi_series(modes, SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0), ts).chi
     expected = np.exp(1j * system.omega_s * ts) * factor
     assert np.abs(dense.chi - expected).max() < 1e-12
 

@@ -23,7 +23,7 @@ from morsebath import (
     kernels,
     time_grid,
 )
-from morsebath.dynamics import DEFAULT_RHO0, _block_propagators, _phase_terms
+from morsebath.dynamics import DEFAULT_RHO0, _block_eigh, _phase_terms
 
 SYSTEM = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
 TIMES = time_grid(5.0, 0.05)
@@ -59,7 +59,7 @@ def test_per_lambda_rows_match_one_beta_calls(lam, beta_list, eta, k_modes):
 def test_per_lambda_rows_match_when_betas_keep_different_terms():
     lam, beta_list, eta, k_modes = 7.3, [0.1, 1.0, 1e4], 2.0, 6
     bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
-    w, _ = _phase_terms(_block_propagators(bath.energies, bath.couplings, bath.weights))
+    w, _ = _phase_terms(_block_eigh(bath.energies, bath.couplings), bath.weights)
     kept = [frozenset(np.flatnonzero(column)) for column in w.T]
     assert len(set(kept)) > 1  # the cold beta keeps fewer terms
     assert_rows_match_one_beta(lam, beta_list, eta, k_modes)
