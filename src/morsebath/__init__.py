@@ -7,7 +7,7 @@ them: dephasing times, information backflow, and the exact-vs-Gaussian
 error.
 """
 
-from .bath import Bath, BathConfig, BathMode, bath_arrays, discretize, mode_thermal, spectral_density
+from .bath import Bath, BathConfig, BathMode, bath_arrays, discretize, spectral_density
 from .config import ConfigError, ExperimentConfig, parse_config, parse_config_text
 from .correlation import (
     CorrelationModel,
@@ -25,7 +25,6 @@ from .dynamics import (
     apply_map,
     chi_series,
     chi_traces,
-    gaussian_trace,
     gaussian_traces,
     time_grid,
 )
@@ -61,9 +60,8 @@ __all__ = [
     "alpha", "apply_map", "bath_arrays", "blp_flows", "bound_energies",
     "bound_state_count", "build_correlation", "chi_series", "chi_traces", "dense_chi",
     "dephasing_time", "digamma", "discretize", "gamma_decay", "gaussian_chi",
-    "gaussian_error", "gaussian_trace", "gaussian_traces", "ladder_matrix", "log_gamma",
-    "mean_field_shift", "mode_thermal",
-    "offset_ratio", "overlap_element", "parse_config", "parse_config_text",
+    "gaussian_error", "gaussian_traces", "ladder_matrix", "log_gamma",
+    "mean_field_shift", "offset_ratio", "overlap_element", "parse_config", "parse_config_text",
     "quadrature_element", "region_classify", "spectral_density", "spectrum",
     "time_grid", "trace_distance", "wavefunction", "x_matrix",
 ]

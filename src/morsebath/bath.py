@@ -12,18 +12,19 @@ exp(-w/omega_c).  The hard cut uses the boundary convention
 Theta(0) = 0, so the k = K mode carries exactly zero coupling.
 
 ``bath_arrays`` holds the K modes of one lam as arrays, with the thermal
-data of any number of betas; ``discretize`` gives the per-mode view of
-one beta.
+data of any number of betas; the correlation, Gaussian and exact-chi
+code takes this ``Bath``.  ``discretize`` gives a read-only per-mode
+view of one beta, kept for the dense oracle and for references that
+read one mode at a time.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .morse import MorseSpectrum, bound_state_count, x_matrix
+from .morse import bound_state_count, ladder_matrix
 
 
 @dataclass(frozen=True)
@@ -51,29 +52,25 @@ class BathConfig:
 
 @dataclass(frozen=True)
 class BathMode:
-    """One discretized environment mode with its thermal data.
+    """One discretized environment mode at one beta: a view of a Bath row.
 
     b_matrix is the coupling operator g_k (b + b^dag) in the bound-state
-    basis; b_tilde subtracts the per-mode thermal mean so that the
-    weighted trace of its diagonal vanishes.  weights are ground-shifted
+    basis and mean_b its thermal mean.  weights are ground-shifted
     Boltzmann factors and partition is the correspondingly shifted
     partition sum Z_k = sum_n exp(-beta (E_n - E_0)).
     """
 
-    index: int
     omega: float
     g: float
-    spectrum: MorseSpectrum
     h_diag: np.ndarray
     b_matrix: np.ndarray
     weights: np.ndarray
     partition: float
     mean_b: float
-    b_tilde: np.ndarray
 
     @property
     def count(self) -> int:
-        return self.spectrum.count
+        return self.h_diag.shape[0]
 
 
 def spectral_density(omega, eta: float, omega_c: float):
@@ -111,19 +108,6 @@ def _thermal(energies: np.ndarray, couplings: np.ndarray, betas: np.ndarray):
     return weights, partition, mean_b
 
 
-def mode_thermal(mode: BathMode, beta: float):
-    """Thermal data of one mode at inverse temperature beta.
-
-    Returns (weights, partition, mean_b, b_tilde), as discretize would
-    give them at this beta.
-    """
-    weights, partition, mean_b = _thermal(mode.h_diag[None], mode.b_matrix[None],
-                                          np.array([beta], dtype=float))
-    mean_b = float(mean_b[0, 0])
-    return (weights[0, 0], float(partition[0, 0]), mean_b,
-            mode.b_matrix - mean_b * np.eye(mode.count))
-
-
 @dataclass(frozen=True)
 class Bath:
     """The K modes of one lam at one or more inverse temperatures, as arrays.
@@ -144,13 +128,13 @@ class Bath:
     mean_b: np.ndarray
 
     @classmethod
-    def from_modes(cls, modes: list[BathMode], renormalized: bool = False) -> Bath:
-        """One-beta bath of these modes; couplings are b_tilde when renormalized."""
+    def from_modes(cls, modes: list[BathMode]) -> Bath:
+        """One-beta bath of these modes."""
         return cls(
             omega=np.array([m.omega for m in modes]),
             g=np.array([m.g for m in modes]),
             energies=np.array([m.h_diag for m in modes]),
-            couplings=np.array([m.b_tilde if renormalized else m.b_matrix for m in modes]),
+            couplings=np.array([m.b_matrix for m in modes]),
             weights=np.array([m.weights for m in modes])[None],
             partition=np.array([[m.partition for m in modes]]),
             mean_b=np.array([[m.mean_b for m in modes]]),
@@ -167,7 +151,7 @@ def bath_arrays(config: BathConfig, betas=None) -> Bath:
     count = bound_state_count(lam)
     if count == 0:
         raise ValueError(f"lam = {lam} binds no state")
-    ladder = math.sqrt(2.0 * lam) * x_matrix(lam)
+    ladder = ladder_matrix(lam)
     omega = 2.0 * config.omega_c * np.arange(1, config.k_modes + 1) / config.k_modes
     g = np.sqrt(2.0 * config.omega_c / config.k_modes
                 * spectral_density(omega, config.eta, config.omega_c))
@@ -181,28 +165,9 @@ def bath_arrays(config: BathConfig, betas=None) -> Bath:
 
 
 def discretize(config: BathConfig) -> list[BathMode]:
-    """Build the K discretized modes, each with spectrum and thermal data.
-
-    The modes are views of ``bath_arrays(config)`` at config.beta.
-    """
+    """The K discretized modes as per-mode views of ``bath_arrays(config)`` at config.beta."""
     bath = bath_arrays(config)
-    count = bath.energies.shape[1]
-    x_elements = x_matrix(config.lam)
-    modes = []
-    for k in range(config.k_modes):
-        b_matrix = bath.couplings[k]
-        mean_b = float(bath.mean_b[0, k])
-        modes.append(BathMode(
-            index=k + 1,
-            omega=float(bath.omega[k]),
-            g=float(bath.g[k]),
-            spectrum=MorseSpectrum(count=count, energies=bath.energies[k],
-                                   x_elements=x_elements, big_n=config.lam - 0.5),
-            h_diag=bath.energies[k],
-            b_matrix=b_matrix,
-            weights=bath.weights[0, k],
-            partition=float(bath.partition[0, k]),
-            mean_b=mean_b,
-            b_tilde=b_matrix - mean_b * np.eye(count),
-        ))
-    return modes
+    return [BathMode(omega=float(bath.omega[k]), g=float(bath.g[k]), h_diag=bath.energies[k],
+                     b_matrix=bath.couplings[k], weights=bath.weights[0, k],
+                     partition=float(bath.partition[0, k]), mean_b=float(bath.mean_b[0, k]))
+            for k in range(config.k_modes)]

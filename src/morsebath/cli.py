@@ -77,11 +77,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_bath(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     lam, beta = cfg.single_point()
-    modes = discretize(_bath_config(cfg, lam, beta))
+    bath = bath_arrays(_bath_config(cfg, lam, beta))
+    count = bath.energies.shape[1]
     lines = ["k,omega_k,g_k,count,mean_b,z_k"]
-    for mode in modes:
-        lines.append(f"{mode.index},{_fmt(mode.omega)},{_fmt(mode.g)},"
-                     f"{mode.count},{_fmt(mode.mean_b)},{_fmt(mode.partition)}")
+    for k, (omega, g, mean_b, z) in enumerate(
+            zip(bath.omega, bath.g, bath.mean_b[0], bath.partition[0]), start=1):
+        lines.append(f"{k},{_fmt(omega)},{_fmt(g)},{count},{_fmt(mean_b)},{_fmt(z)}")
     _write_lines(args.out, lines)
     return 0
 
@@ -89,17 +90,18 @@ def cmd_bath(args: argparse.Namespace) -> int:
 def cmd_correlation(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     lam, beta = cfg.single_point()
-    modes = discretize(_bath_config(cfg, lam, beta))
-    model = build_correlation(modes)
+    model = build_correlation(bath_arrays(_bath_config(cfg, lam, beta)))
     times = time_grid(cfg.t_max, cfg.dt)
-    alpha_t = alpha(model, times)
-    gamma_t = gamma_decay(model, times)
+    alpha_t, = alpha(model, times)
+    gamma_t, = gamma_decay(model, times)
     lines = ["t,re_alpha,im_alpha,gamma"]
     for t, a, g in zip(times, alpha_t, gamma_t):
         lines.append(f"{_fmt(t)},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(g)}")
-    c_at_0 = float(model.weights.sum())
+    c0, = model.offset_c0
+    c_at_0, = model.weights.sum(axis=0)
+    ratio, = offset_ratio(model)
     lines.append("c0,c_at_0,offset_ratio")
-    lines.append(f"{_fmt(model.offset_c0)},{_fmt(c_at_0)},{_fmt(offset_ratio(model))}")
+    lines.append(f"{_fmt(c0)},{_fmt(c_at_0)},{_fmt(ratio)}")
     _write_lines(args.out, lines)
     return 0
 

@@ -6,13 +6,15 @@ a spectral decomposition of the time-dependent part,
     alpha(t) = C0 + sum_j w_j exp(i Delta_j t),
 
 where the sum runs over all modes k and ordered level pairs n != p with
-w = p_kn |b_tilde[n, p]|^2 and Delta = E_kn - E_kp.  The offset collects
-the diagonal (asymmetry) contributions and vanishes only at zero
-temperature.  The decay exponent of the Gaussian surrogate is the real
-part of the double time integral,
+w = p_kn |B_k[n, p]|^2 and Delta = E_kn - E_kp.  The offset collects
+the diagonal (asymmetry) contributions of the renormalized coupling
+B_k - <B_k> and vanishes only at zero temperature.  The decay exponent
+of the Gaussian surrogate is the real part of the double time integral,
 
     Gamma(t) = 4 Re int_0^t ds int_0^s du alpha(s - u)
              = 2 C0 t^2 + sum_j 4 w_j (1 - cos(Delta_j t)) / Delta_j^2.
+
+The model is built from a ``Bath`` and holds every beta of it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bath import Bath, BathMode
+from .bath import Bath
 from . import kernels
 
 # Terms whose cumulative weight falls below this fraction of alpha(0) are
@@ -34,10 +36,11 @@ NEGLIGIBLE_WEIGHT = 1e-13
 class CorrelationModel:
     """Offset plus spectral terms of the second-order correlation.
 
-    For one temperature offset_c0 is a float and weights are (T,).  A
-    model of n_beta temperatures holds offset_c0 (n_beta,) and weights
-    (T, n_beta) over the union of the terms the betas keep, zero where
-    a beta dropped one; the deltas (T,) are shared.
+    A model built from a Bath of n_beta temperatures holds offset_c0
+    (n_beta,) and weights (T, n_beta) over the union of the terms the
+    betas keep, zero where a beta dropped one; the deltas (T,) are
+    shared.  A model written down for one temperature may hold a float
+    offset_c0 and (T,) weights; every function here takes both forms.
     """
 
     offset_c0: float | np.ndarray
@@ -45,19 +48,16 @@ class CorrelationModel:
     deltas: np.ndarray
 
 
-def build_correlation(modes: list[BathMode] | Bath, *,
-                      weight_cutoff: float = NEGLIGIBLE_WEIGHT) -> CorrelationModel:
-    """Aggregate offset and time-dependent terms over all modes.
+def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -> CorrelationModel:
+    """Aggregate offset and time-dependent terms over all modes, for every beta.
 
-    offset_c0 = sum_{k,n} p_kn b_tilde[n,n]^2; the term list enumerates
-    every ordered pair n != p of every mode, with the gap E_n - E_p and
-    the weight p_n b[n,p]^2 (b_tilde and b share the off-diagonal).
-    Terms carrying a negligible fraction of a beta's total weight are
-    discarded for that beta (see ``NEGLIGIBLE_WEIGHT``); pass
-    ``weight_cutoff=0`` to keep all.  A list of modes gives the
-    one-temperature model, a Bath the model of all its betas.
+    offset_c0 = sum_{k,n} p_kn (B_k[n,n] - <B_k>)^2; the term list
+    enumerates every ordered pair n != p of every mode, with the gap
+    E_n - E_p and the weight p_n B[n,p]^2 (the mean shifts only the
+    diagonal).  Terms carrying a negligible fraction of a beta's total
+    weight are discarded for that beta (see ``NEGLIGIBLE_WEIGHT``); pass
+    ``weight_cutoff=0`` to keep all.
     """
-    bath = modes if isinstance(modes, Bath) else Bath.from_modes(modes)
     p = bath.weights
     n_beta, _, d = p.shape
     # C0: one dot product of fresh vectors per mode (a BLAS dot rounds
@@ -79,11 +79,7 @@ def build_correlation(modes: list[BathMode] | Bath, *,
     # gaps of the kept terms only: term i is pair i % T of mode i // T
     mode, pair = np.divmod(np.flatnonzero(union), rows.size)
     deltas = bath.energies[mode, rows[pair]] - bath.energies[mode, cols[pair]]
-    model = CorrelationModel(offset_c0=c0, weights=np.ascontiguousarray(w.T), deltas=deltas)
-    if isinstance(modes, Bath):
-        return model
-    return CorrelationModel(offset_c0=float(c0[0]), weights=model.weights[:, 0],
-                            deltas=model.deltas)
+    return CorrelationModel(offset_c0=c0, weights=np.ascontiguousarray(w.T), deltas=deltas)
 
 
 def _at(out: np.ndarray, t):
@@ -102,10 +98,10 @@ def alpha(model: CorrelationModel, t):
     return _at(out, t)
 
 
-def offset_ratio(model: CorrelationModel) -> float:
-    """Relative offset C0 / C(0), with C(0) = sum of term weights."""
-    c_at_0 = float(model.weights.sum())
-    if c_at_0 <= 0.0:
+def offset_ratio(model: CorrelationModel):
+    """Relative offset C0 / C(0) of each beta, C(0) being the sum of that beta's term weights."""
+    c_at_0 = model.weights.sum(axis=0)
+    if np.any(c_at_0 <= 0.0):
         raise ZeroDivisionError("offset_ratio undefined: correlation has no time-dependent terms")
     return model.offset_c0 / c_at_0
 
@@ -116,17 +112,15 @@ def gamma_decay(model: CorrelationModel, t):
     return _at(kernels.gamma_sum(model.weights, model.deltas, model.offset_c0, ts), t)
 
 
-def mean_field_shift(modes: list[BathMode] | Bath):
-    """Phase velocity 2 <B> of the mean-field part of the coupling.
+def mean_field_shift(bath: Bath) -> np.ndarray:
+    """Phase velocity 2 <B> of the mean-field part of the coupling, one per beta.
 
     The coherence picked out by the dynamical map rotates at
     omega_s + 2 <B>_beta once the coupling is split into mean plus
     fluctuation; the Gaussian surrogate carries that shift explicitly.
-    A Bath gives one shift per beta, summed over the modes in order.
+    The means are summed over the modes in order.
     """
-    if isinstance(modes, Bath):
-        return 2.0 * np.cumsum(modes.mean_b, axis=-1)[:, -1]
-    return 2.0 * sum(mode.mean_b for mode in modes)
+    return 2.0 * np.cumsum(bath.mean_b, axis=-1)[:, -1]
 
 
 def _second_order_phase(model: CorrelationModel, ts: np.ndarray) -> np.ndarray:

@@ -15,6 +15,11 @@ sum: with eigendecompositions Hk_pm = U_pm L_pm U_pm^T the trace equals
 
 so the per-time cost is O(d^2) after an O(d^3) setup per mode.
 
+The engine takes a ``Bath`` of one lam and any number of betas
+(``chi_traces``, ``gaussian_traces``); ``chi_series`` is the one-beta
+call on the per-mode view of ``bath.discretize``, kept for the dense
+oracle and for references that build their bath one mode at a time.
+
 Basis convention: the impurity matrix is written in the (|+>, |->)
 eigenbasis of sigma_z, and the coherence multiplied by chi(t) (which
 carries the +i omega_s t phase) is the <-|rho|+> element, i.e. the
@@ -29,7 +34,7 @@ import numpy as np
 
 from . import kernels
 from .bath import Bath, BathMode
-from .correlation import CorrelationModel, build_correlation, gaussian_chi, mean_field_shift
+from .correlation import build_correlation, gaussian_chi, mean_field_shift
 
 # Per-mode factor terms whose cumulative magnitude is below this bound
 # are dropped; the induced error in chi is below K * 1e-14.
@@ -146,15 +151,9 @@ def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray) -> list[Deph
             for chi in _chi(bath, system.omega_s, times)]
 
 
-def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray,
-               renormalized: bool = False) -> DephasingTrace:
-    """Exact decay factor on the grid: system phase times all mode factors.
-
-    With ``renormalized`` the mode factors use B_tilde in place of B;
-    the result then differs from the bare one by the global phase
-    exp(2i <B> t).
-    """
-    return chi_traces(Bath.from_modes(modes, renormalized), system, times)[0]
+def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:
+    """Exact decay factor on the grid of one beta's per-mode view: `chi_traces` of its Bath."""
+    return chi_traces(Bath.from_modes(modes), system, times)[0]
 
 
 def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
@@ -164,19 +163,6 @@ def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
     chi = gaussian_chi(build_correlation(bath), system.omega_s, mean_field_shift(bath), times,
                        second_order_phase=second_order_phase)
     return [DephasingTrace(times=times, chi=row, variant="gaussian") for row in chi]
-
-
-def gaussian_trace(modes: list[BathMode], system: SystemConfig, times: np.ndarray,
-                   model: CorrelationModel | None = None,
-                   second_order_phase: bool = False) -> DephasingTrace:
-    """Gaussian surrogate trace on the same grid as the exact map."""
-    if model is None:
-        model = build_correlation(modes)
-    shift = mean_field_shift(modes)
-    times = np.asarray(times, dtype=float)
-    chi = gaussian_chi(model, system.omega_s, shift, times,
-                       second_order_phase=second_order_phase)
-    return DephasingTrace(times=times, chi=chi, variant="gaussian")
 
 
 def apply_map(rho0: np.ndarray, chi_value: complex) -> np.ndarray:

@@ -92,7 +92,3 @@ def digamma(x: float) -> float:
         power *= inv2
     return math.log(x) - 0.5 / x - series + shift
 
-
-def log_pochhammer(x: float, n: int) -> float:
-    """ln of the Pochhammer symbol (x)_n = Gamma(x + n) / Gamma(x), x > 0."""
-    return log_gamma(x + n) - log_gamma(x)

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from morsebath import BathConfig, mode_thermal, spectral_density
+from morsebath import (
+    DEFAULT_RHO0,
+    BathConfig,
+    SystemConfig,
+    bath_arrays,
+    chi_series,
+    chi_traces,
+    discretize,
+    spectral_density,
+    time_grid,
+)
 from helpers import make_bath
 
 
@@ -61,22 +71,48 @@ def test_thermal_normalization_and_renormalization(beta):
     for mode in modes:
         assert abs(mode.weights.sum() - 1.0) < 1e-12
         # per-mode renormalization: thermal mean of b_tilde vanishes
-        assert abs(mode.weights @ np.diag(mode.b_tilde)) < 1e-12
+        b_tilde = mode.b_matrix - mode.mean_b * np.eye(mode.count)
+        assert abs(mode.weights @ np.diag(b_tilde)) < 1e-12
         assert mode.partition > 0.0
 
 
-def test_mode_thermal_recomputes_at_new_beta():
-    modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=2)
-    weights, partition, mean_b, b_tilde = mode_thermal(modes[0], beta=10.0)
-    e = modes[0].h_diag
+def test_thermal_data_at_second_beta():
+    config = BathConfig(eta=2.0, omega_c=1.0, k_modes=2, lam=2.5, beta=1.0)
+    bath = bath_arrays(config, [1.0, 10.0])
+    weights, partition, mean_b = bath.weights[1, 0], bath.partition[1, 0], bath.mean_b[1, 0]
+    e = bath.energies[0]
     expected = np.exp(-10.0 * (e - e[0]))
     expected /= expected.sum()
     np.testing.assert_allclose(weights, expected, atol=1e-14)
     assert partition == pytest.approx(float(np.exp(-10.0 * (e - e[0])).sum()))
-    assert mean_b == pytest.approx(float(weights @ np.diag(modes[0].b_matrix)))
+    assert mean_b == pytest.approx(float(weights @ np.diag(bath.couplings[0])))
+    b_tilde = bath.couplings[0] - mean_b * np.eye(e.size)
     assert abs(weights @ np.diag(b_tilde)) < 1e-13
     with pytest.raises(ValueError):
-        mode_thermal(modes[0], beta=0.0)
+        bath_arrays(config, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("lam, beta, eta, k_modes", [
+    (2.6, 7.0, 0.01, 40),
+    (7.4, 1.0, 2.0, 40),
+    (60.3, 10.0, 0.5, 3),
+])
+def test_discretize_is_a_view_of_bath_arrays(lam, beta, eta, k_modes):
+    # the per-mode view that the dense oracle and the benchmark's references read
+    config = BathConfig(eta=eta, omega_c=1.0, k_modes=k_modes, lam=lam, beta=beta)
+    modes = discretize(config)
+    bath = bath_arrays(config)
+    assert len(modes) == k_modes
+    for k, mode in enumerate(modes):
+        assert np.array_equal(mode.omega, bath.omega[k])
+        assert np.array_equal(mode.g, bath.g[k])
+        assert np.array_equal(mode.h_diag, bath.energies[k])
+        assert np.array_equal(mode.b_matrix, bath.couplings[k])
+        assert np.array_equal(mode.weights, bath.weights[0, k])
+    system = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
+    times = time_grid(5.0, 0.01)
+    exact, = chi_traces(bath, system, times)
+    assert np.array_equal(chi_series(modes, system, times).chi, exact.chi)
 
 
 def test_lambda_without_bound_state_is_rejected():

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import dblquad
 
 from morsebath import (
+    Bath,
     CorrelationModel,
     alpha,
     build_correlation,
@@ -14,7 +15,7 @@ from morsebath import (
     offset_ratio,
 )
 from morsebath.correlation import _second_order_phase
-from helpers import make_bath
+from helpers import make_arrays, make_bath
 
 
 def single_term(w=1.0, delta=2.0, c0=0.0):
@@ -24,26 +25,27 @@ def single_term(w=1.0, delta=2.0, c0=0.0):
 def test_build_single_two_level_mode():
     modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=2)[:1]
     mode = modes[0]
-    model = build_correlation(modes)
+    model = build_correlation(Bath.from_modes(modes))
     p = mode.weights
-    bt = mode.b_tilde
+    bt = mode.b_matrix - mode.mean_b * np.eye(mode.count)
     expected_c0 = p[0] * bt[0, 0] ** 2 + p[1] * bt[1, 1] ** 2
-    assert model.offset_c0 == pytest.approx(expected_c0, abs=1e-15)
-    a0 = alpha(model, 0.0)
+    c0, = model.offset_c0
+    assert c0 == pytest.approx(expected_c0, abs=1e-15)
+    a0, = alpha(model, 0.0)
     assert a0.real == pytest.approx(expected_c0 + (p[0] + p[1]) * bt[0, 1] ** 2, abs=1e-14)
     assert abs(a0.imag) < 1e-14
 
 
 def test_offset_vanishes_at_zero_temperature():
-    modes = make_bath(lam=2.6, beta=1e4, eta=0.01, k_modes=40)
-    model = build_correlation(modes)
-    assert model.offset_c0 < 1e-10
-    assert offset_ratio(model) < 1e-8
+    model = build_correlation(make_arrays(lam=2.6, betas=[1e4], eta=0.01, k_modes=40))
+    c0, = model.offset_c0
+    ratio, = offset_ratio(model)
+    assert c0 < 1e-10
+    assert ratio < 1e-8
 
 
 def test_alpha_hermiticity(rng):
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=10)
-    model = build_correlation(modes)
+    model = build_correlation(make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10))
     for t in rng.uniform(0.0, 20.0, size=100):
         assert alpha(model, -t) == pytest.approx(np.conj(alpha(model, t)), abs=1e-13)
 
@@ -57,16 +59,25 @@ def test_offset_ratio_requires_terms():
     empty = CorrelationModel(offset_c0=0.3, weights=np.empty(0), deltas=np.empty(0))
     with pytest.raises(ZeroDivisionError):
         offset_ratio(empty)
-    modes = make_bath(lam=2.5, beta=1.0, eta=0.0, k_modes=4)
     with pytest.raises(ZeroDivisionError):
-        offset_ratio(build_correlation(modes))
+        offset_ratio(build_correlation(make_arrays(lam=2.5, betas=[1.0], eta=0.0, k_modes=4)))
 
 
 def test_offset_ratio_temperature_ordering():
-    hot = build_correlation(make_bath(lam=2.6, beta=1.0, eta=0.01, k_modes=40))
-    cold = build_correlation(make_bath(lam=2.6, beta=10.0, eta=0.01, k_modes=40))
-    assert offset_ratio(hot) > offset_ratio(cold)
-    assert hot.offset_c0 > cold.offset_c0
+    hot = build_correlation(make_arrays(lam=2.6, betas=[1.0], eta=0.01, k_modes=40))
+    cold = build_correlation(make_arrays(lam=2.6, betas=[10.0], eta=0.01, k_modes=40))
+    assert offset_ratio(hot)[0] > offset_ratio(cold)[0]
+    assert hot.offset_c0[0] > cold.offset_c0[0]
+
+
+def test_offset_ratio_of_each_beta_equals_its_one_beta_model():
+    # each beta's C0 is divided by that beta's own weight sum
+    betas = [1.0, 10.0]
+    both = offset_ratio(build_correlation(make_arrays(lam=2.6, betas=betas, eta=0.01)))
+    alone = [offset_ratio(build_correlation(make_arrays(lam=2.6, betas=[b], eta=0.01)))[0]
+             for b in betas]
+    np.testing.assert_allclose(both, alone, rtol=1e-12)
+    np.testing.assert_allclose(alone, [35.69, 2.93], rtol=1e-3)
 
 
 def test_gamma_closed_forms():
@@ -85,13 +96,12 @@ def test_gamma_closed_forms():
 
 
 def test_gamma_equals_double_quadrature(rng):
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=5)
-    model = build_correlation(modes)
+    model = build_correlation(make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=5))
     for t in rng.uniform(0.5, 20.0, size=5):
-        direct, err = dblquad(lambda u, s: alpha(model, s - u).real,
+        direct, err = dblquad(lambda u, s: alpha(model, s - u)[0].real,
                               0.0, t, 0.0, lambda s: s,
                               epsabs=1e-11, epsrel=1e-11)
-        assert abs(gamma_decay(model, float(t)) - 4.0 * direct) < 1e-8
+        assert abs(gamma_decay(model, float(t))[0] - 4.0 * direct) < 1e-8
 
 
 def test_gamma_nonnegative(rng):
@@ -135,9 +145,9 @@ def test_gamma_harmonic_limit_matches_coth_sum():
 
 
 def test_gaussian_chi_basics():
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=10)
-    model = build_correlation(modes)
-    shift = mean_field_shift(modes)
+    bath = make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10)
+    model = build_correlation(bath)
+    shift = mean_field_shift(bath)
     assert gaussian_chi(model, 2.0, shift, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
     ts = np.linspace(0.0, 20.0, 101)
     chi = gaussian_chi(model, 2.0, shift, ts)
@@ -146,9 +156,9 @@ def test_gaussian_chi_basics():
 
 
 def test_gaussian_chi_second_order_phase_flag():
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=10)
-    model = build_correlation(modes)
-    shift = mean_field_shift(modes)
+    bath = make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10)
+    model = build_correlation(bath)
+    shift = mean_field_shift(bath)
     ts = np.linspace(0.0, 10.0, 50)
     plain = gaussian_chi(model, 2.0, shift, ts)
     phased = gaussian_chi(model, 2.0, shift, ts, second_order_phase=True)
@@ -160,5 +170,7 @@ def test_gaussian_chi_second_order_phase_flag():
 
 
 def test_mean_field_shift():
-    modes = make_bath(lam=2.6, beta=1.0, eta=2.0, k_modes=5)
-    assert mean_field_shift(modes) == pytest.approx(2.0 * sum(m.mean_b for m in modes))
+    bath = make_arrays(lam=2.6, betas=[1.0, 4.0], eta=2.0, k_modes=5)
+    for beta, shift in zip([1.0, 4.0], mean_field_shift(bath)):
+        modes = make_bath(lam=2.6, beta=beta, eta=2.0, k_modes=5)
+        assert shift == pytest.approx(2.0 * sum(m.mean_b for m in modes))

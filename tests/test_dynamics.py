@@ -10,11 +10,12 @@ from morsebath import (
     apply_map,
     bath_arrays,
     chi_series,
+    chi_traces,
     mean_field_shift,
     time_grid,
 )
 from morsebath.dynamics import _block_eigh
-from helpers import make_bath
+from helpers import make_arrays, make_bath, renormalized
 
 # no impurity phase: chi of one mode is that mode's trace factor
 SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
@@ -97,10 +98,10 @@ def test_chi_series_factorizes(system, short_grid):
 
 def test_mean_field_phase_identity(system, short_grid):
     # bare chi equals exp(2i <B> t) times the renormalized-operator chi
-    modes = make_bath(lam=2.6, beta=1.0, eta=2.0, k_modes=10)
-    bare = chi_series(modes, system, short_grid).chi
-    renorm = chi_series(modes, system, short_grid, renormalized=True).chi
-    shift = mean_field_shift(modes)
+    bath = make_arrays(lam=2.6, betas=[1.0], eta=2.0, k_modes=10)
+    bare = chi_traces(bath, system, short_grid)[0].chi
+    renorm = chi_traces(renormalized(bath), system, short_grid)[0].chi
+    shift, = mean_field_shift(bath)
     assert np.abs(bare - np.exp(1j * shift * short_grid) * renorm).max() < 1e-11
 
 

@@ -11,11 +11,12 @@ from morsebath import (
     chi_series,
     dephasing_time,
     gaussian_error,
-    gaussian_trace,
+    chi_traces,
+    gaussian_traces,
     time_grid,
     trace_distance,
 )
-from helpers import make_bath
+from helpers import make_arrays, make_bath
 
 
 def synthetic_trace(times, chi, variant="exact"):
@@ -137,9 +138,9 @@ def test_gaussian_error_quarter_coherence():
 
 
 def test_gaussian_error_matches_explicit_route(system, short_grid):
-    modes = make_bath(lam=2.6, beta=7.0, eta=0.5, k_modes=10)
-    exact = chi_series(modes, system, short_grid)
-    gauss = gaussian_trace(modes, system, short_grid)
+    bath = make_arrays(lam=2.6, betas=[7.0], eta=0.5, k_modes=10)
+    exact, = chi_traces(bath, system, short_grid)
+    gauss, = gaussian_traces(bath, system, short_grid)
     report = gaussian_error(exact, gauss, DEFAULT_RHO0)
     explicit = [trace_distance(apply_map(DEFAULT_RHO0, c), apply_map(DEFAULT_RHO0, g))
                 for c, g in zip(exact.chi, gauss.chi)]

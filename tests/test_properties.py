@@ -1,8 +1,9 @@
-"""Property tests of the per-lam sweep path against the one-beta calls.
+"""Property tests of the Bath engine.
 
 One lam with all of its betas shares the eigendecompositions, the phase
 frequencies and the correlation gaps; each beta's rows must still equal
-what the one-beta functions give for that beta alone.
+what the one-beta calls give for that beta alone.  The exact decay
+factor must also keep the invariants of a dephasing map on any bath.
 """
 
 import numpy as np
@@ -18,12 +19,13 @@ from morsebath import (
     chi_traces,
     dense_chi,
     discretize,
-    gaussian_trace,
     gaussian_traces,
     kernels,
+    mean_field_shift,
     time_grid,
 )
 from morsebath.dynamics import DEFAULT_RHO0, _block_eigh, _phase_terms
+from helpers import renormalized
 
 SYSTEM = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
 TIMES = time_grid(5.0, 0.05)
@@ -46,8 +48,9 @@ def assert_rows_match_one_beta(lam, beta_list, eta, k_modes):
     gauss = gaussian_traces(bath, SYSTEM, TIMES)
     for beta, e, g in zip(beta_list, exact, gauss):
         modes = discretize(config(lam, beta, eta, k_modes))
+        one_beta = bath_arrays(config(lam, beta, eta, k_modes))
         assert np.abs(e.chi - chi_series(modes, SYSTEM, TIMES).chi).max() <= 1e-13
-        assert np.abs(g.chi - gaussian_trace(modes, SYSTEM, TIMES).chi).max() <= 1e-13
+        assert np.abs(g.chi - gaussian_traces(one_beta, SYSTEM, TIMES)[0].chi).max() <= 1e-13
 
 
 @PROPERTY
@@ -74,6 +77,23 @@ def test_per_lambda_rows_match_dense_oracle(lam, beta_list, eta, k_modes):
     for beta, trace in zip(beta_list, chi_traces(bath, SYSTEM, TIMES)):
         dense = dense_chi(discretize(config(lam, beta, eta, k_modes)), SYSTEM, TIMES)
         assert np.abs(trace.chi - dense.chi).max() <= 1e-10
+
+
+@PROPERTY
+@given(lam=lams, beta=st.floats(min_value=0.1, max_value=1e4), eta=etas,
+       k_modes=st.integers(1, 40))
+def test_exact_chi_invariants(lam, beta, eta, k_modes):
+    bath = bath_arrays(config(lam, beta, eta, k_modes))
+    bare, = chi_traces(bath, SYSTEM, TIMES)
+    assert abs(bare.chi[0] - 1.0) <= 1e-13
+    assert np.abs(bare.chi).max() <= 1.0 + 1e-12
+    # each mode's factor at t = 0 is the sum of its weights W, the trace of rho_k
+    w, _ = _phase_terms(_block_eigh(bath.energies, bath.couplings), bath.weights)
+    assert np.abs(w.reshape(k_modes, -1).sum(axis=-1) - 1.0).max() <= 1e-13
+    # B = <B> + (B - <B>): the mean part only rotates the coherence at 2 <B>
+    renorm, = chi_traces(renormalized(bath), SYSTEM, TIMES)
+    shift, = mean_field_shift(bath)
+    assert np.abs(bare.chi - np.exp(1j * shift * TIMES) * renorm.chi).max() <= 1e-11
 
 
 GRIDS = {

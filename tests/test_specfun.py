@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from morsebath import digamma, log_gamma
-from morsebath.specfun import log_pochhammer
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -58,9 +57,3 @@ def test_against_mpmath_across_domain():
         assert abs(log_gamma(float(x)) - ref_lg) <= max(1e-12, 5e-15 * abs(ref_lg))
         assert abs(digamma(float(x)) - ref_dg) <= max(1e-12, 5e-15 * abs(ref_dg))
 
-
-def test_log_pochhammer_matches_product():
-    # (x)_n = x (x+1) ... (x+n-1)
-    assert log_pochhammer(2.5, 4) == pytest.approx(
-        math.log(2.5 * 3.5 * 4.5 * 5.5), abs=1e-12)
-    assert log_pochhammer(7.0, 0) == pytest.approx(0.0, abs=1e-13)
