@@ -7,8 +7,7 @@ them: dephasing times, information backflow, and the exact-vs-Gaussian
 error.
 """
 
-from .bath import Bath, BathConfig, BathMode, bath_arrays, discretize, spectral_density
-from .config import ConfigError, ExperimentConfig, parse_config, parse_config_text
+from .bath import Bath, BathConfig, bath_arrays, discretize, spectral_density
 from .correlation import (
     CorrelationModel,
     alpha,
@@ -29,39 +28,26 @@ from .dynamics import (
     time_grid,
 )
 from .morse import (
-    MorseParams,
-    MorseSpectrum,
-    RegionTag,
     bound_energies,
     bound_state_count,
     ladder_matrix,
     region_classify,
-    spectrum,
     wavefunction,
     x_matrix,
 )
-from .observables import (
-    ErrorReport,
-    FlowReport,
-    blp_flows,
-    dephasing_time,
-    gaussian_error,
-    trace_distance,
-)
+from .observables import blp_flows, dephasing_time, gaussian_error, trace_distance
 from .oracle import dense_chi, overlap_element, quadrature_element
 from .specfun import digamma, log_gamma
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bath", "BathConfig", "BathMode", "ConfigError", "CorrelationModel", "DEFAULT_RHO0",
-    "DephasingTrace", "ErrorReport", "ExperimentConfig", "FlowReport",
-    "MorseParams", "MorseSpectrum", "RegionTag", "SystemConfig",
+    "Bath", "BathConfig", "CorrelationModel", "DEFAULT_RHO0", "DephasingTrace", "SystemConfig",
     "alpha", "apply_map", "bath_arrays", "blp_flows", "bound_energies",
     "bound_state_count", "build_correlation", "chi_series", "chi_traces", "dense_chi",
     "dephasing_time", "digamma", "discretize", "gamma_decay", "gaussian_chi",
     "gaussian_error", "gaussian_traces", "ladder_matrix", "log_gamma",
-    "mean_field_shift", "offset_ratio", "overlap_element", "parse_config", "parse_config_text",
-    "quadrature_element", "region_classify", "spectral_density", "spectrum",
+    "mean_field_shift", "offset_ratio", "overlap_element",
+    "quadrature_element", "region_classify", "spectral_density",
     "time_grid", "trace_distance", "wavefunction", "x_matrix",
 ]

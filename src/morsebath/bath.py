@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .morse import bound_state_count, ladder_matrix
+from .morse import bound_energies, ladder_matrix
 
 
 @dataclass(frozen=True)
@@ -147,17 +147,13 @@ def bath_arrays(config: BathConfig, betas=None) -> Bath:
     The beta-free arrays are built once; the thermal data of all betas
     come from one vectorized expression.
     """
-    lam = config.lam
-    count = bound_state_count(lam)
-    if count == 0:
-        raise ValueError(f"lam = {lam} binds no state")
-    ladder = ladder_matrix(lam)
     omega = 2.0 * config.omega_c * np.arange(1, config.k_modes + 1) / config.k_modes
+    energies = bound_energies(omega, config.lam)
+    if energies.shape[1] == 0:
+        raise ValueError(f"lam = {config.lam} binds no state")
     g = np.sqrt(2.0 * config.omega_c / config.k_modes
                 * spectral_density(omega, config.eta, config.omega_c))
-    # bound_energies of every mode: -(omega / 2 lam) (lam - (n + 1/2))^2
-    energies = -(omega[:, None] / (2.0 * lam)) * (lam - (np.arange(count) + 0.5)) ** 2
-    couplings = g[:, None, None] * ladder
+    couplings = g[:, None, None] * ladder_matrix(config.lam)
     betas = np.array([config.beta] if betas is None else betas, dtype=float)
     weights, partition, mean_b = _thermal(energies, couplings, betas)
     return Bath(omega=omega, g=g, energies=energies, couplings=couplings,

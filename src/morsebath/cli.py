@@ -2,12 +2,14 @@
 
 Subcommands: spectrum, bath, correlation, dynamics, sweep-dephasing,
 sweep-backflow, gaussian-error, oracle-check.  File outputs are byte
-identical across runs of the same configuration; floats are written in
-scientific notation with 12 significant digits.  A sweep runs one task
-per lambda, covering all of its betas, on a pool of threads in this
-process; rows are ordered lexicographically by (lambda, beta) no matter
-how the tasks were scheduled.  Quantities that can be undefined (no
-threshold crossing, no outflow) are recorded with the sentinel value -1.
+identical across runs of the same configuration and across BLAS thread
+counts, since every subcommand computes with numpy's OpenBLAS pinned to
+one thread; floats are written in scientific notation with 12
+significant digits.  A sweep runs one task per lambda, covering all of
+its betas, on a pool of threads in this process; rows are ordered
+lexicographically by (lambda, beta) no matter how the tasks were
+scheduled.  Quantities that can be undefined (no threshold crossing,
+no outflow) are recorded with the sentinel value -1.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .bath import BathConfig, bath_arrays, discretize
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
 from .dynamics import SystemConfig, chi_series, chi_traces, gaussian_traces, time_grid
-from .morse import MorseParams, bound_state_count, spectrum, x_matrix
+from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
 
@@ -48,10 +50,6 @@ def _write_blocks(out_path: str | None, blocks: Iterable[list[str]]) -> None:
             handle.write("\n".join(lines) + "\n")
 
 
-def _write_lines(out_path: str | None, lines: list[str]) -> None:
-    _write_blocks(out_path, [lines])
-
-
 def _system(cfg: ExperimentConfig) -> SystemConfig:
     return SystemConfig(omega_s=cfg.omega_s, rho0=cfg.rho0)
 
@@ -62,15 +60,16 @@ def _bath_config(cfg: ExperimentConfig, lam: float, beta: float) -> BathConfig:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    spec = spectrum(MorseParams(omega=args.omega, lam=args.lam))
+    energies = bound_energies(args.omega, args.lam)
+    x = x_matrix(args.lam)
     lines = ["n,energy"]
-    for n, energy in enumerate(spec.energies):
+    for n, energy in enumerate(energies):
         lines.append(f"{n},{_fmt(energy)}")
     lines.append("n,m,x_element")
-    for n in range(spec.count):
-        for m in range(n, spec.count):
-            lines.append(f"{n},{m},{_fmt(spec.x_elements[n, m])}")
-    _write_lines(args.out, lines)
+    for n in range(len(energies)):
+        for m in range(n, len(energies)):
+            lines.append(f"{n},{m},{_fmt(x[n, m])}")
+    _write_blocks(args.out, [lines])
     return 0
 
 
@@ -83,7 +82,7 @@ def cmd_bath(args: argparse.Namespace) -> int:
     for k, (omega, g, mean_b, z) in enumerate(
             zip(bath.omega, bath.g, bath.mean_b[0], bath.partition[0]), start=1):
         lines.append(f"{k},{_fmt(omega)},{_fmt(g)},{count},{_fmt(mean_b)},{_fmt(z)}")
-    _write_lines(args.out, lines)
+    _write_blocks(args.out, [lines])
     return 0
 
 
@@ -102,7 +101,7 @@ def cmd_correlation(args: argparse.Namespace) -> int:
     ratio, = offset_ratio(model)
     lines.append("c0,c_at_0,offset_ratio")
     lines.append(f"{_fmt(c0)},{_fmt(c_at_0)},{_fmt(ratio)}")
-    _write_lines(args.out, lines)
+    _write_blocks(args.out, [lines])
     return 0
 
 
@@ -119,7 +118,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     for t, c, g in zip(times, exact.chi, gauss.chi):
         lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
                      f"{_fmt(g.real)},{_fmt(g.imag)},{_fmt(abs(g))}")
-    _write_lines(args.out, lines)
+    _write_blocks(args.out, [lines])
     # invertibility proxy, reported for every run
     print(f"min |chi| = {_fmt(float(np.abs(exact.chi).min()))}", file=sys.stderr)
     return 0
@@ -189,26 +188,19 @@ def _openblas_threads():
 def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
     """Rows of every (lambda, beta) of the sweep, one task per lambda.
 
-    With more than one worker the tasks run on a thread pool while BLAS
-    is pinned to one thread, so the workers do not oversubscribe the
-    cores; the caller's BLAS thread count is restored afterwards.  When
-    the BLAS thread count cannot be set the tasks run serially.
+    With more than one worker the tasks run on a thread pool.  The pool
+    is used only where ``main`` can pin BLAS to one thread, so the
+    workers do not oversubscribe the cores; otherwise the tasks run
+    serially.
     """
     lams = sorted(cfg.lambdas)
     point = functools.partial(_sweep_point, kind, cfg)
     workers = threads if threads is not None else (os.cpu_count() or 1)
-    blas = _openblas_threads() if workers > 1 and len(lams) > 1 else None
-    if blas is None:
-        blocks = [point(lam) for lam in lams]
+    if workers > 1 and len(lams) > 1 and _openblas_threads() is not None:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            blocks = list(pool.map(point, lams))
     else:
-        get_threads, set_threads = blas
-        caller_threads = get_threads()
-        set_threads(1)
-        try:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                blocks = list(pool.map(point, lams))
-        finally:
-            set_threads(caller_threads)
+        blocks = [point(lam) for lam in lams]
     return sorted((row for rows in blocks for row in rows), key=lambda row: (row[0], row[1]))
 
 
@@ -218,7 +210,7 @@ def cmd_sweep_dephasing(args: argparse.Namespace) -> int:
     lines = ["lambda,beta,eta,tau_d"]
     for lam, beta, tau in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(tau)}")
-    _write_lines(args.out, lines)
+    _write_blocks(args.out, [lines])
     return 0
 
 
@@ -229,7 +221,7 @@ def cmd_sweep_backflow(args: argparse.Namespace) -> int:
     for lam, beta, n_minus, n_plus, ratio in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},"
                      f"{_fmt(n_minus)},{_fmt(n_plus)},{_fmt(ratio)}")
-    _write_lines(args.out, lines)
+    _write_blocks(args.out, [lines])
     return 0
 
 
@@ -239,7 +231,7 @@ def cmd_gaussian_error(args: argparse.Namespace) -> int:
     lines = ["lambda,beta,eta,time_avg_error"]
     for lam, beta, time_avg, _ in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(time_avg)}")
-    _write_lines(args.out, lines)
+    _write_blocks(args.out, [lines])
     if cfg.pointwise_out is not None:
         time_fields = [_fmt(t) for t in time_grid(cfg.t_max, cfg.dt)]
 
@@ -323,11 +315,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # BLAS pinned to one thread: no output depends on the BLAS thread count
+    blas = _openblas_threads()
+    if blas is not None:
+        get_threads, set_threads = blas
+        caller_threads = get_threads()
+        set_threads(1)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, ZeroDivisionError, IndexError, RuntimeError) as exc:
+    except (ValueError, ZeroDivisionError, IndexError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if blas is not None:
+            set_threads(caller_threads)
 
 
 if __name__ == "__main__":

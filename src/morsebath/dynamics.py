@@ -75,7 +75,6 @@ class DephasingTrace:
 
     times: np.ndarray
     chi: np.ndarray
-    variant: str
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -147,8 +146,7 @@ def _chi(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
 def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray) -> list[DephasingTrace]:
     """Exact decay factor of every beta of one lam, sharing its eigendecompositions."""
     times = np.asarray(times, dtype=float)
-    return [DephasingTrace(times=times, chi=chi, variant="exact")
-            for chi in _chi(bath, system.omega_s, times)]
+    return [DephasingTrace(times=times, chi=chi) for chi in _chi(bath, system.omega_s, times)]
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:
@@ -162,7 +160,7 @@ def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
     times = np.asarray(times, dtype=float)
     chi = gaussian_chi(build_correlation(bath), system.omega_s, mean_field_shift(bath), times,
                        second_order_phase=second_order_phase)
-    return [DephasingTrace(times=times, chi=row, variant="gaussian") for row in chi]
+    return [DephasingTrace(times=times, chi=row) for row in chi]
 
 
 def apply_map(rho0: np.ndarray, chi_value: complex) -> np.ndarray:

@@ -27,42 +27,6 @@ HALF_INTEGER_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class MorseParams:
-    """Morse oscillator parameters (harmonic frequency, anharmonicity)."""
-
-    omega: float
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.omega > 0.0:
-            raise ValueError(f"omega must be positive, got {self.omega}")
-        if not self.lam > 0.5:
-            raise ValueError(f"lam must exceed 1/2 (no bound state otherwise), got {self.lam}")
-
-
-@dataclass(frozen=True)
-class MorseSpectrum:
-    """Bound-state data of one oscillator.
-
-    Attributes
-    ----------
-    count : int
-        Number of bound states d.
-    energies : np.ndarray
-        The d bound-state energies, strictly increasing, all negative.
-    x_elements : np.ndarray
-        Symmetric d x d matrix of the dimensionless position operator.
-    big_n : float
-        The parameter N = lam - 1/2.
-    """
-
-    count: int
-    energies: np.ndarray
-    x_elements: np.ndarray
-    big_n: float
-
-
-@dataclass(frozen=True)
 class RegionTag:
     """Nearest half-integer decomposition lam = n + 1/2 + epsilon.
 
@@ -102,11 +66,17 @@ def region_classify(lam: float) -> RegionTag:
     return RegionTag(n=n, epsilon=eps, kind=kind)
 
 
-def bound_energies(params: MorseParams) -> np.ndarray:
-    """Bound-state energies E_n = -(omega / 2 lam) (lam - (n + 1/2))^2."""
-    d = bound_state_count(params.lam)
-    n = np.arange(d)
-    return -(params.omega / (2.0 * params.lam)) * (params.lam - (n + 0.5)) ** 2
+def bound_energies(omega, lam: float) -> np.ndarray:
+    """Bound-state energies E_n = -(omega / 2 lam) (lam - (n + 1/2))^2.
+
+    omega is one harmonic frequency or an array of them; the result has
+    shape (..., d), one row of the d levels per frequency.
+    """
+    omega = np.asarray(omega, dtype=float)
+    if not np.all(omega > 0.0):
+        raise ValueError(f"omega must be positive, got {omega.tolist()}")
+    n = np.arange(bound_state_count(lam))
+    return -(omega[..., None] / (2.0 * lam)) * (lam - (n + 0.5)) ** 2
 
 
 def x_matrix(lam: float) -> np.ndarray:
@@ -153,16 +123,6 @@ def ladder_matrix(lam: float) -> np.ndarray:
     at large lam the first off-diagonal tends to sqrt(n + 1).
     """
     return math.sqrt(2.0 * lam) * x_matrix(lam)
-
-
-def spectrum(params: MorseParams) -> MorseSpectrum:
-    """Assemble the full bound-state spectrum for one oscillator."""
-    return MorseSpectrum(
-        count=bound_state_count(params.lam),
-        energies=bound_energies(params),
-        x_elements=x_matrix(params.lam),
-        big_n=params.lam - 0.5,
-    )
 
 
 @lru_cache(maxsize=512)

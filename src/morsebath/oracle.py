@@ -64,7 +64,7 @@ def dense_chi(modes: list[BathMode], system: SystemConfig,
         prop_plus = (u_plus * np.exp(1j * evals_plus * t)) @ u_plus.T
         chi[j] = np.trace(prop_minus @ rho @ prop_plus)
     chi *= np.exp(1j * system.omega_s * times)
-    return DephasingTrace(times=times, chi=chi, variant="dense-oracle")
+    return DephasingTrace(times=times, chi=chi)
 
 
 def _quadrature(lam: float, n: int, m: int, with_x: bool) -> float:

@@ -14,7 +14,6 @@ from scipy.integrate import quad
 from morsebath import (
     DEFAULT_RHO0,
     CorrelationModel,
-    MorseParams,
     SystemConfig,
     blp_flows,
     bound_energies,
@@ -272,7 +271,7 @@ def test_criterion_11_invariant_suite():
 
     # energies negative and increasing
     for lam in (1.6, 2.5, 2.51, 7.5):
-        e = bound_energies(MorseParams(1.0, lam))
+        e = bound_energies(1.0, lam)
         assert np.all(e < 0.0) and np.all(np.diff(e) > 0.0)
         checks += 1
 

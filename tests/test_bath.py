@@ -9,6 +9,7 @@ from morsebath import (
     BathConfig,
     SystemConfig,
     bath_arrays,
+    bound_energies,
     chi_series,
     chi_traces,
     discretize,
@@ -113,6 +114,16 @@ def test_discretize_is_a_view_of_bath_arrays(lam, beta, eta, k_modes):
     times = time_grid(5.0, 0.01)
     exact, = chi_traces(bath, system, times)
     assert np.array_equal(chi_series(modes, system, times).chi, exact.chi)
+
+
+@pytest.mark.parametrize("lam, k_modes, count", [(1.6, 40, 2), (7.4, 40, 7), (399.8, 3, 400)])
+def test_bath_energies_are_bound_energies(lam, k_modes, count):
+    # one formula for the level energies: the array and the one-mode call give the same bits
+    bath = bath_arrays(BathConfig(eta=2.0, omega_c=1.0, k_modes=k_modes, lam=lam, beta=1.0))
+    assert bath.energies.shape == (k_modes, count)
+    assert np.array_equal(bound_energies(bath.omega, lam), bath.energies)
+    for omega, energies in zip(bath.omega, bath.energies):
+        assert np.array_equal(bound_energies(float(omega), lam), energies)
 
 
 def test_lambda_without_bound_state_is_rejected():

@@ -81,6 +81,13 @@ def test_spectrum_rejects_bad_lambda(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("omega", ["0", "-1", "nan"])
+def test_spectrum_rejects_bad_omega(omega, capsys):
+    assert main(["spectrum", "--lambda", "2.5", "--omega", omega]) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "omega" in err
+
+
 def test_bath_csv(tmp_path):
     cfg = write_config(tmp_path, BASE)
     out = tmp_path / "bath.csv"
@@ -174,6 +181,20 @@ def test_sweep_pool_bytes_with_blas_env_unset(tmp_path):
     assert len(outputs) == 1
 
 
+def test_dynamics_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # at d = 400 the eigendecompositions round differently with 2 BLAS threads than with 1
+    if cli._openblas_threads() is None:
+        pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter here")
+    cfg = write_config(tmp_path, "k_modes = 4\neta = 2.0\nlambda = 399.8\nbeta = 1\n")
+    outputs = []
+    for blas_threads in (2, 1):
+        out = tmp_path / f"blas{blas_threads}.csv"
+        proc = run_cli(["dynamics", "--config", cfg, "--out", str(out)], blas_threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.fixture
 def blas_threads():
     """Getter of numpy's OpenBLAS thread count, set to 2 for the test and restored after."""
@@ -239,6 +260,14 @@ def test_cli_import_loads_no_process_pool_or_integrator():
                           timeout=60, env=dict(os.environ, PYTHONPATH=SRC))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_root_exports_resolve_once():
+    import morsebath
+
+    assert len(set(morsebath.__all__)) == len(morsebath.__all__)
+    for name in morsebath.__all__:
+        assert hasattr(morsebath, name), name
 
 
 def test_sweep_dephasing_sentinel_when_no_decay(tmp_path):

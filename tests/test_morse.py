@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from morsebath import (
-    MorseParams,
     bound_energies,
     bound_state_count,
     digamma,
     ladder_matrix,
     region_classify,
-    spectrum,
     wavefunction,
     x_matrix,
 )
@@ -41,15 +39,15 @@ def test_region_classify():
 
 
 def test_bound_energies():
-    np.testing.assert_allclose(bound_energies(MorseParams(1.0, 2.5)), [-0.8, -0.2], atol=1e-14)
-    np.testing.assert_allclose(bound_energies(MorseParams(2.0, 2.5)), [-1.6, -0.4], atol=1e-14)
-    e = bound_energies(MorseParams(1.0, 200.0))
+    np.testing.assert_allclose(bound_energies(1.0, 2.5), [-0.8, -0.2], atol=1e-14)
+    np.testing.assert_allclose(bound_energies(2.0, 2.5), [-1.6, -0.4], atol=1e-14)
+    e = bound_energies(1.0, 200.0)
     assert e[1] - e[0] == pytest.approx(0.995, abs=1e-12)
 
 
 @pytest.mark.parametrize("lam", [1.6, 2.5, 2.51, 7.5])
 def test_energies_negative_and_increasing(lam):
-    e = bound_energies(MorseParams(1.0, lam))
+    e = bound_energies(1.0, lam)
     assert np.all(e < 0.0)
     assert np.all(np.diff(e) > 0.0)
 
@@ -106,12 +104,16 @@ def test_weak_binding_divergence_and_suppression():
     assert ratio == pytest.approx(2.0, rel=0.05)
 
 
-def test_spectrum_assembly():
-    spec = spectrum(MorseParams(1.0, 2.51))
-    assert spec.count == 3
-    assert spec.big_n == pytest.approx(2.01)
-    assert spec.energies.shape == (3,)
-    assert spec.x_elements.shape == (3, 3)
+def test_energy_and_x_shapes():
+    assert bound_energies(1.0, 2.51).shape == (3,)
+    assert x_matrix(2.51).shape == (3, 3)
+    assert bound_energies([1.0, 2.0], 2.51).shape == (2, 3)
+
+
+def test_bound_energies_rejects_any_non_positive_omega():
+    # scalar 0, -1 and nan are covered through the CLI (test_spectrum_rejects_bad_omega)
+    with pytest.raises(ValueError, match="omega"):
+        bound_energies([1.0, 0.0], 2.5)
 
 
 def test_wavefunction_normalization_and_orthogonality():

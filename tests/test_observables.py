@@ -19,9 +19,8 @@ from morsebath import (
 from helpers import make_arrays, make_bath
 
 
-def synthetic_trace(times, chi, variant="exact"):
-    return DephasingTrace(times=np.asarray(times, float),
-                          chi=np.asarray(chi, complex), variant=variant)
+def synthetic_trace(times, chi):
+    return DephasingTrace(times=np.asarray(times, float), chi=np.asarray(chi, complex))
 
 
 def test_dephasing_time_exponential():
@@ -128,7 +127,7 @@ def test_gaussian_error_zero_for_identical(system, short_grid):
 def test_gaussian_error_quarter_coherence():
     ts = np.array([0.0, 1.0, 2.0])
     exact = synthetic_trace(ts, [1.0, 0.9, 0.8])
-    gauss = synthetic_trace(ts, [1.0, 0.7, 0.8], variant="gaussian")
+    gauss = synthetic_trace(ts, [1.0, 0.7, 0.8])
     report = gaussian_error(exact, gauss, DEFAULT_RHO0)
     # |rho01(0)| = 1/4, so D = |chi - chi_G| / 4 pointwise
     assert report.pointwise[1] == pytest.approx(0.2, abs=1e-14)
