@@ -149,8 +149,6 @@ def bath_arrays(config: BathConfig, betas=None) -> Bath:
     """
     omega = 2.0 * config.omega_c * np.arange(1, config.k_modes + 1) / config.k_modes
     energies = bound_energies(omega, config.lam)
-    if energies.shape[1] == 0:
-        raise ValueError(f"lam = {config.lam} binds no state")
     g = np.sqrt(2.0 * config.omega_c / config.k_modes
                 * spectral_density(omega, config.eta, config.omega_c))
     couplings = g[:, None, None] * ladder_matrix(config.lam)

@@ -31,6 +31,10 @@ from . import kernels
 # below every test tolerance used downstream.
 NEGLIGIBLE_WEIGHT = 1e-13
 
+# rows of a mode whose pairs together weigh less than this fraction of
+# the pruning budget are left out of the term list
+_ROW_TAIL = 1e-6
+
 
 @dataclass(frozen=True)
 class CorrelationModel:
@@ -48,36 +52,74 @@ class CorrelationModel:
     deltas: np.ndarray
 
 
+def _pair_weights(bath: Bath, rows_listed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Weights (n_beta, T) of the pairs n != p with n < rows_listed[k] of each mode k.
+
+    Pairs run mode-major and row-major within a mode, so mode k lists
+    the first rows_listed[k] (d - 1) pairs of its row-major list.
+    Returns the weights and the (K + 1,) offsets of each mode's run.
+    """
+    p = bath.weights
+    d = p.shape[-1]
+    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
+    starts = np.concatenate([[0], np.cumsum(rows_listed * (d - 1))])
+    w = np.empty((p.shape[0], starts[-1]))
+    for k, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
+        b2 = bath.couplings[k, rows[:b - a], cols[:b - a]]
+        w[:, a:b] = p[:, k, rows[:b - a]] * (b2 * b2)
+    return w, starts
+
+
 def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -> CorrelationModel:
     """Aggregate offset and time-dependent terms over all modes, for every beta.
 
     offset_c0 = sum_{k,n} p_kn (B_k[n,n] - <B_k>)^2; the term list
-    enumerates every ordered pair n != p of every mode, with the gap
+    enumerates the ordered pairs n != p of every mode, with the gap
     E_n - E_p and the weight p_n B[n,p]^2 (the mean shifts only the
     diagonal).  Terms carrying a negligible fraction of a beta's total
     weight are discarded for that beta (see ``NEGLIGIBLE_WEIGHT``); pass
     ``weight_cutoff=0`` to keep all.
+
+    A mode's rows n whose pairs weigh less, all together, than
+    _ROW_TAIL of the pruning budget are not listed; the budget left for
+    the listed terms is reduced by their weight.  When every left-out
+    term is at most the smallest kept one, the pruning would have
+    dropped each of them, so the model is the one of the full list; if
+    that does not hold, every row is listed.
     """
     p = bath.weights
-    n_beta, _, d = p.shape
+    n_beta, n_modes, d = p.shape
     # C0: one dot product of fresh vectors per mode (a BLAS dot rounds
     # by operand alignment), then a running sum over the modes in order
-    bt_diag = np.diagonal(bath.couplings, axis1=-2, axis2=-1) - bath.mean_b[..., None]
+    diag = np.diagonal(bath.couplings, axis1=-2, axis2=-1)
+    bt_diag = diag - bath.mean_b[..., None]
     c0 = np.cumsum([[pk.copy() @ (bk * bk) for pk, bk in zip(pb, btb)]
                     for pb, btb in zip(p, bt_diag)], axis=-1)[:, -1]
-    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
-    b2 = bath.couplings[:, rows, cols]
-    b2 *= b2
-    w = p[:, :, rows]
-    w *= b2
-    del b2
-    w = w.reshape(n_beta, -1)
-    keep = kernels.kept_terms(w, weight_cutoff * w.sum(axis=-1))
+    # weight of row n of mode k, at least that of each of its pairs, and
+    # the weight of the rows from n up, a zero column appended
+    row_w = p * np.maximum(np.einsum("kij,kij->ki", bath.couplings, bath.couplings)
+                           - diag * diag, 0.0)
+    tail = np.concatenate([np.cumsum(row_w[..., ::-1], axis=-1)[..., ::-1],
+                           np.zeros((n_beta, n_modes, 1))], axis=-1)
+    floor = _ROW_TAIL * weight_cutoff * row_w.sum(axis=(1, 2))
+    rows_listed = np.count_nonzero(tail[..., :d] >= floor[:, None, None], axis=-1).max(axis=0)
+    # (n_beta, K) weight left out of each mode: under K _ROW_TAIL of the
+    # budget in all, so the listed terms keep a positive budget
+    left = np.take_along_axis(tail, rows_listed[None, :, None], axis=-1)[..., 0]
+    left_sum = left.sum(axis=-1)
+    w, starts = _pair_weights(bath, rows_listed)
+    keep = kernels.kept_terms(w, weight_cutoff * (w.sum(axis=-1) + left_sum) - left_sum)
+    if np.any(left.max(axis=-1) > np.where(keep, w, np.inf).min(axis=-1, initial=np.inf)):
+        w, starts = _pair_weights(bath, np.full(n_modes, d))
+        keep = kernels.kept_terms(w, weight_cutoff * w.sum(axis=-1))
     union = keep.any(axis=0)
     w = w[:, union]
     w[~keep[:, union]] = 0.0
-    # gaps of the kept terms only: term i is pair i % T of mode i // T
-    mode, pair = np.divmod(np.flatnonzero(union), rows.size)
+    # gaps of the kept terms only: term i is pair i - starts[k] of the mode k whose run holds it
+    kept = np.flatnonzero(union)
+    mode = np.searchsorted(starts, kept, side="right") - 1
+    pair = kept - starts[mode]
+    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
     deltas = bath.energies[mode, rows[pair]] - bath.energies[mode, cols[pair]]
     return CorrelationModel(offset_c0=c0, weights=np.ascontiguousarray(w.T), deltas=deltas)
 

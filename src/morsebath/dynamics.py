@@ -13,7 +13,22 @@ sum: with eigendecompositions Hk_pm = U_pm L_pm U_pm^T the trace equals
     sum_{a,b} W[a,b] exp(i (L_plus[b] - L_minus[a]) t),
     W = (U_minus^T rho_k U_plus) * (U_plus^T U_minus)^T,
 
-so the per-time cost is O(d^2) after an O(d^3) setup per mode.
+so the per-time cost is O(m^2) after an O(m^3) setup per mode, where m
+is the mode's kept level count.
+
+A mode block keeps its first m levels: H_pm is restricted to them and
+rho_k to their thermal weights p_n, without renormalization.  The
+factor then moves by at most
+
+    sum_{n>=m} p_n + t_max sum_pm sum_{n<m} p_n sum_j |U_pm[n, j]|
+                                      ||B[m:, :m] u_pm_j||,
+
+the dropped thermal mass plus the leak of each kept eigenvector u_j out
+of the kept levels (Duhamel: ||(exp(-i H t) - exp(-i L_j t)) u_j|| <=
+t ||(H - L_j) u_j|| = t ||B[m:, :m] u_j||).  m starts at the block's
+thermal tail and grows until this bound is at most NEGLIGIBLE_TERM_MASS
+for every mode and beta of the block; a block whose m would pass three
+quarters of d keeps all d levels.
 
 The engine takes a ``Bath`` of one lam and any number of betas
 (``chi_traces``, ``gaussian_traces``); ``chi_series`` is the one-beta
@@ -36,8 +51,10 @@ from . import kernels
 from .bath import Bath, BathMode
 from .correlation import build_correlation, gaussian_chi, mean_field_shift
 
-# Per-mode factor terms whose cumulative magnitude is below this bound
-# are dropped; the induced error in chi is below K * 1e-14.
+# Bounds both approximations of a mode factor: the level truncation moves
+# it by at most this much, and so do the factor terms dropped afterwards
+# (their cumulative magnitude); the induced error in chi is below
+# 2 K * 1e-14.
 NEGLIGIBLE_TERM_MASS = 1e-14
 
 # a mode block holds at most this many elements per stacked d x d array:
@@ -89,7 +106,7 @@ def _block_eigh(energies: np.ndarray, couplings: np.ndarray) -> tuple[np.ndarray
     """Stacked eigendecompositions of H_pm = diag(E) +- B over a block of modes.
 
     Returns (evals_plus, evecs_plus, evals_minus, evecs_minus) with a
-    leading mode axis: evals (m, d) and evecs (m, d, d).
+    leading mode axis: evals (g, d) and evecs (g, d, d).
     """
     idx = np.arange(energies.shape[-1])
     h = np.zeros(couplings.shape)
@@ -97,25 +114,64 @@ def _block_eigh(energies: np.ndarray, couplings: np.ndarray) -> tuple[np.ndarray
     return (*np.linalg.eigh(h + couplings), *np.linalg.eigh(h - couplings))
 
 
+def _truncation_bound(eig: tuple[np.ndarray, ...], couplings: np.ndarray,
+                      weights: np.ndarray, t_max: float) -> np.ndarray:
+    """Error bound (n_beta, g) on each mode factor of a block kept to its first m levels.
+
+    eig is the `_block_eigh` of the block on those m levels, couplings
+    its full (g, d, d) B and weights its (n_beta, g, d) thermal weights.
+    """
+    m = eig[0].shape[-1]
+    p = weights[..., :m]
+    leak = couplings[:, m:, :m]
+    bound = weights[..., m:].sum(axis=-1)
+    for evecs in eig[1::2]:
+        # ||B[m:, :m] u_j||: the rate at which eigenvector j leaves the kept levels
+        rate = np.linalg.norm(leak @ evecs, axis=-2)
+        bound = bound + t_max * np.einsum("bgn,gnj,gj->bg", p, np.abs(evecs), rate)
+    return bound
+
+
+def _kept_levels(energies: np.ndarray, couplings: np.ndarray, weights: np.ndarray, t_max: float,
+                 tol: float = NEGLIGIBLE_TERM_MASS) -> tuple[int, tuple[np.ndarray, ...]]:
+    """Kept level count m of a mode block and its `_block_eigh` on those levels.
+
+    m starts at the fewest levels whose thermal tail is at most tol for
+    every mode and beta, and grows by a quarter (at least 8 levels)
+    until `_truncation_bound` is at most tol.  Past three quarters of d
+    the block keeps all d levels: there the cut saves little eigh time
+    and may take several tries.
+    """
+    d = energies.shape[-1]
+    tail = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
+    m = int(np.count_nonzero(tail > tol, axis=-1).max())
+    while 4 * m <= 3 * d:
+        eig = _block_eigh(energies[:, :m], couplings[:, :m, :m])
+        if _truncation_bound(eig, couplings, weights, t_max).max() <= tol:
+            return m, eig
+        m += max(8, m // 4)
+    return d, _block_eigh(energies, couplings)
+
+
 def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray,
                  drop_tol: float = NEGLIGIBLE_TERM_MASS) -> tuple[np.ndarray, np.ndarray]:
-    """Terms-first (m T, n_beta) weights and (m T,) frequencies of a mode block.
+    """Terms-first (g T, n_beta) weights and (g T,) frequencies of a block of g modes.
 
-    eig is the block's `_block_eigh` and weights its (n_beta, m, d)
-    thermal weights.  Mode k's trace factor at each beta is sum_{a,b}
-    W[a,b] exp(i (L_plus[b] - L_minus[a]) t).  Each (beta, mode) is
-    pruned from its smallest |W| up while the dropped mass stays below
-    drop_tol, which bounds the factor error by the same amount
-    (|exp(i w t)| = 1).  Every mode keeps the union of its betas' terms,
+    eig is the block's `_block_eigh` on its m kept levels and weights
+    their (n_beta, g, m) thermal weights.  Mode k's trace factor at each
+    beta is sum_{a,b} W[a,b] exp(i (L_plus[b] - L_minus[a]) t).  Each
+    (beta, mode) is pruned from its smallest |W| up while the dropped
+    mass stays below drop_tol, which bounds the factor error by the same
+    amount (|exp(i w t)| = 1).  Every mode keeps the union of its betas' terms,
     in index order, with zero weight where a beta dropped one, padded to
     a common count T with zero-weight terms.
     """
     evals_plus, evecs_plus, evals_minus, evecs_minus = eig
     a = evecs_minus.swapaxes(-1, -2) @ (weights[..., :, None] * evecs_plus)
     b = evecs_plus.swapaxes(-1, -2) @ evecs_minus
-    n_beta, m, d = weights.shape
-    w = (a * b.swapaxes(-1, -2)).reshape(n_beta, m, d * d)
-    freqs = (evals_plus[:, None, :] - evals_minus[:, :, None]).reshape(m, d * d)
+    n_beta, g, m = weights.shape
+    w = (a * b.swapaxes(-1, -2)).reshape(n_beta, g, m * m)
+    freqs = (evals_plus[:, None, :] - evals_minus[:, :, None]).reshape(g, m * m)
     keep = kernels.kept_terms(np.abs(w), drop_tol)
     union = keep.any(axis=0)
     order = np.argsort(~union, axis=-1, kind="stable")[:, :union.sum(axis=-1).max()]
@@ -127,18 +183,21 @@ def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray,
 def _chi(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
     """Exact decay factor of every beta of the bath, (n_beta, n).
 
-    Modes go in blocks of at most _BLOCK_ELEMENTS / d^2; each block takes
-    one stacked eigh per sign and one phase sum for all its modes and
-    betas, and chi is the product of the mode factors in mode order.
+    Modes go in blocks of at most _BLOCK_ELEMENTS / d^2; each block keeps
+    its first m levels (`_kept_levels`), takes one stacked eigh per sign
+    on them and one phase sum for all its modes and betas, and chi is
+    the product of the mode factors in mode order.
     """
     n_modes, d = bath.energies.shape
     size = max(1, _BLOCK_ELEMENTS // (d * d))
+    t_max = float(np.abs(times).max(initial=0.0))
     chi = np.repeat(np.exp(1j * omega_s * times)[None], bath.weights.shape[0], axis=0)
     for start in range(0, n_modes, size):
         s = slice(start, start + size)
-        energies = bath.energies[s]
-        w, freqs = _phase_terms(_block_eigh(energies, bath.couplings[s]), bath.weights[:, s])
-        for factor in kernels.phase_sum(w, freqs, times, groups=len(energies)):
+        weights = bath.weights[:, s]
+        m, eig = _kept_levels(bath.energies[s], bath.couplings[s], weights, t_max)
+        w, freqs = _phase_terms(eig, weights[..., :m])
+        for factor in kernels.phase_sum(w, freqs, times, groups=weights.shape[1]):
             chi = chi * factor
     return chi
 

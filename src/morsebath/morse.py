@@ -70,12 +70,17 @@ def bound_energies(omega, lam: float) -> np.ndarray:
     """Bound-state energies E_n = -(omega / 2 lam) (lam - (n + 1/2))^2.
 
     omega is one harmonic frequency or an array of them; the result has
-    shape (..., d), one row of the d levels per frequency.
+    shape (..., d), one row of the d levels per frequency.  A lam that
+    binds no state (d = 0, within HALF_INTEGER_TOL above 1/2) is
+    rejected.
     """
     omega = np.asarray(omega, dtype=float)
     if not np.all(omega > 0.0):
         raise ValueError(f"omega must be positive, got {omega.tolist()}")
-    n = np.arange(bound_state_count(lam))
+    d = bound_state_count(lam)
+    if d == 0:
+        raise ValueError(f"lam = {lam} binds no state")
+    n = np.arange(d)
     return -(omega[..., None] / (2.0 * lam)) * (lam - (n + 0.5)) ** 2
 
 

@@ -81,6 +81,14 @@ def test_spectrum_rejects_bad_lambda(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_lambda_binding_no_state(capsys):
+    # lam + 1/2 within 1e-9 of 1: no level, so no headers-only output
+    assert main(["spectrum", "--lambda", "0.5000000001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error:" in captured.err and "binds no state" in captured.err
+
+
 @pytest.mark.parametrize("omega", ["0", "-1", "nan"])
 def test_spectrum_rejects_bad_omega(omega, capsys):
     assert main(["spectrum", "--lambda", "2.5", "--omega", omega]) == 2
@@ -181,11 +189,13 @@ def test_sweep_pool_bytes_with_blas_env_unset(tmp_path):
     assert len(outputs) == 1
 
 
-def test_dynamics_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # at d = 400 the eigendecompositions round differently with 2 BLAS threads than with 1
+@pytest.mark.parametrize("beta", [1.0, 0.1])
+def test_dynamics_bytes_do_not_depend_on_blas_threads(tmp_path, beta):
+    # at d = 400 the eigendecompositions round differently with 2 BLAS threads than with 1;
+    # at beta = 0.1 the three coupled modes keep all 400 levels, at beta = 1 every mode keeps fewer
     if cli._openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter here")
-    cfg = write_config(tmp_path, "k_modes = 4\neta = 2.0\nlambda = 399.8\nbeta = 1\n")
+    cfg = write_config(tmp_path, f"k_modes = 4\neta = 2.0\nlambda = 399.8\nbeta = {beta}\n")
     outputs = []
     for blas_threads in (2, 1):
         out = tmp_path / f"blas{blas_threads}.csv"

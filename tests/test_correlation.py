@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from morsebath import (
@@ -14,6 +16,7 @@ from morsebath import (
     mean_field_shift,
     offset_ratio,
 )
+from morsebath import correlation, kernels
 from morsebath.correlation import _second_order_phase
 from helpers import make_arrays, make_bath
 
@@ -174,3 +177,69 @@ def test_mean_field_shift():
     for beta, shift in zip([1.0, 4.0], mean_field_shift(bath)):
         modes = make_bath(lam=2.6, beta=beta, eta=2.0, k_modes=5)
         assert shift == pytest.approx(2.0 * sum(m.mean_b for m in modes))
+
+
+def full_list_model(bath, weight_cutoff=correlation.NEGLIGIBLE_WEIGHT):
+    """Weights and gaps of every ordered pair of every mode, pruned as one list."""
+    n_beta, _, d = bath.weights.shape
+    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
+    w = (bath.weights[:, :, rows] * bath.couplings[:, rows, cols] ** 2).reshape(n_beta, -1)
+    keep = kernels.kept_terms(w, weight_cutoff * w.sum(axis=-1))
+    union = keep.any(axis=0)
+    w = np.where(keep, w, 0.0)[:, union]
+    mode, pair = np.divmod(np.flatnonzero(union), rows.size)
+    return w.T, bath.energies[mode, rows[pair]] - bath.energies[mode, cols[pair]]
+
+
+def rows_listed(monkeypatch):
+    """Record the per-mode row counts of every term listing build_correlation makes."""
+    calls = []
+    pair_weights = correlation._pair_weights
+
+    def spy(bath, listed):
+        calls.append(listed.copy())
+        return pair_weights(bath, listed)
+
+    monkeypatch.setattr(correlation, "_pair_weights", spy)
+    return calls
+
+
+@pytest.mark.parametrize("lam, betas, eta", [
+    (399.8, [4.0], 0.01),           # the harmonic-limit benchmark point
+    (7.4, [1.0, 4.0, 7.0, 10.0], 0.01),  # a fig5 point
+    (60.3, [1.0, 10.0], 2.0),
+])
+def test_rows_left_out_leave_the_model_unchanged(lam, betas, eta, monkeypatch):
+    bath = make_arrays(lam=lam, betas=betas, eta=eta, k_modes=40)
+    calls = rows_listed(monkeypatch)
+    model = build_correlation(bath)
+    d = bath.energies.shape[1]
+    assert len(calls) == 1 and calls[0].min() < d  # rows were left out, and no relisting
+    weights, deltas = full_list_model(bath)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.deltas, deltas)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(lam=st.floats(min_value=1.6, max_value=60.0),
+       betas=st.lists(st.floats(min_value=0.1, max_value=100.0), min_size=1, max_size=3),
+       eta=st.floats(min_value=0.0, max_value=2.0), k_modes=st.integers(1, 40))
+def test_row_listing_equals_full_list(lam, betas, eta, k_modes):
+    bath = make_arrays(lam=lam, betas=betas, eta=eta, k_modes=k_modes)
+    model = build_correlation(bath)
+    weights, deltas = full_list_model(bath)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.deltas, deltas)
+
+
+def test_rows_are_relisted_when_a_left_out_term_could_be_kept(monkeypatch):
+    # a row tail far above the budget leaves out terms the pruning keeps
+    monkeypatch.setattr(correlation, "_ROW_TAIL", 1e11)
+    bath = make_arrays(lam=7.4, betas=[1.0, 10.0], eta=0.01, k_modes=40)
+    calls = rows_listed(monkeypatch)
+    model = build_correlation(bath)
+    d = bath.energies.shape[1]
+    assert len(calls) == 2 and calls[0].min() < d and np.all(calls[1] == d)
+    weights, deltas = full_list_model(bath)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.deltas, deltas)
