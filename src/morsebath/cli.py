@@ -112,8 +112,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
     exact, = chi_traces(bath, system, times)
-    gauss, = gaussian_traces(bath, system, times,
-                             second_order_phase=cfg.gauss_second_order_phase)
+    gauss, = gaussian_traces(bath, system, times)
     lines = ["t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss"]
     for t, c, g in zip(times, exact.chi, gauss.chi):
         lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
@@ -144,8 +143,7 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
             rows.append((lam, beta, flows.n_minus, flows.n_plus, ratio))
         return rows
     if kind == "gaussian-error":
-        gauss = gaussian_traces(bath, system, times,
-                                second_order_phase=cfg.gauss_second_order_phase)
+        gauss = gaussian_traces(bath, system, times)
         rows = []
         for beta, e, g in zip(betas, exact, gauss):
             report = gaussian_error(e, g, cfg.rho0)
@@ -168,8 +166,9 @@ def _sweep_point(kind: str, cfg: ExperimentConfig, lam: float) -> list:
                            f"{type(exc).__name__}: {exc}") from exc
 
 
+@functools.cache
 def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None if not found."""
+    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None; looked up once."""
     libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
     for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
         try:
@@ -195,7 +194,10 @@ def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
     """
     lams = sorted(cfg.lambdas)
     point = functools.partial(_sweep_point, kind, cfg)
-    workers = threads if threads is not None else (os.cpu_count() or 1)
+    workers = threads
+    if workers is None:  # the CPUs this process may run on, where the platform says
+        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
     if workers > 1 and len(lams) > 1 and _openblas_threads() is not None:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             blocks = list(pool.map(point, lams))
@@ -279,6 +281,13 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _worker_count(raw: str) -> int:
+    """Value of --threads: an integer >= 1."""
+    if not raw.strip().isdigit() or int(raw) < 1:
+        raise argparse.ArgumentTypeError(f"need an integer >= 1, got {raw!r}")
+    return int(raw)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="morsebath",
@@ -306,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name != "oracle-check":
             p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         if with_threads:
-            p.add_argument("--threads", type=int, default=None,
+            p.add_argument("--threads", type=_worker_count, default=None,
                            help="worker cap for sweep points (default: available parallelism)")
         p.set_defaults(func=func)
     return parser

@@ -17,8 +17,8 @@ Lists are comma-separated, ranges are written ``start:stop:step``
 Required keys: ``eta``, ``lambda``, ``beta``.  Optional keys with
 defaults: ``k_modes`` (40), ``omega_c`` (1.0), ``omega_s`` (2.0),
 ``t_max`` (20.0), ``dt`` (0.01), ``threshold`` (0.1), ``rho0``
-(0.5,0.25,0.25,0.5 row-major), ``gauss_second_order_phase`` (false),
-``pointwise_out`` (unset).  Environment variables are never consulted.
+(0.5,0.25,0.25,0.5 row-major), ``pointwise_out`` (unset).  Environment
+variables are never consulted.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ class ExperimentConfig:
     dt: float = 0.01
     threshold: float = 0.1
     rho0: np.ndarray = field(default_factory=lambda: DEFAULT_RHO0.copy())
-    gauss_second_order_phase: bool = False
     pointwise_out: str | None = None
 
     def __post_init__(self) -> None:
@@ -118,15 +117,6 @@ def _parse_complex_entries(raw: str, key: str, line_no: int) -> np.ndarray:
     return np.array(values, dtype=complex).reshape(2, 2)
 
 
-def _parse_bool(raw: str, key: str, line_no: int) -> bool:
-    lowered = raw.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"line {line_no}: field {key}: expected true/false, got {raw!r}")
-
-
 _FLOAT_KEYS = ("omega_c", "eta", "omega_s", "t_max", "dt", "threshold")
 
 
@@ -158,8 +148,6 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
                 seen["betas"] = _parse_float_list(raw, key, line_no)
             elif key == "rho0":
                 seen[key] = _parse_complex_entries(raw, key, line_no)
-            elif key == "gauss_second_order_phase":
-                seen[key] = _parse_bool(raw, key, line_no)
             elif key == "pointwise_out":
                 seen[key] = raw
             else:

@@ -14,7 +14,8 @@ of the Gaussian surrogate is the real part of the double time integral,
     Gamma(t) = 4 Re int_0^t ds int_0^s du alpha(s - u)
              = 2 C0 t^2 + sum_j 4 w_j (1 - cos(Delta_j t)) / Delta_j^2.
 
-The model is built from a ``Bath`` and holds every beta of it.
+The model is built from a ``Bath`` and holds every beta of it; alpha,
+Gamma and chi_G take a time array and return (n_beta, n).
 """
 
 from __future__ import annotations
@@ -40,14 +41,12 @@ _ROW_TAIL = 1e-6
 class CorrelationModel:
     """Offset plus spectral terms of the second-order correlation.
 
-    A model built from a Bath of n_beta temperatures holds offset_c0
-    (n_beta,) and weights (T, n_beta) over the union of the terms the
-    betas keep, zero where a beta dropped one; the deltas (T,) are
-    shared.  A model written down for one temperature may hold a float
-    offset_c0 and (T,) weights; every function here takes both forms.
+    A model of n_beta temperatures holds offset_c0 (n_beta,) and weights
+    (T, n_beta) over the union of the terms the betas keep, zero where a
+    beta dropped one; the deltas (T,) are shared.
     """
 
-    offset_c0: float | np.ndarray
+    offset_c0: np.ndarray
     weights: np.ndarray
     deltas: np.ndarray
 
@@ -78,7 +77,8 @@ def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -
     E_n - E_p and the weight p_n B[n,p]^2 (the mean shifts only the
     diagonal).  Terms carrying a negligible fraction of a beta's total
     weight are discarded for that beta (see ``NEGLIGIBLE_WEIGHT``); pass
-    ``weight_cutoff=0`` to keep all.
+    ``weight_cutoff=0`` to keep all.  A beta whose pairs all weigh zero
+    (eta = 0) keeps no terms and lists no rows.
 
     A mode's rows n whose pairs weigh less, all together, than
     _ROW_TAIL of the pruning budget are not listed; the budget left for
@@ -101,8 +101,10 @@ def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -
                            - diag * diag, 0.0)
     tail = np.concatenate([np.cumsum(row_w[..., ::-1], axis=-1)[..., ::-1],
                            np.zeros((n_beta, n_modes, 1))], axis=-1)
-    floor = _ROW_TAIL * weight_cutoff * row_w.sum(axis=(1, 2))
-    rows_listed = np.count_nonzero(tail[..., :d] >= floor[:, None, None], axis=-1).max(axis=0)
+    total = row_w.sum(axis=(1, 2))
+    floor = _ROW_TAIL * weight_cutoff * total
+    listed = np.count_nonzero(tail[..., :d] >= floor[:, None, None], axis=-1)
+    rows_listed = np.where(total[:, None] > 0.0, listed, 0).max(axis=0)
     # (n_beta, K) weight left out of each mode: under K _ROW_TAIL of the
     # budget in all, so the listed terms keep a positive budget
     left = np.take_along_axis(tail, rows_listed[None, :, None], axis=-1)[..., 0]
@@ -124,20 +126,9 @@ def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -
     return CorrelationModel(offset_c0=c0, weights=np.ascontiguousarray(w.T), deltas=deltas)
 
 
-def _at(out: np.ndarray, t):
-    """out on the grid, or its value at a scalar t (a Python number for one weight set)."""
-    if np.ndim(t) > 0:
-        return out
-    value = out[..., 0]
-    return value.item() if value.ndim == 0 else value
-
-
-def alpha(model: CorrelationModel, t):
-    """Correlation function C0 + sum_j w_j exp(i Delta_j t) at time(s) t."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.asarray(model.offset_c0)[..., None] + kernels.phase_sum(
-        model.weights.astype(np.complex128), model.deltas, ts)
-    return _at(out, t)
+def alpha(model: CorrelationModel, times: np.ndarray) -> np.ndarray:
+    """Correlation function C0 + sum_j w_j exp(i Delta_j t) on the (n,) times, (n_beta, n)."""
+    return model.offset_c0[:, None] + kernels.phase_sum(model.weights, model.deltas, times)
 
 
 def offset_ratio(model: CorrelationModel):
@@ -148,10 +139,9 @@ def offset_ratio(model: CorrelationModel):
     return model.offset_c0 / c_at_0
 
 
-def gamma_decay(model: CorrelationModel, t):
-    """Decay exponent Gamma(t) = 4 Re of the double integral of alpha."""
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    return _at(kernels.gamma_sum(model.weights, model.deltas, model.offset_c0, ts), t)
+def gamma_decay(model: CorrelationModel, times: np.ndarray) -> np.ndarray:
+    """Decay exponent Gamma(t) = 4 Re of the double integral of alpha, (n_beta, n)."""
+    return kernels.gamma_sum(model.weights, model.deltas, model.offset_c0, times)
 
 
 def mean_field_shift(bath: Bath) -> np.ndarray:
@@ -165,33 +155,11 @@ def mean_field_shift(bath: Bath) -> np.ndarray:
     return 2.0 * np.cumsum(bath.mean_b, axis=-1)[:, -1]
 
 
-def _second_order_phase(model: CorrelationModel, ts: np.ndarray) -> np.ndarray:
-    """Im of the double integral: sum_j 4 w_j (t/Delta - sin(Delta t)/Delta^2)."""
-    big = np.abs(model.deltas) >= kernels.ZERO_FREQ_TOL
-    w = model.weights[big]
-    d = model.deltas[big]
-    out = np.zeros(w.shape[1:] + ts.shape)
-    for start in range(0, w.shape[0], 2048):
-        wk = w[start:start + 2048]
-        dk = d[start:start + 2048]
-        out += (4.0 * wk / dk.reshape((-1,) + (1,) * (wk.ndim - 1))).T @ (
-            ts[None, :] - np.sin(dk[:, None] * ts[None, :]) / dk[:, None])
-    return out
+def gaussian_chi(model: CorrelationModel, omega_s: float, mean_shift: np.ndarray,
+                 times: np.ndarray) -> np.ndarray:
+    """Gaussian (second-order) surrogate decay factor of each beta, (n_beta, n).
 
-
-def gaussian_chi(model: CorrelationModel, omega_s: float, mean_shift: float, t,
-                 second_order_phase: bool = False):
-    """Gaussian (second-order) surrogate decay factor.
-
-    chi_G(t) = exp(i (omega_s + mean_shift) t - Gamma(t)).  With
-    ``second_order_phase`` the imaginary part of the double integral is
-    kept as an additional phase; the default follows the real-only
-    convention of the surrogate's closed form.
+    chi_G(t) = exp(i (omega_s + mean_shift) t - Gamma(t)), one mean_shift per beta.
     """
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    phase = np.multiply.outer(omega_s + np.asarray(mean_shift), ts)
-    if second_order_phase:
-        phase = phase - _second_order_phase(model, ts)
-    out = np.exp(1j * phase - kernels.gamma_sum(
-        model.weights, model.deltas, model.offset_c0, ts))
-    return _at(out, t)
+    phase = np.multiply.outer(omega_s + mean_shift, times)
+    return np.exp(1j * phase - gamma_decay(model, times))

@@ -213,12 +213,10 @@ def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -
     return chi_traces(Bath.from_modes(modes), system, times)[0]
 
 
-def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
-                    second_order_phase: bool = False) -> list[DephasingTrace]:
+def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray) -> list[DephasingTrace]:
     """Gaussian surrogate trace of every beta of one lam, from one correlation build."""
     times = np.asarray(times, dtype=float)
-    chi = gaussian_chi(build_correlation(bath), system.omega_s, mean_field_shift(bath), times,
-                       second_order_phase=second_order_phase)
+    chi = gaussian_chi(build_correlation(bath), system.omega_s, mean_field_shift(bath), times)
     return [DephasingTrace(times=times, chi=row) for row in chi]
 
 

@@ -14,8 +14,9 @@ j = b B + s with B = ceil(sqrt(n)) splits each exponential,
     exp(i f t_j) = exp(i f (t0 + b B dt)) * exp(i f s dt),
 
 so a chunk of T terms costs T (n_b + B) exponentials and one matrix
-product (T x c n_b)^T @ (T x B) instead of T n exponentials.  Grids that
-are short or not uniform take the direct outer-product path.  Work is
+product (T x c n_b)^T @ (T x B) instead of T n exponentials.  A grid
+that is not uniform, or has fewer than 2 points, splits as n_b = n
+starts and the one offset 0 (B = 1), at T n exponentials.  Work is
 chunked over terms so the temporaries stay bounded in memory.
 
 ``kept_terms`` is the pruning rule of both term lists (mode factors and
@@ -29,9 +30,6 @@ import math
 import numpy as np
 
 _CHUNK = 2048
-
-# grids shorter than this take the direct path
-_MIN_BLOCKED = 16
 
 # a grid is uniform when every point lies within this many eps * max|t|
 # of t0 + j dt
@@ -73,23 +71,22 @@ def kept_terms(magnitudes: np.ndarray, tol) -> np.ndarray:
     return keep.reshape(mags.shape)
 
 
-def _uniform_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+def _uniform_split(times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Block starts t0 + b B dt and in-block offsets s dt of a uniform grid.
 
-    Returns None when the grid is short or not uniform.
+    A grid with fewer than 2 points, or not uniform, splits as starts =
+    times and offsets = [0.0].
     """
     n = times.shape[0]
-    if n < _MIN_BLOCKED:
-        return None
-    t0 = times[0]
-    dt = (times[-1] - t0) / (n - 1)
-    steps = np.arange(n, dtype=np.float64)
-    scale = max(abs(t0), abs(times[-1]))
-    if not np.abs(times - (t0 + steps * dt)).max() <= _UNIFORM_EPS * np.finfo(float).eps * scale:
-        return None
-    width = math.isqrt(n - 1) + 1
-    starts = t0 + steps[::width] * dt
-    return starts, steps[:width] * dt
+    if n >= 2:
+        t0 = times[0]
+        dt = (times[-1] - t0) / (n - 1)
+        steps = np.arange(n, dtype=np.float64)
+        scale = max(abs(t0), abs(times[-1]))
+        if np.abs(times - (t0 + steps * dt)).max() <= _UNIFORM_EPS * np.finfo(float).eps * scale:
+            width = math.isqrt(n - 1) + 1
+            return t0 + steps[::width] * dt, steps[:width] * dt
+    return times, np.zeros(1)
 
 
 def _chunks(m: int, groups: int = 1):
@@ -130,21 +127,15 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     w = weights.reshape(g, weights.shape[0] // g, c)
     f = freqs.reshape(g, -1, 1)
     n = times.shape[0]
-    split = _uniform_split(times)
-    if split is None:
-        out = np.zeros((g, c, n), dtype=np.complex128)
+    starts, offsets = _uniform_split(times)
+
+    def factors():
         for k in _chunks(w.shape[1], g):
-            out += w[:, k].swapaxes(1, 2) @ np.exp(1j * f[:, k] * times)
-    else:
-        starts, offsets = split
+            fk = f[:, k]
+            left = w[:, k, :, None] * np.exp(1j * fk * starts)[:, :, None, :]
+            yield left.reshape(g, left.shape[1], c * starts.shape[0]), np.exp(1j * fk * offsets)
 
-        def factors():
-            for k in _chunks(w.shape[1], g):
-                fk = f[:, k]
-                left = w[:, k, :, None] * np.exp(1j * fk * starts)[:, :, None, :]
-                yield left.reshape(g, left.shape[1], c * starts.shape[0]), np.exp(1j * fk * offsets)
-
-        out = _blocked_sum(factors(), (g, c), n)
+    out = _blocked_sum(factors(), (g, c), n)
     return out.reshape(((g,) if groups is not None else ()) + cols + (n,))
 
 
@@ -160,8 +151,8 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
     weight column.  Terms with |delta| < ZERO_FREQ_TOL take the
     removable-singularity limit 2 * w * t^2.
 
-    On a uniform grid t = a + b, with a a block start and b an in-block
-    offset.  With x = delta a and y = delta b,
+    Each grid point is t = a + b, with a a block start and b an in-block
+    offset (see ``_uniform_split``).  With x = delta a and y = delta b,
 
         1 - cos(x + y) = (1 - cos x) + cos x (1 - cos y) + sin x sin y,
 
@@ -169,7 +160,9 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
     the term sum of c (1 - cos x) against the rows 1 - cos y, sin y and
     ones, where c = 4 w / delta^2 and every 1 - cos is computed as
     2 sin^2(. / 2).  For a, b >= 0 and |delta| t small every product is
-    non-negative, so nothing cancels.
+    non-negative, so nothing cancels.  With the one offset b = 0 of an
+    unsplit grid the identity still holds exactly and the product keeps
+    only the term sum of c (1 - cos x).
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     deltas = np.ascontiguousarray(deltas, dtype=np.float64)
@@ -184,13 +177,7 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
         out += 2.0 * w[small].sum(axis=0)[:, None] * t2
     d = deltas[~small]
     coef = 4.0 * w[~small] / (d * d)[:, None]
-    split = _uniform_split(times)
-    if split is None:
-        for k in _chunks(d.shape[0]):
-            half = np.sin(0.5 * d[k, None] * times)
-            out += coef[k].T @ (2.0 * half * half)
-        return out.reshape(cols + (-1,))
-    starts, offsets = split
+    starts, offsets = _uniform_split(times)
     ones = np.ones((1, offsets.shape[0]))
 
     def factors():

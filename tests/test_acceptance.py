@@ -108,7 +108,7 @@ def test_criterion_04_gamma_identity():
         # iterated quadrature of the double integral, inner then outer
         inner = lambda s: quad(re_alpha, 0.0, s, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
         outer, _ = quad(inner, 0.0, float(t), epsabs=1e-11, epsrel=1e-11, limit=200)
-        worst = max(worst, abs(gamma_decay(model, float(t))[0] - 4.0 * outer))
+        worst = max(worst, abs(gamma_decay(model, np.array([t]))[0, 0] - 4.0 * outer))
     assert worst < 1e-8
 
     # harmonic limit: reference model with strictly harmonic elements
@@ -127,7 +127,8 @@ def test_criterion_04_gamma_identity():
         ws.extend(g2 * n * p)
         ds.extend(np.full(levels, omega))
         coth_sum_terms.append((g2, omega))
-    harmonic = CorrelationModel(offset_c0=0.0, weights=np.array(ws), deltas=np.array(ds))
+    harmonic = CorrelationModel(offset_c0=np.zeros(1), weights=np.array(ws)[:, None],
+                                deltas=np.array(ds))
     ts = np.linspace(0.0, 20.0, 401)[1:]
     expected = np.zeros_like(ts)
     for g2, omega in coth_sum_terms:

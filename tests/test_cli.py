@@ -61,6 +61,22 @@ def test_config_errors_name_field_and_line():
         parse_config_text("eta = 2\nlambda = 2.5\nbeta = 1\nrho0 = 1,0,0,0.5\n")
 
 
+def test_config_rejects_second_order_phase_key():
+    # the Gaussian surrogate has one phase convention; the key that chose another is gone
+    with pytest.raises(ConfigError, match="line 3: unknown key 'gauss_second_order_phase'"):
+        parse_config_text("eta = 2\nlambda = 2.5\ngauss_second_order_phase = true\nbeta = 1\n")
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_exit_2_at_parse_time(value, tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_run_sweep", lambda *args: pytest.fail("sweep ran"))
+    cfg = write_config(tmp_path, BASE)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["sweep-dephasing", "--config", cfg, "--threads", value])
+    assert exit_info.value.code == 2
+    assert "--threads: need an integer >= 1" in capsys.readouterr().err
+
+
 def test_spectrum_output(capsys):
     assert main(["spectrum", "--lambda", "2.5"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -241,6 +257,19 @@ def test_sweep_pool_pins_blas_and_restores_caller_count(tmp_path, monkeypatch, b
     assert main(["sweep-dephasing", "--config", cfg, "--out", out, "--threads", "2"]) == 2
     assert seen[3:] and set(seen[3:]) == {1}  # tasks not started are cancelled
     assert blas_threads() == 2
+
+
+def test_openblas_lookup_runs_once_per_process(tmp_path, monkeypatch):
+    text = BASE.replace("lambda = 2.5", "lambda = 2.5,2.6").replace("beta = 1.0", "beta = 1,4")
+    cfg = write_config(tmp_path, text)
+    patterns = []
+    glob = cli.glob.glob
+    monkeypatch.setattr(cli.glob, "glob", lambda pattern: patterns.append(pattern) or glob(pattern))
+    cli._openblas_threads.cache_clear()
+    for _ in range(2):
+        assert main(["sweep-dephasing", "--config", cfg, "--out", str(tmp_path / "s.csv"),
+                     "--threads", "2"]) == 0
+    assert len(patterns) == 1
 
 
 def test_sweep_runs_serially_without_blas_setter(tmp_path, monkeypatch):

@@ -17,12 +17,12 @@ from morsebath import (
     offset_ratio,
 )
 from morsebath import correlation, kernels
-from morsebath.correlation import _second_order_phase
 from helpers import make_arrays, make_bath
 
 
 def single_term(w=1.0, delta=2.0, c0=0.0):
-    return CorrelationModel(offset_c0=c0, weights=np.array([w]), deltas=np.array([delta]))
+    return CorrelationModel(offset_c0=np.array([c0]), weights=np.array([[w]]),
+                            deltas=np.array([delta]))
 
 
 def test_build_single_two_level_mode():
@@ -34,7 +34,7 @@ def test_build_single_two_level_mode():
     expected_c0 = p[0] * bt[0, 0] ** 2 + p[1] * bt[1, 1] ** 2
     c0, = model.offset_c0
     assert c0 == pytest.approx(expected_c0, abs=1e-15)
-    a0, = alpha(model, 0.0)
+    (a0,), = alpha(model, np.zeros(1))
     assert a0.real == pytest.approx(expected_c0 + (p[0] + p[1]) * bt[0, 1] ** 2, abs=1e-14)
     assert abs(a0.imag) < 1e-14
 
@@ -49,17 +49,19 @@ def test_offset_vanishes_at_zero_temperature():
 
 def test_alpha_hermiticity(rng):
     model = build_correlation(make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10))
-    for t in rng.uniform(0.0, 20.0, size=100):
-        assert alpha(model, -t) == pytest.approx(np.conj(alpha(model, t)), abs=1e-13)
+    ts = rng.uniform(0.0, 20.0, size=100)
+    assert alpha(model, -ts) == pytest.approx(np.conj(alpha(model, ts)), abs=1e-13)
 
 
 def test_alpha_single_term():
     model = single_term(w=1.0, delta=2.0)
-    assert alpha(model, math.pi / 2.0) == pytest.approx(-1.0 + 0.0j, abs=1e-14)
+    (value,), = alpha(model, np.array([math.pi / 2.0]))
+    assert value == pytest.approx(-1.0 + 0.0j, abs=1e-14)
 
 
 def test_offset_ratio_requires_terms():
-    empty = CorrelationModel(offset_c0=0.3, weights=np.empty(0), deltas=np.empty(0))
+    empty = CorrelationModel(offset_c0=np.array([0.3]), weights=np.empty((0, 1)),
+                             deltas=np.empty(0))
     with pytest.raises(ZeroDivisionError):
         offset_ratio(empty)
     with pytest.raises(ZeroDivisionError):
@@ -85,32 +87,33 @@ def test_offset_ratio_of_each_beta_equals_its_one_beta_model():
 
 def test_gamma_closed_forms():
     ts = np.linspace(0.0, 10.0, 7)
-    pure_offset = CorrelationModel(offset_c0=0.7, weights=np.empty(0), deltas=np.empty(0))
-    np.testing.assert_allclose(gamma_decay(pure_offset, ts), 2.0 * 0.7 * ts**2, atol=1e-13)
-    assert gamma_decay(pure_offset, 0.0) == 0.0
+    pure_offset = CorrelationModel(offset_c0=np.array([0.7]), weights=np.empty((0, 1)),
+                                   deltas=np.empty(0))
+    np.testing.assert_allclose(gamma_decay(pure_offset, ts), [2.0 * 0.7 * ts**2], atol=1e-13)
+    np.testing.assert_array_equal(gamma_decay(pure_offset, np.zeros(1)), [[0.0]])
 
     model = single_term(w=0.3, delta=1.7)
     expected = 8.0 * 0.3 * np.sin(1.7 * ts / 2.0) ** 2 / 1.7**2
-    np.testing.assert_allclose(gamma_decay(model, ts), expected, atol=1e-13)
+    np.testing.assert_allclose(gamma_decay(model, ts), [expected], atol=1e-13)
 
     # removable singularity: |delta| below tolerance takes the t^2 branch
     degenerate = single_term(w=0.3, delta=1e-15)
-    np.testing.assert_allclose(gamma_decay(degenerate, ts), 2.0 * 0.3 * ts**2, atol=1e-13)
+    np.testing.assert_allclose(gamma_decay(degenerate, ts), [2.0 * 0.3 * ts**2], atol=1e-13)
 
 
 def test_gamma_equals_double_quadrature(rng):
     model = build_correlation(make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=5))
     for t in rng.uniform(0.5, 20.0, size=5):
-        direct, err = dblquad(lambda u, s: alpha(model, s - u)[0].real,
+        direct, err = dblquad(lambda u, s: alpha(model, np.array([s - u]))[0, 0].real,
                               0.0, t, 0.0, lambda s: s,
                               epsabs=1e-11, epsrel=1e-11)
-        assert abs(gamma_decay(model, float(t))[0] - 4.0 * direct) < 1e-8
+        assert abs(gamma_decay(model, np.array([t]))[0, 0] - 4.0 * direct) < 1e-8
 
 
 def test_gamma_nonnegative(rng):
     w = rng.uniform(0.0, 1.0, size=30)
     d = rng.uniform(-3.0, 3.0, size=30)
-    model = CorrelationModel(offset_c0=0.1, weights=w, deltas=d)
+    model = CorrelationModel(offset_c0=np.array([0.1]), weights=w[:, None], deltas=d)
     assert np.all(gamma_decay(model, np.linspace(0.0, 30.0, 500)) >= 0.0)
 
 
@@ -129,7 +132,8 @@ def harmonic_reference_model(k_modes=40, eta=0.01, omega_c=1.0, beta=4.0, levels
         ds.extend(np.full(levels, -omega))
         ws.extend(g2 * n * p)
         ds.extend(np.full(levels, omega))
-    return CorrelationModel(offset_c0=0.0, weights=np.array(ws), deltas=np.array(ds))
+    return CorrelationModel(offset_c0=np.zeros(1), weights=np.array(ws)[:, None],
+                            deltas=np.array(ds))
 
 
 def test_gamma_harmonic_limit_matches_coth_sum():
@@ -151,25 +155,12 @@ def test_gaussian_chi_basics():
     bath = make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10)
     model = build_correlation(bath)
     shift = mean_field_shift(bath)
-    assert gaussian_chi(model, 2.0, shift, 0.0) == pytest.approx(1.0 + 0.0j, abs=1e-14)
+    (chi0,), = gaussian_chi(model, 2.0, shift, np.zeros(1))
+    assert chi0 == pytest.approx(1.0 + 0.0j, abs=1e-14)
     ts = np.linspace(0.0, 20.0, 101)
     chi = gaussian_chi(model, 2.0, shift, ts)
     assert np.all(np.abs(chi) <= 1.0 + 1e-12)
     np.testing.assert_allclose(np.abs(chi), np.exp(-gamma_decay(model, ts)), atol=1e-13)
-
-
-def test_gaussian_chi_second_order_phase_flag():
-    bath = make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10)
-    model = build_correlation(bath)
-    shift = mean_field_shift(bath)
-    ts = np.linspace(0.0, 10.0, 50)
-    plain = gaussian_chi(model, 2.0, shift, ts)
-    phased = gaussian_chi(model, 2.0, shift, ts, second_order_phase=True)
-    np.testing.assert_allclose(np.abs(plain), np.abs(phased), atol=1e-13)
-    assert np.max(np.abs(plain - phased)) > 1e-6
-    # the added phase is the Im part of the double integral
-    expected = plain * np.exp(-1j * _second_order_phase(model, ts))
-    np.testing.assert_allclose(phased, expected, atol=1e-13)
 
 
 def test_mean_field_shift():
@@ -180,11 +171,15 @@ def test_mean_field_shift():
 
 
 def full_list_model(bath, weight_cutoff=correlation.NEGLIGIBLE_WEIGHT):
-    """Weights and gaps of every ordered pair of every mode, pruned as one list."""
+    """Weights and gaps of every ordered pair of every mode, pruned as one list.
+
+    A beta whose pairs all weigh zero keeps none of them.
+    """
     n_beta, _, d = bath.weights.shape
     rows, cols = np.nonzero(~np.eye(d, dtype=bool))
     w = (bath.weights[:, :, rows] * bath.couplings[:, rows, cols] ** 2).reshape(n_beta, -1)
     keep = kernels.kept_terms(w, weight_cutoff * w.sum(axis=-1))
+    keep &= w.sum(axis=-1, keepdims=True) > 0.0
     union = keep.any(axis=0)
     w = np.where(keep, w, 0.0)[:, union]
     mode, pair = np.divmod(np.flatnonzero(union), rows.size)
@@ -218,6 +213,17 @@ def test_rows_left_out_leave_the_model_unchanged(lam, betas, eta, monkeypatch):
     weights, deltas = full_list_model(bath)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.deltas, deltas)
+
+
+def test_uncoupled_bath_keeps_no_terms(monkeypatch):
+    # eta = 0: every pair weighs zero, so no row is listed and no term is kept
+    bath = make_arrays(lam=399.8, betas=[4.0, 1.0], eta=0.0, k_modes=40)
+    calls = rows_listed(monkeypatch)
+    model = build_correlation(bath)
+    assert len(calls) == 1 and not calls[0].any()
+    assert model.weights.shape == (0, 2) and model.deltas.shape == (0,)
+    np.testing.assert_array_equal(model.offset_c0, [0.0, 0.0])
+    np.testing.assert_array_equal(gamma_decay(model, np.arange(5) * 0.5), np.zeros((2, 5)))
 
 
 @settings(max_examples=30, deadline=None, derandomize=True)

@@ -52,33 +52,38 @@ def test_uniform_split_covers_cli_grids(t_max, dt):
     np.testing.assert_allclose(grid, times, rtol=0.0, atol=1e-13 * t_max)
 
 
-def test_uniform_split_rejects_short_and_irregular_grids(rng):
-    assert kernels._uniform_split(np.linspace(0.0, 1.0, 15)) is None
-    assert kernels._uniform_split(np.linspace(0.0, 1.0, 16)) is not None
+def test_uniform_split_leaves_short_and_irregular_grids_unsplit(rng):
     jittered = np.linspace(0.0, 20.0, 2001)
     jittered[700] += 1e-9
-    assert kernels._uniform_split(jittered) is None
-    assert kernels._uniform_split(np.sort(rng.uniform(0.0, 20.0, 300))) is None
+    for times in (np.empty(0), np.array([0.7]), jittered, np.sort(rng.uniform(0.0, 20.0, 300))):
+        starts, offsets = kernels._uniform_split(times)
+        assert starts is times
+        np.testing.assert_array_equal(offsets, [0.0])
+    starts, offsets = kernels._uniform_split(np.array([0.5, 1.5]))
+    np.testing.assert_array_equal(starts, [0.5])
+    np.testing.assert_array_equal(offsets, [0.0, 1.0])
 
 
 GRIDS = {
     "cli-grid": np.arange(2001) * 0.01,
     "offset-start": 3.7 + np.arange(250) * 0.05,
     "negative-start": np.linspace(-2.0, 11.0, 1000),
-    "shortest-blocked": np.linspace(0.5, 1.5, 16),
-    "below-cutoff": np.linspace(0.0, 2.0, 15),
+    "sixteen-points": np.linspace(0.5, 1.5, 16),
+    "fifteen-points": np.linspace(0.0, 2.0, 15),
     "irregular": np.sort(np.random.default_rng(7).uniform(0.0, 20.0, 400)),
+    "two-points": np.array([0.3, 1.9]),
+    "one-point": np.array([2.5]),
 }
 
 
 @pytest.mark.parametrize("name", GRIDS)
-def test_phase_sum_blocked_matches_direct(name, rng, monkeypatch):
+def test_phase_sum_blocked_matches_direct(name, rng):
+    # the blocked kernel against the direct term-by-term sum
     t = GRIDS[name]
     w = rng.normal(size=200) + 1j * rng.normal(size=200)
     f = rng.uniform(-5.0, 5.0, size=200)
-    blocked = kernels.phase_sum(w, f, t)
-    monkeypatch.setattr(kernels, "_uniform_split", lambda times: None)  # direct path
-    np.testing.assert_allclose(blocked, kernels.phase_sum(w, f, t), rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(kernels.phase_sum(w, f, t), reference_phase_sum(w, f, t),
+                               rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2001, 11])
@@ -94,14 +99,22 @@ def test_gamma_sum_matches_sine_form(delta, n):
     np.testing.assert_allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
-def test_gamma_sum_blocked_matches_direct(rng, monkeypatch):
-    t = np.arange(2001) * 0.01
+def test_gamma_sum_blocked_matches_direct(rng):
+    # the blocked kernel against 8 w sin^2(delta t / 2) / delta^2 summed term by term,
+    # with 2 w t^2 for |delta| < ZERO_FREQ_TOL
     w = np.abs(rng.normal(size=300))
     d = rng.uniform(-4.0, 4.0, size=300)
     d[:5] = [4.5e-3, -4.5e-3, 1e-6, 1e-13, 0.0]
-    blocked = kernels.gamma_sum(w, d, 0.1, t)
-    monkeypatch.setattr(kernels, "_uniform_split", lambda times: None)
-    np.testing.assert_allclose(blocked, kernels.gamma_sum(w, d, 0.1, t), rtol=1e-13)
+    big = np.abs(d) >= kernels.ZERO_FREQ_TOL
+    for name, t in GRIDS.items():
+        sines = np.sin(0.5 * np.multiply.outer(d[big], t))
+        expected = (2.0 * (0.1 + w[~big].sum()) * t**2
+                    + (8.0 * w[big] / d[big] ** 2) @ (sines * sines))
+        # where the grid crosses t = 0 a block start and its offsets differ in sign, the
+        # split products are not all non-negative, and the error scales with max Gamma
+        atol = 0.0 if t.min() >= 0.0 else 1e-13 * expected.max()
+        np.testing.assert_allclose(kernels.gamma_sum(w, d, 0.1, t), expected,
+                                   rtol=1e-13, atol=atol, err_msg=name)
 
 
 def stable_kept(mags, tol):
