@@ -5,11 +5,19 @@ sweep-backflow, gaussian-error, oracle-check.  File outputs are byte
 identical across runs of the same configuration and across BLAS thread
 counts, since every subcommand computes with numpy's OpenBLAS pinned to
 one thread; floats are written in scientific notation with 12
-significant digits.  A sweep runs one task per lambda, covering all of
-its betas, on a pool of threads in this process; rows are ordered
+significant digits.
+
+The three sweeps and dynamics run their work on a pool of threads in this
+process, of ``--threads`` workers (default: the CPUs the process may run
+on), and only where BLAS can be pinned; otherwise the tasks run in the
+calling thread.  A sweep submits one task per lambda, covering all of
+its betas and running its mode blocks inline; rows are ordered
 lexicographically by (lambda, beta) no matter how the tasks were
-scheduled.  Quantities that can be undefined (no threshold crossing,
-no outflow) are recorded with the sentinel value -1.
+scheduled.  ``dynamics`` submits its Gaussian path, then each mode block
+of its exact path in mode order, and multiplies the block factors in
+mode order.  A failure names the lambda and betas of its point.
+Quantities that can be undefined (no threshold crossing, no outflow, no
+time-dependent correlation) are recorded with the sentinel value -1.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ import glob
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 
@@ -34,7 +42,7 @@ from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
 
-NO_CROSSING = -1.0
+UNDEFINED = -1.0
 
 
 def _fmt(x: float) -> str:
@@ -98,7 +106,10 @@ def cmd_correlation(args: argparse.Namespace) -> int:
         lines.append(f"{_fmt(t)},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(g)}")
     c0, = model.offset_c0
     c_at_0, = model.weights.sum(axis=0)
-    ratio, = offset_ratio(model)
+    try:
+        ratio, = offset_ratio(model)
+    except ZeroDivisionError:  # no time-dependent terms (eta = 0)
+        ratio = UNDEFINED
     lines.append("c0,c_at_0,offset_ratio")
     lines.append(f"{_fmt(c0)},{_fmt(c_at_0)},{_fmt(ratio)}")
     _write_blocks(args.out, [lines])
@@ -111,8 +122,10 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     bath = bath_arrays(_bath_config(cfg, lam, beta))
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
-    exact, = chi_traces(bath, system, times)
-    gauss, = gaussian_traces(bath, system, times)
+    with _failure_names("dynamics point", lam, [beta]), _executor(args.threads) as pool:
+        gauss_future = pool.submit(gaussian_traces, bath, system, times)
+        exact, = chi_traces(bath, system, times, map_blocks=pool.map)
+        gauss, = gauss_future.result()
     lines = ["t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss"]
     for t, c, g in zip(times, exact.chi, gauss.chi):
         lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
@@ -133,13 +146,13 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
         rows = []
         for beta, trace in zip(betas, exact):
             tau = dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
-            rows.append((lam, beta, tau if tau is not None else NO_CROSSING))
+            rows.append((lam, beta, tau if tau is not None else UNDEFINED))
         return rows
     if kind == "backflow":
         rows = []
         for beta, trace in zip(betas, exact):
             flows = blp_flows(np.abs(trace.chi))
-            ratio = flows.ratio if flows.ratio is not None else NO_CROSSING
+            ratio = flows.ratio if flows.ratio is not None else UNDEFINED
             rows.append((lam, beta, flows.n_minus, flows.n_plus, ratio))
         return rows
     if kind == "gaussian-error":
@@ -152,18 +165,22 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
-def _sweep_point(kind: str, cfg: ExperimentConfig, lam: float) -> list:
-    """Rows of every beta at one lambda.
-
-    A failure is re-raised naming the lambda and betas of the task.
-    """
-    betas = sorted(cfg.betas)
+@contextlib.contextmanager
+def _failure_names(what: str, lam: float, betas: list[float]) -> Iterator[None]:
+    """Re-raise a failure inside the ``with`` statement as a RuntimeError naming the point."""
     try:
-        return _lambda_rows(kind, cfg, lam, betas)
+        yield
     except Exception as exc:
-        raise RuntimeError(f"sweep point lambda = {lam:.12g}, beta = "
+        raise RuntimeError(f"{what} lambda = {lam:.12g}, beta = "
                            f"{', '.join(f'{b:.12g}' for b in betas)}: "
                            f"{type(exc).__name__}: {exc}") from exc
+
+
+def _sweep_point(kind: str, cfg: ExperimentConfig, lam: float) -> list:
+    """Rows of every beta at one lambda; a failure names the lambda and betas."""
+    betas = sorted(cfg.betas)
+    with _failure_names("sweep point", lam, betas):
+        return _lambda_rows(kind, cfg, lam, betas)
 
 
 @functools.cache
@@ -184,25 +201,37 @@ def _openblas_threads():
     return None
 
 
-def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
-    """Rows of every (lambda, beta) of the sweep, one task per lambda.
+class _Inline(Executor):
+    """Executor that runs each task in the calling thread as it is submitted."""
 
-    With more than one worker the tasks run on a thread pool.  The pool
-    is used only where ``main`` can pin BLAS to one thread, so the
-    workers do not oversubscribe the cores; otherwise the tasks run
-    serially.
+    def submit(self, fn, /, *args, **kwargs) -> Future:
+        future = Future()
+        future.set_result(fn(*args, **kwargs))
+        return future
+
+
+def _executor(threads: int | None) -> Executor:
+    """Thread pool of ``threads`` workers, or `_Inline` where the tasks run serially.
+
+    The worker count defaults to the CPUs this process may run on,
+    where the platform says.  A pool is used only for more than one
+    worker, and only where ``main`` can pin BLAS to one thread, so the
+    workers do not oversubscribe the cores.
     """
-    lams = sorted(cfg.lambdas)
-    point = functools.partial(_sweep_point, kind, cfg)
     workers = threads
-    if workers is None:  # the CPUs this process may run on, where the platform says
+    if workers is None:
         workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
-    if workers > 1 and len(lams) > 1 and _openblas_threads() is not None:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            blocks = list(pool.map(point, lams))
-    else:
-        blocks = [point(lam) for lam in lams]
+    if workers > 1 and _openblas_threads() is not None:
+        return ThreadPoolExecutor(max_workers=workers)
+    return _Inline()
+
+
+def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
+    """Rows of every (lambda, beta) of the sweep, one task per lambda on `_executor`."""
+    point = functools.partial(_sweep_point, kind, cfg)
+    with _executor(threads) as pool:
+        blocks = list(pool.map(point, sorted(cfg.lambdas)))
     return sorted((row for rows in blocks for row in rows), key=lambda row: (row[0], row[1]))
 
 
@@ -304,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func, with_threads in (
         ("bath", cmd_bath, False),
         ("correlation", cmd_correlation, False),
-        ("dynamics", cmd_dynamics, False),
+        ("dynamics", cmd_dynamics, True),
         ("sweep-dephasing", cmd_sweep_dephasing, True),
         ("sweep-backflow", cmd_sweep_backflow, True),
         ("gaussian-error", cmd_gaussian_error, True),
@@ -316,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         if with_threads:
             p.add_argument("--threads", type=_worker_count, default=None,
-                           help="worker cap for sweep points (default: available parallelism)")
+                           help="worker count (default: available parallelism)")
         p.set_defaults(func=func)
     return parser
 

@@ -30,6 +30,12 @@ thermal tail and grows until this bound is at most NEGLIGIBLE_TERM_MASS
 for every mode and beta of the block; a block whose m would pass three
 quarters of d keeps all d levels.
 
+Each mode block is an independent task (``_block_factors``): it reads
+its slice of the bath and returns the factors of its modes.
+``chi_traces`` takes a ``map``-like argument that runs the blocks, in
+the calling thread by default or on a pool, and multiplies the factors
+in mode order whatever ran them, so chi does not depend on the runner.
+
 The engine takes a ``Bath`` of one lam and any number of betas
 (``chi_traces``, ``gaussian_traces``); ``chi_series`` is the one-beta
 call on the per-mode view of ``bath.discretize``, kept for the dense
@@ -43,6 +49,7 @@ carries the +i omega_s t phase) is the <-|rho|+> element, i.e. the
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,32 +187,50 @@ def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray,
     return w.transpose(1, 2, 0).reshape(-1, n_beta), freqs.ravel()
 
 
-def _chi(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
+def _block_factors(bath: Bath, times: np.ndarray, t_max: float, modes: slice) -> np.ndarray:
+    """Factors (g, n_beta, n) of a block of g modes of the bath, one per mode and beta.
+
+    The block keeps its first m levels (`_kept_levels`), takes one
+    stacked eigh per sign on them and one phase sum for all its modes
+    and betas.  It reads only its own slice of the bath and writes
+    nothing shared, so blocks can run in any order or at once.
+    """
+    weights = bath.weights[:, modes]
+    m, eig = _kept_levels(bath.energies[modes], bath.couplings[modes], weights, t_max)
+    w, freqs = _phase_terms(eig, weights[..., :m])
+    return kernels.phase_sum(w, freqs, times, groups=weights.shape[1])
+
+
+def _chi(bath: Bath, omega_s: float, times: np.ndarray, map_blocks=map) -> np.ndarray:
     """Exact decay factor of every beta of the bath, (n_beta, n).
 
-    Modes go in blocks of at most _BLOCK_ELEMENTS / d^2; each block keeps
-    its first m levels (`_kept_levels`), takes one stacked eigh per sign
-    on them and one phase sum for all its modes and betas, and chi is
-    the product of the mode factors in mode order.
+    Modes go in blocks of at most _BLOCK_ELEMENTS / d^2; map_blocks
+    runs `_block_factors` over the blocks in mode order and yields their
+    factors in that order, and chi is the product of the mode factors in
+    mode order.
     """
     n_modes, d = bath.energies.shape
     size = max(1, _BLOCK_ELEMENTS // (d * d))
     t_max = float(np.abs(times).max(initial=0.0))
+    blocks = [slice(start, start + size) for start in range(0, n_modes, size)]
     chi = np.repeat(np.exp(1j * omega_s * times)[None], bath.weights.shape[0], axis=0)
-    for start in range(0, n_modes, size):
-        s = slice(start, start + size)
-        weights = bath.weights[:, s]
-        m, eig = _kept_levels(bath.energies[s], bath.couplings[s], weights, t_max)
-        w, freqs = _phase_terms(eig, weights[..., :m])
-        for factor in kernels.phase_sum(w, freqs, times, groups=weights.shape[1]):
+    for factors in map_blocks(functools.partial(_block_factors, bath, times, t_max), blocks):
+        for factor in factors:
             chi = chi * factor
     return chi
 
 
-def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray) -> list[DephasingTrace]:
-    """Exact decay factor of every beta of one lam, sharing its eigendecompositions."""
+def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
+               map_blocks=map) -> list[DephasingTrace]:
+    """Exact decay factor of every beta of one lam, sharing its eigendecompositions.
+
+    map_blocks maps a function over the mode blocks and yields the
+    results in block order, like the builtin ``map`` (the default) or
+    ``Executor.map`` of a pool; chi does not depend on which.
+    """
     times = np.asarray(times, dtype=float)
-    return [DephasingTrace(times=times, chi=chi) for chi in _chi(bath, system.omega_s, times)]
+    chi = _chi(bath, system.omega_s, times, map_blocks)
+    return [DephasingTrace(times=times, chi=row) for row in chi]
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:

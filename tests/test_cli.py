@@ -1,3 +1,4 @@
+import itertools
 import os
 import re
 import subprocess
@@ -7,12 +8,13 @@ import threading
 import numpy as np
 import pytest
 
-from morsebath import cli
+from morsebath import cli, dynamics, kernels
 from morsebath.cli import main
 from morsebath.config import ConfigError, parse_config_text
 
 SCI = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
-SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src")
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -69,12 +71,13 @@ def test_config_rejects_second_order_phase_key():
 
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_threads_below_one_exit_2_at_parse_time(value, tmp_path, monkeypatch, capsys):
-    monkeypatch.setattr(cli, "_run_sweep", lambda *args: pytest.fail("sweep ran"))
+    monkeypatch.setattr(cli, "parse_config", lambda *args: pytest.fail("command ran"))
     cfg = write_config(tmp_path, BASE)
-    with pytest.raises(SystemExit) as exit_info:
-        main(["sweep-dephasing", "--config", cfg, "--threads", value])
-    assert exit_info.value.code == 2
-    assert "--threads: need an integer >= 1" in capsys.readouterr().err
+    for command in ("sweep-dephasing", "dynamics"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--config", cfg, "--threads", value])
+        assert exit_info.value.code == 2
+        assert "--threads: need an integer >= 1" in capsys.readouterr().err
 
 
 def test_spectrum_output(capsys):
@@ -134,6 +137,20 @@ def test_correlation_csv(tmp_path):
     c0, c_at_0, ratio = (float(v) for v in lines[-1].split(","))
     assert ratio == pytest.approx(c0 / c_at_0)
     assert len(lines) == 1 + 101 + 2  # header + grid rows + summary block
+
+
+def test_correlation_without_coupling_writes_sentinel_ratio(tmp_path):
+    # eta = 0: no time-dependent terms, so C0 / C(0) is undefined and written as -1
+    cfg = write_config(tmp_path, BASE.replace("eta = 2.0", "eta = 0.0"))
+    out = tmp_path / "corr.csv"
+    assert main(["correlation", "--config", cfg, "--out", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert lines[0] == "t,re_alpha,im_alpha,gamma"
+    assert len(lines) == 1 + 101 + 2
+    for row in lines[1:102]:
+        assert [float(v) for v in row.split(",")[1:]] == [0.0, 0.0, 0.0]
+    assert lines[-2] == "c0,c_at_0,offset_ratio"
+    assert [float(v) for v in lines[-1].split(",")] == [0.0, 0.0, -1.0]
 
 
 def test_dynamics_csv_and_invertibility_report(tmp_path, capsys):
@@ -290,6 +307,76 @@ def test_sweep_runs_serially_without_blas_setter(tmp_path, monkeypatch):
     assert main(["sweep-dephasing", "--config", cfg, "--out", str(serial), "--threads", "2"]) == 0
     assert threads == [threading.get_ident()] * 3
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+@pytest.mark.parametrize("config", [
+    "k_modes = 40\neta = 0.01\nlambda = 399.8\nbeta = 1\n",
+    "k_modes = 40\neta = 0.01\nlambda = 399.8\nbeta = 4\n",
+    "configs/demo_dynamics.cfg",
+], ids=["harmonic-beta1", "harmonic-beta4", "demo"])
+def test_dynamics_bytes_across_worker_counts(config, tmp_path, monkeypatch):
+    if config.endswith(".cfg"):
+        cfg = os.path.join(ROOT, config)
+    else:
+        cfg = write_config(tmp_path, config)
+    block_threads = []
+    block_factors = dynamics._block_factors
+
+    def recording(*args):
+        block_threads.append(threading.get_ident())
+        return block_factors(*args)
+
+    monkeypatch.setattr(dynamics, "_block_factors", recording)
+    blas = cli._openblas_threads()
+    outputs = set()
+    for workers in ("1", "2", "3"):
+        out = tmp_path / f"workers{workers}.csv"
+        block_threads.clear()
+        assert main(["dynamics", "--config", cfg, "--out", str(out), "--threads", workers]) == 0
+        outputs.add(out.read_bytes())
+        # pooled, no block runs in the calling thread; serial, every block does
+        serial = workers == "1" or blas is None
+        assert block_threads
+        assert all((ident == threading.get_ident()) == serial for ident in block_threads)
+    # without the BLAS setter the blocks run in the calling thread; BLAS is pinned here
+    # instead of in main, so that only the pool changes
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    if blas is not None:
+        get_threads, set_threads = blas
+        saved = get_threads()
+        set_threads(1)
+    block_threads.clear()
+    try:
+        out = tmp_path / "serial.csv"
+        assert main(["dynamics", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
+    finally:
+        if blas is not None:
+            set_threads(saved)
+    outputs.add(out.read_bytes())
+    assert block_threads and set(block_threads) == {threading.get_ident()}
+    assert len(outputs) == 1
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_dynamics_block_failure_exits_2_and_stops_the_pool(workers, tmp_path, monkeypatch,
+                                                           capsys):
+    cfg = write_config(tmp_path, "k_modes = 8\neta = 0.01\nlambda = 50.3\nbeta = 4\n")
+    out = tmp_path / "d.csv"
+    calls = itertools.count()
+    phase_sum = kernels.phase_sum
+
+    def failing_once(*args, **kwargs):
+        if next(calls) == 3:
+            raise FloatingPointError("overflow in a layer")
+        return phase_sum(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "phase_sum", failing_once)
+    before = set(threading.enumerate())
+    assert main(["dynamics", "--config", cfg, "--out", str(out), "--threads", workers]) == 2
+    err = capsys.readouterr().err
+    assert "error: dynamics point lambda = 50.3, beta = 4: FloatingPointError" in err
+    assert not out.exists()
+    assert set(threading.enumerate()) == before
 
 
 def test_cli_import_loads_no_process_pool_or_integrator():
