@@ -5,7 +5,14 @@ sweep-backflow, gaussian-error, oracle-check.  File outputs are byte
 identical across runs of the same configuration and across BLAS thread
 counts, since every subcommand computes with numpy's OpenBLAS pinned to
 one thread; floats are written in scientific notation with 12
-significant digits.
+significant digits, as ``f"{x:.11e}"`` writes them.  The 480k-row
+pointwise file of gaussian-error is built a column at a time: a value's
+digits are its float64 product with a power of ten, rounded, which gives
+those bytes whenever the product lies more than 1e-3 (over twice its
+rounding error) from a rounding boundary; a value within that margin,
+and one that is negative, not finite or outside [1e-99, 1e99) (except
++0.0), is written with ``f"{x:.11e}"`` itself.  An output file that
+cannot be written ends the command with an error naming its path.
 
 The three sweeps and dynamics run their work on a pool of threads in this
 process, of ``--threads`` workers (default: the CPUs the process may run
@@ -49,13 +56,73 @@ def _fmt(x: float) -> str:
     return f"{x:.11e}"
 
 
-def _write_blocks(out_path: str | None, blocks: Iterable[list[str]]) -> None:
-    """Write each block of lines as it comes, every line newline-terminated."""
-    with contextlib.ExitStack() as stack:
-        handle = sys.stdout if out_path is None else stack.enter_context(
-            open(out_path, "w", encoding="utf-8", newline="\n"))
-        for lines in blocks:
-            handle.write("\n".join(lines) + "\n")
+_SCI_WIDTH = len(_fmt(0.0))
+_TRIPLES = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
+                         dtype=np.uint8).reshape(1000, 3)
+_POW10_LOW = -100
+_POW10 = np.array([float(f"1e{k}") for k in range(_POW10_LOW, 121)])  # correctly rounded
+# y = x * 10**(11 - e) is off by two roundings (10**k and the product), each within
+# 2**-53 relative, so by less than 2 ulp(1.0) * 1e12 = 4.4e-4: a wider margin
+# leaves no y whose float rounding can differ from that of the exact value
+_ROUNDING_MARGIN = 1e-3
+
+
+def _fmt_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``_fmt(v)`` for each v of ``x``, as the rows of an (n, _SCI_WIDTH) uint8 array.
+
+    Also returns the mask of the rows left unwritten: those of a v outside the
+    fixed-width class (+0.0, or 1e-99 <= v < 1e99), that is, negative, -0.0,
+    nan, inf or of a three-digit exponent; the caller writes them with ``_fmt``.
+    The 12 digits of the others are round(y) for y = v * 10**(11 - e) in
+    float64, e the decimal exponent; a y within _ROUNDING_MARGIN of a
+    half-integer, of 1e11 or of 1e12, where that rounding could differ from
+    the exact one, is written with ``_fmt`` in its row.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    positive = (x >= 1e-99) & (x < 1e99)
+    wide = ~(positive | ((x == 0.0) & ~np.signbit(x)))
+    v = np.where(positive, x, 1.0)
+    exponent = np.floor(np.log10(v)).astype(np.int64)
+    y = v * _POW10[11 - exponent - _POW10_LOW]
+    # log10 can be one off next to a power of ten
+    exponent += (y >= 1e12).astype(np.int64) - (y < 1e11)
+    y = v * _POW10[11 - exponent - _POW10_LOW]
+    undecided = positive & ((np.abs(y - np.floor(y) - 0.5) <= _ROUNDING_MARGIN)
+                            | (y < 1e11 + _ROUNDING_MARGIN) | (y > 1e12 - 1.0))
+    digits = np.where(positive & ~undecided, np.rint(y), 0.0).astype(np.int64)
+    high, low = np.divmod(digits, 1_000_000)
+    chars = np.empty((x.size, _SCI_WIDTH), dtype=np.uint8)
+    lead = _TRIPLES[high // 1000]
+    chars[:, 0] = lead[:, 0]
+    chars[:, 1] = ord(".")
+    chars[:, 2:4] = lead[:, 1:]
+    chars[:, 4:7] = _TRIPLES[high % 1000]
+    chars[:, 7:10] = _TRIPLES[low // 1000]
+    chars[:, 10:13] = _TRIPLES[low % 1000]
+    chars[:, 13] = ord("e")
+    chars[:, 14] = np.where(exponent < 0, ord("-"), ord("+"))
+    chars[:, 15:] = _TRIPLES[np.abs(exponent), 1:]
+    for i in np.flatnonzero(undecided):
+        chars[i] = np.frombuffer(_fmt(x[i]).encode(), dtype=np.uint8)
+    return chars, wide
+
+
+def _csv_text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _write_blocks(out_path: str | None, blocks: Iterable[str]) -> None:
+    """Write each block of newline-terminated lines as it comes; a failed write names its path."""
+    try:
+        with contextlib.ExitStack() as stack:
+            handle = sys.stdout if out_path is None else stack.enter_context(
+                open(out_path, "w", encoding="utf-8", newline="\n"))
+            for text in blocks:
+                handle.write(text)
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = out_path or "<stdout>"
+        raise
 
 
 def _system(cfg: ExperimentConfig) -> SystemConfig:
@@ -77,7 +144,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     for n in range(len(energies)):
         for m in range(n, len(energies)):
             lines.append(f"{n},{m},{_fmt(x[n, m])}")
-    _write_blocks(args.out, [lines])
+    _write_blocks(args.out, [_csv_text(lines)])
     return 0
 
 
@@ -90,7 +157,7 @@ def cmd_bath(args: argparse.Namespace) -> int:
     for k, (omega, g, mean_b, z) in enumerate(
             zip(bath.omega, bath.g, bath.mean_b[0], bath.partition[0]), start=1):
         lines.append(f"{k},{_fmt(omega)},{_fmt(g)},{count},{_fmt(mean_b)},{_fmt(z)}")
-    _write_blocks(args.out, [lines])
+    _write_blocks(args.out, [_csv_text(lines)])
     return 0
 
 
@@ -112,7 +179,7 @@ def cmd_correlation(args: argparse.Namespace) -> int:
         ratio = UNDEFINED
     lines.append("c0,c_at_0,offset_ratio")
     lines.append(f"{_fmt(c0)},{_fmt(c_at_0)},{_fmt(ratio)}")
-    _write_blocks(args.out, [lines])
+    _write_blocks(args.out, [_csv_text(lines)])
     return 0
 
 
@@ -130,7 +197,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     for t, c, g in zip(times, exact.chi, gauss.chi):
         lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
                      f"{_fmt(g.real)},{_fmt(g.imag)},{_fmt(abs(g))}")
-    _write_blocks(args.out, [lines])
+    _write_blocks(args.out, [_csv_text(lines)])
     # invertibility proxy, reported for every run
     print(f"min |chi| = {_fmt(float(np.abs(exact.chi).min()))}", file=sys.stderr)
     return 0
@@ -241,7 +308,7 @@ def cmd_sweep_dephasing(args: argparse.Namespace) -> int:
     lines = ["lambda,beta,eta,tau_d"]
     for lam, beta, tau in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(tau)}")
-    _write_blocks(args.out, [lines])
+    _write_blocks(args.out, [_csv_text(lines)])
     return 0
 
 
@@ -252,7 +319,7 @@ def cmd_sweep_backflow(args: argparse.Namespace) -> int:
     for lam, beta, n_minus, n_plus, ratio in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},"
                      f"{_fmt(n_minus)},{_fmt(n_plus)},{_fmt(ratio)}")
-    _write_blocks(args.out, [lines])
+    _write_blocks(args.out, [_csv_text(lines)])
     return 0
 
 
@@ -262,18 +329,33 @@ def cmd_gaussian_error(args: argparse.Namespace) -> int:
     lines = ["lambda,beta,eta,time_avg_error"]
     for lam, beta, time_avg, _ in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(time_avg)}")
-    _write_blocks(args.out, [lines])
+    _write_blocks(args.out, [_csv_text(lines)])
     if cfg.pointwise_out is not None:
-        time_fields = [_fmt(t) for t in time_grid(cfg.t_max, cfg.dt)]
-
-        def point_blocks() -> Iterator[list[str]]:
-            yield ["lambda,beta,eta,t,e_chi"]
-            for lam, beta, _, pointwise in rows:
-                prefix = f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},"
-                yield [f"{prefix}{t},{_fmt(e)}" for t, e in zip(time_fields, pointwise)]
-
-        _write_blocks(cfg.pointwise_out, point_blocks())
+        _write_blocks(cfg.pointwise_out,
+                      _pointwise_blocks(rows, cfg.eta, time_grid(cfg.t_max, cfg.dt)))
     return 0
+
+
+def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[str]:
+    """The pointwise file: its header, then the lines of one (lambda, beta) at a time."""
+    yield "lambda,beta,eta,t,e_chi\n"
+    t_chars, t_wide = _fmt_column(times)
+    for lam, beta, _, pointwise in rows:
+        prefix = f"{_fmt(lam)},{_fmt(beta)},{_fmt(eta)},"
+        e_chars, e_wide = _fmt_column(pointwise)
+        lines = np.empty((len(times), len(prefix) + 2 * _SCI_WIDTH + 2), dtype=np.uint8)
+        lines[:, :len(prefix)] = np.frombuffer(prefix.encode(), dtype=np.uint8)
+        lines[:, len(prefix):len(prefix) + _SCI_WIDTH] = t_chars
+        lines[:, -_SCI_WIDTH - 2] = ord(",")
+        lines[:, -_SCI_WIDTH - 1:-1] = e_chars
+        lines[:, -1] = ord("\n")
+        pieces, start = [], 0
+        for i in np.flatnonzero(t_wide | e_wide):
+            pieces += [str(lines[start:i], "ascii"),
+                       f"{prefix}{_fmt(times[i])},{_fmt(pointwise[i])}\n"]
+            start = i + 1
+        pieces.append(str(lines[start:], "ascii"))
+        yield "".join(pieces)
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
@@ -361,7 +443,7 @@ def main(argv: list[str] | None = None) -> int:
         set_threads(1)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, IndexError, RuntimeError) as exc:
+    except (ValueError, ZeroDivisionError, IndexError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

@@ -419,18 +419,48 @@ def test_sweep_backflow_csv(tmp_path):
 
 
 def test_gaussian_error_csv_with_pointwise(tmp_path):
+    # lambda = 3.1, beta = 1 starts from e_chi = 0 exactly; others hold e_chi < 1e-15
+    text = BASE.replace("lambda = 2.5", "lambda = 2.5,3.1").replace("beta = 1.0", "beta = 1,7")
     pointwise = tmp_path / "pointwise.csv"
-    text = BASE + f"pointwise_out = {pointwise}\n"
-    cfg = write_config(tmp_path, text)
-    out = tmp_path / "gauss.csv"
-    assert main(["gaussian-error", "--config", cfg, "--out", str(out)]) == 0
+    cfg = write_config(tmp_path, text + f"pointwise_out = {pointwise}\n")
+    points = cli._run_sweep("gaussian-error", parse_config_text(text), 1)
+    values = np.concatenate([point[3] for point in points])
+    assert (values == 0.0).any() and ((values > 0.0) & (values < 1e-15)).any()
+    times = dynamics.time_grid(5.0, 0.05)
+    reference = "lambda,beta,eta,t,e_chi\n" + "".join(
+        f"{cli._fmt(lam)},{cli._fmt(beta)},{cli._fmt(2.0)},{cli._fmt(t)},{cli._fmt(e)}\n"
+        for lam, beta, _, errors in points for t, e in zip(times, errors))
+    summaries = []
+    for workers in ("1", "2"):
+        out = tmp_path / f"gauss{workers}.csv"
+        pointwise.unlink(missing_ok=True)
+        assert main(["gaussian-error", "--config", cfg, "--out", str(out),
+                     "--threads", workers]) == 0
+        assert pointwise.read_bytes() == reference.encode()
+        summaries.append(out.read_bytes())
+    assert summaries[0] == summaries[1]
     rows = read_rows(out)
     assert rows[0] == ["lambda", "beta", "eta", "time_avg_error"]
-    assert len(rows) == 2
-    assert float(rows[1][3]) >= 0.0
-    point_rows = read_rows(pointwise)
-    assert point_rows[0] == ["lambda", "beta", "eta", "t", "e_chi"]
-    assert len(point_rows) == 1 + 101
+    assert len(rows) == 5
+    assert all(float(row[3]) >= 0.0 for row in rows[1:])
+
+
+@pytest.mark.parametrize("command", ["sweep-dephasing", "gaussian-error"])
+@pytest.mark.parametrize("path", ["/nonexistent/dir/x.csv", "/dev/full"])
+def test_unwritable_output_exits_2_naming_the_path(command, path, tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    assert main([command, "--config", cfg, "--out", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
+
+
+@pytest.mark.parametrize("path", ["/nonexistent/dir/pw.csv", "/dev/full"])
+def test_unwritable_pointwise_out_exits_2_naming_the_path(path, tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE + f"pointwise_out = {path}\n")
+    out = tmp_path / "gauss.csv"
+    assert main(["gaussian-error", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and path in err
 
 
 def test_oracle_check_passes(tmp_path, capsys):
