@@ -12,7 +12,16 @@ those bytes whenever the product lies more than 1e-3 (over twice its
 rounding error) from a rounding boundary; a value within that margin,
 and one that is negative, not finite or outside [1e-99, 1e99) (except
 +0.0), is written with ``f"{x:.11e}"`` itself.  An output file that
-cannot be written ends the command with an error naming its path.
+cannot be written ends the command with an error naming its path: a
+missing directory before any work, and any other failure before or
+while writing, which then leaves none of the files it created.
+
+``sweep-dephasing`` needs each trace only up to its first threshold
+crossing.  It evaluates chi of a lambda one slab of block rows of the
+full grid's split at a time (``dynamics.chi_prefixes``) and stops at the
+first slab by which every beta has crossed, or at the end of the grid;
+tau_d comes from that prefix, and its bytes are those of the whole
+trace.  The other sweeps need the whole trace and compute it at once.
 
 The three sweeps and dynamics run their work on a pool of threads in this
 process, of ``--threads`` workers (default: the CPUs the process may run
@@ -32,6 +41,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import errno
 import functools
 import glob
 import os
@@ -44,7 +54,8 @@ import numpy as np
 from .bath import BathConfig, bath_arrays, discretize
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
-from .dynamics import SystemConfig, chi_series, chi_traces, gaussian_traces, time_grid
+from .dynamics import (DephasingTrace, SystemConfig, chi_prefixes, chi_series, chi_traces,
+                       gaussian_traces, time_grid)
 from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
@@ -111,17 +122,48 @@ def _csv_text(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_blocks(out_path: str | None, blocks: Iterable[str]) -> None:
-    """Write each block of newline-terminated lines as it comes; a failed write names its path."""
+def _check_outputs(*paths: str | None) -> None:
+    """Fail, naming the file, if the directory of an output path does not exist.
+
+    Commands call this before their work, so a typo in a path costs no
+    run; it creates nothing.
+    """
+    for path in paths:
+        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, "no such directory", path)
+
+
+def _write_outputs(*outputs: tuple[str | None, Iterable[str]]) -> None:
+    """Open every (path, blocks) output, then write each block of newline-terminated lines.
+
+    A path of None is stdout.  Every file is opened before any is
+    written.  If an open or a write fails, the files this call created
+    are removed, so a failed command leaves no new file, and the error
+    names the path.
+    """
+    path, created = None, []
     try:
         with contextlib.ExitStack() as stack:
-            handle = sys.stdout if out_path is None else stack.enter_context(
-                open(out_path, "w", encoding="utf-8", newline="\n"))
-            for text in blocks:
-                handle.write(text)
+            handles = []
+            for path, _ in outputs:
+                if path is None:
+                    handles.append(sys.stdout)
+                    continue
+                new = not os.path.lexists(path)
+                handles.append(stack.enter_context(
+                    open(path, "w", encoding="utf-8", newline="\n")))
+                if new:
+                    created.append(path)
+            for (path, blocks), handle in zip(outputs, handles):
+                for text in blocks:
+                    handle.write(text)
+                if handle is not sys.stdout:
+                    handle.close()
     except OSError as exc:
+        for done in created:
+            os.unlink(done)
         if exc.filename is None:
-            exc.filename = out_path or "<stdout>"
+            exc.filename = path or "<stdout>"
         raise
 
 
@@ -144,7 +186,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     for n in range(len(energies)):
         for m in range(n, len(energies)):
             lines.append(f"{n},{m},{_fmt(x[n, m])}")
-    _write_blocks(args.out, [_csv_text(lines)])
+    _write_outputs((args.out, [_csv_text(lines)]))
     return 0
 
 
@@ -157,7 +199,7 @@ def cmd_bath(args: argparse.Namespace) -> int:
     for k, (omega, g, mean_b, z) in enumerate(
             zip(bath.omega, bath.g, bath.mean_b[0], bath.partition[0]), start=1):
         lines.append(f"{k},{_fmt(omega)},{_fmt(g)},{count},{_fmt(mean_b)},{_fmt(z)}")
-    _write_blocks(args.out, [_csv_text(lines)])
+    _write_outputs((args.out, [_csv_text(lines)]))
     return 0
 
 
@@ -179,7 +221,7 @@ def cmd_correlation(args: argparse.Namespace) -> int:
         ratio = UNDEFINED
     lines.append("c0,c_at_0,offset_ratio")
     lines.append(f"{_fmt(c0)},{_fmt(c_at_0)},{_fmt(ratio)}")
-    _write_blocks(args.out, [_csv_text(lines)])
+    _write_outputs((args.out, [_csv_text(lines)]))
     return 0
 
 
@@ -189,6 +231,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     bath = bath_arrays(_bath_config(cfg, lam, beta))
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
+    _check_outputs(args.out)
     with _failure_names("dynamics point", lam, [beta]), _executor(args.threads) as pool:
         gauss_future = pool.submit(gaussian_traces, bath, system, times)
         exact, = chi_traces(bath, system, times, map_blocks=pool.map)
@@ -197,7 +240,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     for t, c, g in zip(times, exact.chi, gauss.chi):
         lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
                      f"{_fmt(g.real)},{_fmt(g.imag)},{_fmt(abs(g))}")
-    _write_blocks(args.out, [_csv_text(lines)])
+    _write_outputs((args.out, [_csv_text(lines)]))
     # invertibility proxy, reported for every run
     print(f"min |chi| = {_fmt(float(np.abs(exact.chi).min()))}", file=sys.stderr)
     return 0
@@ -208,13 +251,19 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     bath = bath_arrays(_bath_config(cfg, lam, betas[0]), betas)
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
-    exact = chi_traces(bath, system, times)
     if kind == "dephasing":
+        # tau_d needs chi only up to its first crossing: stop at the first
+        # slab by which every beta has crossed (or at the end of the grid)
+        for chi in chi_prefixes(bath, system, times, cfg.threshold):
+            if (np.abs(chi) <= cfg.threshold).any(axis=-1).all():
+                break
         rows = []
-        for beta, trace in zip(betas, exact):
+        for beta, row in zip(betas, chi):
+            trace = DephasingTrace(times=times[:row.shape[0]], chi=row)
             tau = dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
             rows.append((lam, beta, tau if tau is not None else UNDEFINED))
         return rows
+    exact = chi_traces(bath, system, times)
     if kind == "backflow":
         rows = []
         for beta, trace in zip(betas, exact):
@@ -304,35 +353,37 @@ def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
 
 def cmd_sweep_dephasing(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
+    _check_outputs(args.out)
     rows = _run_sweep("dephasing", cfg, args.threads)
     lines = ["lambda,beta,eta,tau_d"]
     for lam, beta, tau in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(tau)}")
-    _write_blocks(args.out, [_csv_text(lines)])
+    _write_outputs((args.out, [_csv_text(lines)]))
     return 0
 
 
 def cmd_sweep_backflow(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
+    _check_outputs(args.out)
     rows = _run_sweep("backflow", cfg, args.threads)
     lines = ["lambda,beta,eta,n_minus,n_plus,ratio"]
     for lam, beta, n_minus, n_plus, ratio in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},"
                      f"{_fmt(n_minus)},{_fmt(n_plus)},{_fmt(ratio)}")
-    _write_blocks(args.out, [_csv_text(lines)])
+    _write_outputs((args.out, [_csv_text(lines)]))
     return 0
 
 
 def cmd_gaussian_error(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
+    _check_outputs(args.out, cfg.pointwise_out)
     rows = _run_sweep("gaussian-error", cfg, args.threads)
     lines = ["lambda,beta,eta,time_avg_error"]
     for lam, beta, time_avg, _ in rows:
         lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(time_avg)}")
-    _write_blocks(args.out, [_csv_text(lines)])
-    if cfg.pointwise_out is not None:
-        _write_blocks(cfg.pointwise_out,
-                      _pointwise_blocks(rows, cfg.eta, time_grid(cfg.t_max, cfg.dt)))
+    pointwise = [] if cfg.pointwise_out is None else [
+        (cfg.pointwise_out, _pointwise_blocks(rows, cfg.eta, time_grid(cfg.t_max, cfg.dt)))]
+    _write_outputs((args.out, [_csv_text(lines)]), *pointwise)
     return 0
 
 

@@ -35,6 +35,10 @@ its slice of the bath and returns the factors of its modes.
 ``chi_traces`` takes a ``map``-like argument that runs the blocks, in
 the calling thread by default or on a pool, and multiplies the factors
 in mode order whatever ran them, so chi does not depend on the runner.
+``chi_prefixes`` builds every block's terms once and then extends chi
+over the grid one slab of block rows at a time, with the same bytes, for
+a caller that needs only a prefix of the trace: the part up to where
+every beta's |chi| has fallen to a threshold.
 
 The engine takes a ``Bath`` of one lam and any number of betas
 (``chi_traces``, ``gaussian_traces``); ``chi_series`` is the one-beta
@@ -50,6 +54,7 @@ carries the +i omega_s t phase) is the <-|rho|+> element, i.e. the
 from __future__ import annotations
 
 import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -187,36 +192,43 @@ def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray,
     return w.transpose(1, 2, 0).reshape(-1, n_beta), freqs.ravel()
 
 
-def _block_factors(bath: Bath, times: np.ndarray, t_max: float, modes: slice) -> np.ndarray:
-    """Factors (g, n_beta, n) of a block of g modes of the bath, one per mode and beta.
+def _block_terms(bath: Bath, t_max: float, modes: slice) -> tuple[np.ndarray, np.ndarray, int]:
+    """Phase terms of a block of g modes of the bath: (g T, n_beta) weights, (g T,) freqs and g.
 
     The block keeps its first m levels (`_kept_levels`), takes one
-    stacked eigh per sign on them and one phase sum for all its modes
-    and betas.  It reads only its own slice of the bath and writes
-    nothing shared, so blocks can run in any order or at once.
+    stacked eigh per sign on them and builds the terms of all its modes
+    and betas (`_phase_terms`).
     """
     weights = bath.weights[:, modes]
     m, eig = _kept_levels(bath.energies[modes], bath.couplings[modes], weights, t_max)
     w, freqs = _phase_terms(eig, weights[..., :m])
-    return kernels.phase_sum(w, freqs, times, groups=weights.shape[1])
+    return w, freqs, weights.shape[1]
 
 
-def _chi(bath: Bath, omega_s: float, times: np.ndarray, map_blocks=map) -> np.ndarray:
-    """Exact decay factor of every beta of the bath, (n_beta, n).
+def _block_factors(bath: Bath, times: np.ndarray, t_max: float, modes: slice) -> np.ndarray:
+    """Factors (g, n_beta, n) of a block of g modes of the bath, one per mode and beta.
 
-    Modes go in blocks of at most _BLOCK_ELEMENTS / d^2; map_blocks
-    runs `_block_factors` over the blocks in mode order and yields their
-    factors in that order, and chi is the product of the mode factors in
-    mode order.
+    One phase sum serves all the block's modes and betas.  The block
+    reads only its own slice of the bath and writes nothing shared, so
+    blocks can run in any order or at once.
     """
+    w, freqs, g = _block_terms(bath, t_max, modes)
+    return kernels.phase_sum(w, freqs, times, groups=g)
+
+
+def _mode_blocks(bath: Bath) -> list[slice]:
+    """Modes in blocks of at most _BLOCK_ELEMENTS / d^2, in mode order."""
     n_modes, d = bath.energies.shape
     size = max(1, _BLOCK_ELEMENTS // (d * d))
-    t_max = float(np.abs(times).max(initial=0.0))
-    blocks = [slice(start, start + size) for start in range(0, n_modes, size)]
-    chi = np.repeat(np.exp(1j * omega_s * times)[None], bath.weights.shape[0], axis=0)
-    for factors in map_blocks(functools.partial(_block_factors, bath, times, t_max), blocks):
+    return [slice(start, start + size) for start in range(0, n_modes, size)]
+
+
+def _mode_product(phase: np.ndarray, n_beta: int, block_factors) -> np.ndarray:
+    """chi (n_beta, n): exp(i omega_s t) times every mode factor, multiplied in mode order."""
+    chi = np.repeat(phase[None], n_beta, axis=0)
+    for factors in block_factors:
         for factor in factors:
-            chi = chi * factor
+            chi *= factor
     return chi
 
 
@@ -229,8 +241,70 @@ def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
     ``Executor.map`` of a pool; chi does not depend on which.
     """
     times = np.asarray(times, dtype=float)
-    chi = _chi(bath, system.omega_s, times, map_blocks)
+    t_max = float(np.abs(times).max(initial=0.0))
+    factors = map_blocks(functools.partial(_block_factors, bath, times, t_max), _mode_blocks(bath))
+    chi = _mode_product(np.exp(1j * system.omega_s * times), bath.weights.shape[0], factors)
     return [DephasingTrace(times=times, chi=row) for row in chi]
+
+
+def _chi_floor(terms: list[tuple[np.ndarray, np.ndarray, int]], t: float) -> np.ndarray:
+    """Lower bound (n_beta,) on |chi| at every |t'| <= t from the `_block_terms` of all blocks.
+
+    For a mode factor F(t) = sum_i W_i exp(i w_i t) and any mu,
+    |F(t)| >= |F(0)| - |t| sum_i |W_i| |w_i - mu|, as |exp(i x) - 1| <= |x|;
+    mu is the |W|-weighted mean frequency.  chi is exp(i omega_s t) times
+    the product of the factors, so its modulus is at least the product of
+    these bounds, each floored at 0.
+    """
+    floor = 1.0
+    for w, freqs, g in terms:
+        w = w.reshape(g, -1, w.shape[1])
+        f = freqs.reshape(g, -1, 1)
+        mass = np.abs(w)
+        mean = (mass * f).sum(axis=1) / np.maximum(mass.sum(axis=1), np.finfo(float).tiny)
+        spread = (mass * np.abs(f - mean[:, None, :])).sum(axis=1)
+        floor = floor * np.maximum(np.abs(w.sum(axis=1)) - t * spread, 0.0).prod(axis=0)
+    return floor
+
+
+def chi_prefixes(bath: Bath, system: SystemConfig, times: np.ndarray,
+                 threshold: float) -> Iterator[np.ndarray]:
+    """Exact decay factor of every beta on growing prefixes of the grid, (n_beta, j) each.
+
+    For a caller that waits for |chi| of every beta to fall to
+    ``threshold``.  Each prefix extends the last by one slab of block
+    rows of the full grid's split (``kernels.row_slabs``); the last
+    covers the whole grid.  The first slab is evaluated on its own only
+    if every beta can have fallen to the threshold inside it
+    (`_chi_floor`); otherwise the whole grid is one slab.  Every prefix
+    equals the first j points of `chi_traces`' chi bit for bit, whatever
+    the slabs, so a caller may stop as soon as it has seen enough.  The
+    terms of every block, and with two slabs its offset tables, are
+    built once, before the first slab, and each slab evaluates only its
+    own rows; running to the end costs no more exponentials or product
+    rows than `chi_traces`.  Prefixes are views of one array that later
+    slabs extend, not change.
+    """
+    times = np.asarray(times, dtype=float)
+    t_max = float(np.abs(times).max(initial=0.0))
+    terms = [_block_terms(bath, t_max, modes) for modes in _mode_blocks(bath)]
+    slabs = kernels.row_slabs(times)
+    if len(slabs) > 1:
+        reach = float(np.abs(times[slabs[0][1]]).max())
+        if (_chi_floor(terms, reach) > threshold).any():
+            # some beta stays above the threshold over the first slab
+            slabs = [((0, slabs[-1][0][1]), slice(0, times.shape[0]))]
+    # one slab builds each chunk's offset table as it goes, next to its product
+    tables = ([kernels.offset_tables(freqs, times, groups=g) for _, freqs, g in terms]
+              if len(slabs) > 1 else [None] * len(terms))
+    phase = np.exp(1j * system.omega_s * times)
+    n_beta = bath.weights.shape[0]
+    chi = np.empty((n_beta, times.shape[0]), dtype=complex)
+    for rows, points in slabs:
+        factors = (kernels.phase_sum(w, freqs, times, groups=g, rows=rows, tables=block_tables)
+                   for (w, freqs, g), block_tables in zip(terms, tables))
+        chi[:, points] = _mode_product(phase[points], n_beta, factors)
+        yield chi[:, :points.stop]
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from morsebath import cli, dynamics, kernels
+from morsebath import cli, dynamics, kernels, observables
 from morsebath.cli import main
 from morsebath.config import ConfigError, parse_config_text
 
@@ -396,6 +396,82 @@ def test_package_root_exports_resolve_once():
         assert hasattr(morsebath, name), name
 
 
+SLAB_BASE = BASE.replace("t_max = 5.0", "t_max = 10.0").replace("dt = 0.05", "dt = 0.01")
+SLAB_ROWS = 32  # B = ceil(sqrt(1001)) grid points per block row of SLAB_BASE's grid
+
+
+def full_grid_dephasing(text):
+    """tau_d rows and sweep-dephasing bytes from the whole-grid chi_traces of every point."""
+    cfg = parse_config_text(text)
+    times = dynamics.time_grid(cfg.t_max, cfg.dt)
+    betas = sorted(cfg.betas)
+    taus, lines = [], ["lambda,beta,eta,tau_d"]
+    for lam in sorted(cfg.lambdas):
+        bath = cli.bath_arrays(cli._bath_config(cfg, lam, betas[0]), betas)
+        for beta, trace in zip(betas, dynamics.chi_traces(bath, cli._system(cfg), times)):
+            tau = observables.dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
+            taus.append(cli.UNDEFINED if tau is None else tau)
+            lines.append(",".join(cli._fmt(x) for x in (lam, beta, cfg.eta, taus[-1])))
+    return taus, cli._csv_text(lines).encode()
+
+
+def assert_sweep_dephasing_bytes(tmp_path, text, expected):
+    cfg = write_config(tmp_path, text)
+    for workers in ("1", "2"):
+        out = tmp_path / f"tau{workers}.csv"
+        assert main(["sweep-dephasing", "--config", cfg, "--out", str(out),
+                     "--threads", workers]) == 0
+        assert out.read_bytes() == expected
+
+
+@pytest.mark.parametrize("case, changes", [
+    ("all-cross-early", {"lambda = 2.5": "lambda = 1.6,2.5,4.2", "beta = 1.0": "beta = 1,4,10",
+                         "k_modes = 8": "k_modes = 40"}),
+    ("some-never-cross", {"lambda = 2.5": "lambda = 1.6,2.5,4.2,6.1",
+                          "beta = 1.0": "beta = 1,4,10", "eta = 2.0": "eta = 0.01"}),
+    ("betas-cross-in-different-slabs", {"lambda = 2.5": "lambda = 2.5,4.2",
+                                        "beta = 1.0": "beta = 1,4,10", "eta = 2.0": "eta = 0.5"}),
+    ("one-beta", {"lambda = 2.5": "lambda = 2.5,3.3", "beta = 1.0": "beta = 7"}),
+])
+def test_sweep_dephasing_equals_full_grid_rows(case, changes, tmp_path, one_blas_thread):
+    # the sweep stops each lambda at the slab where every beta has crossed; its bytes
+    # must be those of the whole-grid traces.  Every lambda evaluates its first slab
+    # (rows 0 to 3) on its own, except in some-never-cross, where each is one slab; in
+    # betas-cross-in-different-slabs the first slab holds some crossings but not all
+    text = SLAB_BASE
+    for old, new in changes.items():
+        text = text.replace(old, new)
+    taus, expected = full_grid_dephasing(text)
+    first_slab_end = 4 * SLAB_ROWS * 0.01
+    if case == "some-never-cross":
+        assert cli.UNDEFINED in taus and max(taus) > 0.0
+    elif case == "betas-cross-in-different-slabs":
+        assert 0.0 < min(taus) < first_slab_end < max(taus)
+    else:
+        assert 0.0 < min(taus) and max(taus) < first_slab_end
+    assert_sweep_dephasing_bytes(tmp_path, text, expected)
+
+
+@pytest.mark.parametrize("row", [1, 2, 4])
+def test_sweep_dephasing_crossing_at_a_block_row_start(row, tmp_path, one_blas_thread):
+    # |chi| falls monotonically here; a threshold halfway between |chi| at j = row B - 1
+    # and j = row B puts the first crossing at the first point of block row `row`, and
+    # the interpolation reads the last point of the row before; row 4 starts the second
+    # slab
+    text = SLAB_BASE.replace("eta = 2.0", "eta = 0.2").replace("beta = 1.0", "beta = 4")
+    cfg = parse_config_text(text)
+    bath = cli.bath_arrays(cli._bath_config(cfg, 2.5, 4.0), [4.0])
+    times = dynamics.time_grid(cfg.t_max, cfg.dt)
+    trace, = dynamics.chi_traces(bath, cli._system(cfg), times)
+    j = row * SLAB_ROWS
+    above, below = (float(x) for x in np.abs(trace.chi[j - 1:j + 1]))
+    text += f"threshold = {0.5 * (above + below)!r}\n"
+    (tau,), expected = full_grid_dephasing(text)
+    assert np.abs(trace.chi[:j]).min() == above > 0.5 * (above + below) > below
+    assert times[j - 1] < tau < times[j]
+    assert_sweep_dephasing_bytes(tmp_path, text, expected)
+
+
 def test_sweep_dephasing_sentinel_when_no_decay(tmp_path):
     text = BASE.replace("eta = 2.0", "eta = 0.0")
     cfg = write_config(tmp_path, text)
@@ -447,20 +523,29 @@ def test_gaussian_error_csv_with_pointwise(tmp_path):
 
 @pytest.mark.parametrize("command", ["sweep-dephasing", "gaussian-error"])
 @pytest.mark.parametrize("path", ["/nonexistent/dir/x.csv", "/dev/full"])
-def test_unwritable_output_exits_2_naming_the_path(command, path, tmp_path, capsys):
+def test_unwritable_output_exits_2_naming_the_path(command, path, tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path, BASE)
+    if path.startswith("/nonexistent/"):  # found before any point is computed
+        monkeypatch.setattr(cli, "_sweep_point", lambda *args: pytest.fail("a point was computed"))
     assert main([command, "--config", cfg, "--out", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
+    assert not os.path.exists(path) or path == "/dev/full"
 
 
-@pytest.mark.parametrize("path", ["/nonexistent/dir/pw.csv", "/dev/full"])
-def test_unwritable_pointwise_out_exits_2_naming_the_path(path, tmp_path, capsys):
+@pytest.mark.parametrize("path", ["/nonexistent/dir/pw.csv", "/dev/full", "{tmp}"])
+def test_unwritable_pointwise_out_exits_2_naming_the_path(path, tmp_path, capsys, monkeypatch):
+    # a missing directory is found before the sweep; a directory as the path fails at its
+    # open, after the sweep, and /dev/full at its write; none leaves a summary file
+    path = path.format(tmp=tmp_path)
     cfg = write_config(tmp_path, BASE + f"pointwise_out = {path}\n")
     out = tmp_path / "gauss.csv"
+    if path.startswith("/nonexistent/"):
+        monkeypatch.setattr(cli, "_sweep_point", lambda *args: pytest.fail("a point was computed"))
     assert main(["gaussian-error", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
+    assert not out.exists()
 
 
 def test_oracle_check_passes(tmp_path, capsys):

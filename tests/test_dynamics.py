@@ -14,11 +14,71 @@ from morsebath import (
     mean_field_shift,
     time_grid,
 )
+from morsebath import dynamics, kernels
 from morsebath.dynamics import _block_eigh
 from helpers import make_arrays, make_bath, renormalized
 
 # no impurity phase: chi of one mode is that mode's trace factor
 SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
+
+
+@pytest.mark.parametrize("lam, betas, times", [
+    (2.6, [1.0, 4.0, 10.0], time_grid(20.0, 0.01)),  # one block of 40 modes
+    (50.3, [4.0], time_grid(5.0, 0.01)),  # d = 50: a block per mode, one beta
+    (3.3, [7.0], np.array([0.0, 0.4])),  # a grid of one block row
+    (3.3, [1.0, 7.0], np.sort(np.random.default_rng(3).uniform(0.0, 20.0, 300))),
+])
+@pytest.mark.parametrize("threshold", [1.0, 1e-3])
+def test_chi_prefixes_equal_chi_traces(lam, betas, times, threshold, system, monkeypatch,
+                                       one_blas_thread):
+    # threshold 1 cannot be ruled out anywhere, so every slab of row_slabs is evaluated;
+    # at 1e-3 the floor rules out the first slab of a weakly decaying bath
+    k_modes = 40 if lam < 10 else 3
+    bath = make_arrays(lam, betas, k_modes=k_modes)
+    full = np.array([trace.chi for trace in chi_traces(bath, system, times)])
+    calls = []
+    phase_sum = kernels.phase_sum
+
+    def recording(weights, freqs, times, **kwargs):
+        calls.append((weights.shape[1], kwargs["rows"]))
+        return phase_sum(weights, freqs, times, **kwargs)
+
+    monkeypatch.setattr(kernels, "phase_sum", recording)
+    ends = []
+    for chi in dynamics.chi_prefixes(bath, system, times, threshold):
+        ends.append(chi.shape[-1])
+        np.testing.assert_array_equal(chi, full[:, :chi.shape[-1]])
+    assert ends == sorted(set(ends)) and ends[-1] == times.shape[0]
+    slabs = kernels.row_slabs(times)
+    assert [points.stop for _, points in slabs] == ends or (threshold < 1.0 and len(ends) == 1)
+    n_rows = kernels._uniform_split(times)[0].shape[0]
+    blocks = len(dynamics._mode_blocks(bath))
+    assert len(calls) == blocks * len(ends)
+    # no single-row product except the whole grid of one row
+    assert all(c * (b1 - b0) >= 2 or n_rows == 1 for c, (b0, b1) in calls)
+    assert sum(b1 - b0 for _, (b0, b1) in calls) == blocks * n_rows
+
+
+def test_chi_floor_of_a_two_term_factor():
+    # F(t) = (exp(-i d t / 2) + exp(i d t / 2)) / 2 = cos(d t / 2): mean frequency 0 and
+    # spread d / 2, so the floor is 1 - d |t| / 2, below |F| and touching it at t = 0
+    d = 1.7
+    w = np.array([[0.5], [0.5]], dtype=complex)
+    f = np.array([-0.5 * d, 0.5 * d])
+    for t in np.linspace(0.0, 4.0 / d, 401):
+        floor, = dynamics._chi_floor([(w, f, 1)], t)
+        assert floor == pytest.approx(max(0.0, 1.0 - 0.5 * d * t), abs=1e-15)
+        assert floor <= abs(np.cos(0.5 * d * t)) + 1e-15
+
+
+def test_chi_prefixes_skip_a_first_slab_that_cannot_finish(system):
+    # eta = 0.01: at beta = 10 |chi| stays near 1 over the first slab (t < 1.8), so
+    # the floor rules out that every beta crosses 0.1 there; at eta = 2 it falls fast
+    # and the first slab comes alone
+    times = time_grid(20.0, 0.01)
+    for eta, prefixes in ((0.01, 1), (2.0, 2)):
+        bath = make_arrays(2.6, [1.0, 4.0, 7.0, 10.0], eta=eta)
+        assert len(list(dynamics.chi_prefixes(bath, system, times, 0.1))) == prefixes
 
 
 def test_time_grid():

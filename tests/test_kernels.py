@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from morsebath import kernels, time_grid
 
@@ -155,3 +157,65 @@ def test_kept_terms_rows_and_edge_cases(rng):
     assert kernels.kept_terms(np.zeros(4), 1e-14).sum() == 0
     assert kernels.kept_terms(np.zeros(4), 0.0).all()
     assert kernels.kept_terms(np.empty((2, 0)), 1e-14).shape == (2, 0)
+
+
+SLAB_GRIDS = {
+    "two-points": np.arange(2) * 0.01,
+    "sixteen-points": np.arange(16) * 0.01,
+    "cli-grid": np.arange(2001) * 0.01,
+    "irregular": GRIDS["irregular"],
+}
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+@given(grid=st.sampled_from(sorted(SLAB_GRIDS)), groups=st.sampled_from([1, 40]),
+       cols=st.sampled_from([1, 4]), data=st.data(), seed=st.integers(0, 2**32 - 1))
+@example(grid="cli-grid", groups=40, cols=4, data=None, seed=1)
+@example(grid="cli-grid", groups=1, cols=1, data=None, seed=2)
+def test_row_slabs_equal_the_full_phase_sum(grid, groups, cols, data, seed, one_blas_thread):
+    # bit for bit: every slab row_slabs yields, and on a split grid any other slab of
+    # c * rows >= 2, against the same grid points of the whole-grid call, over several
+    # chunks of terms
+    rng = np.random.default_rng(seed)
+    t = SLAB_GRIDS[grid]
+    chunk = kernels._CHUNK // groups
+    per_group = 2 * chunk + 7 if data is None else data.draw(st.integers(0, 3 * chunk))
+    w = rng.normal(size=(groups * per_group, cols)) + 1j * rng.normal(size=(groups * per_group, cols))
+    f = rng.uniform(-5.0, 5.0, size=groups * per_group)
+    full = kernels.phase_sum(w, f, t, groups=groups)
+    tables = kernels.offset_tables(f, t, groups=groups)
+    slabs = [rows for rows, _ in kernels.row_slabs(t)]
+    starts, offsets = kernels._uniform_split(t)
+    n_rows, width = starts.shape[0], offsets.shape[0]
+    if data is not None and width > 1 and cols * n_rows >= 2:
+        b0 = data.draw(st.integers(0, n_rows - 1))
+        b1 = data.draw(st.integers(b0 + 1, n_rows))
+        if cols * (b1 - b0) < 2:
+            b0, b1 = (b0, b1 + 1) if b1 < n_rows else (b0 - 1, b1)
+        slabs.append((b0, b1))
+    for b0, b1 in slabs:
+        points = slice(b0 * width, min(b1 * width, t.shape[0]))
+        for slab_tables in (tables, None):
+            got = kernels.phase_sum(w, f, t, groups=groups, rows=(b0, b1), tables=slab_tables)
+            np.testing.assert_array_equal(got, full[..., points])
+
+
+def test_row_slabs_tile_the_grid_and_never_hold_a_lone_row():
+    # a slab of c * rows = 1 would take numpy's vector-matrix path, which rounds unlike the
+    # matrix product of the whole grid; so a slab holds at least 2 rows (c * rows >= 2 for
+    # every column count c), unless the grid has one row and the slab is the whole-grid call.
+    # A grid of one offset (B = 1) has only matrix-vector products and is one slab.
+    grids = [np.arange(n) * 0.01 for n in [*range(0, 120), 2001, 2025, 2026]]
+    for times in grids + [GRIDS["irregular"], GRIDS["irregular"][:2]]:
+        starts, offsets = kernels._uniform_split(times)
+        n_rows, width = starts.shape[0], offsets.shape[0]
+        slabs = list(kernels.row_slabs(times))
+        edges = [0] + [b1 for (_, b1), _ in slabs]
+        assert [b0 for (b0, _), _ in slabs] == edges[:-1] and edges[-1] == n_rows
+        for (b0, b1), points in slabs:
+            assert b1 - b0 >= 2 or ((b0, b1) == (0, n_rows) and n_rows <= 1)
+            assert width > 1 or (b0, b1) == (0, n_rows)
+            assert points == slice(b0 * width, min(b1 * width, times.shape[0]))
+        if width > 1 and n_rows > kernels._FIRST_SLAB_ROWS + 1:
+            assert slabs[0][0] == (0, kernels._FIRST_SLAB_ROWS)
