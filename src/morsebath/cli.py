@@ -18,10 +18,13 @@ while writing, which then leaves none of the files it created.
 
 ``sweep-dephasing`` needs each trace only up to its first threshold
 crossing.  It evaluates chi of a lambda one slab of block rows of the
-full grid's split at a time (``dynamics.chi_prefixes``) and stops at the
-first slab by which every beta has crossed, or at the end of the grid;
-tau_d comes from that prefix, and its bytes are those of the whole
-trace.  The other sweeps need the whole trace and compute it at once.
+full grid's split at a time (``dynamics.chi_until_crossed``) and stops
+at the block row that ends the first slab by which every beta has
+crossed, or at the end of the grid; tau_d comes from that prefix, and
+its bytes are those of the whole trace.  A slab rounds as the whole
+grid does only with BLAS on one thread, so where BLAS cannot be pinned
+the sweep computes the whole trace.  The other sweeps need the whole
+trace and compute it at once.
 
 The three sweeps and dynamics run their work on a pool of threads in this
 process, of ``--threads`` workers (default: the CPUs the process may run
@@ -54,7 +57,7 @@ import numpy as np
 from .bath import BathConfig, bath_arrays, discretize
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
-from .dynamics import (DephasingTrace, SystemConfig, chi_prefixes, chi_series, chi_traces,
+from .dynamics import (DephasingTrace, SystemConfig, chi_series, chi_traces, chi_until_crossed,
                        gaussian_traces, time_grid)
 from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
@@ -252,11 +255,10 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
     if kind == "dephasing":
-        # tau_d needs chi only up to its first crossing: stop at the first
-        # slab by which every beta has crossed (or at the end of the grid)
-        for chi in chi_prefixes(bath, system, times, cfg.threshold):
-            if (np.abs(chi) <= cfg.threshold).any(axis=-1).all():
-                break
+        if _openblas_threads() is not None:
+            chi = chi_until_crossed(bath, system, times, cfg.threshold)
+        else:
+            chi = np.array([trace.chi for trace in chi_traces(bath, system, times)])
         rows = []
         for beta, row in zip(betas, chi):
             trace = DephasingTrace(times=times[:row.shape[0]], chi=row)

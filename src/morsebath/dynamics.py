@@ -35,10 +35,11 @@ its slice of the bath and returns the factors of its modes.
 ``chi_traces`` takes a ``map``-like argument that runs the blocks, in
 the calling thread by default or on a pool, and multiplies the factors
 in mode order whatever ran them, so chi does not depend on the runner.
-``chi_prefixes`` builds every block's terms once and then extends chi
-over the grid one slab of block rows at a time, with the same bytes, for
-a caller that needs only a prefix of the trace: the part up to where
-every beta's |chi| has fallen to a threshold.
+``chi_until_crossed`` is for a caller that needs chi only up to where
+every beta's |chi| has fallen to a threshold: it builds every block's
+terms once, extends chi over the grid one slab of block rows at a time,
+with the same bytes, and stops at the first slab by which every beta
+has crossed.
 
 The engine takes a ``Bath`` of one lam and any number of betas
 (``chi_traces``, ``gaussian_traces``); ``chi_series`` is the one-beta
@@ -54,7 +55,6 @@ carries the +i omega_s t phase) is the <-|rho|+> element, i.e. the
 from __future__ import annotations
 
 import functools
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,64 +247,40 @@ def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
     return [DephasingTrace(times=times, chi=row) for row in chi]
 
 
-def _chi_floor(terms: list[tuple[np.ndarray, np.ndarray, int]], t: float) -> np.ndarray:
-    """Lower bound (n_beta,) on |chi| at every |t'| <= t from the `_block_terms` of all blocks.
+def chi_until_crossed(bath: Bath, system: SystemConfig, times: np.ndarray,
+                      threshold: float) -> np.ndarray:
+    """Exact decay factor of every beta up to where all have crossed ``threshold``, (n_beta, j).
 
-    For a mode factor F(t) = sum_i W_i exp(i w_i t) and any mu,
-    |F(t)| >= |F(0)| - |t| sum_i |W_i| |w_i - mu|, as |exp(i x) - 1| <= |x|;
-    mu is the |W|-weighted mean frequency.  chi is exp(i omega_s t) times
-    the product of the factors, so its modulus is at least the product of
-    these bounds, each floored at 0.
-    """
-    floor = 1.0
-    for w, freqs, g in terms:
-        w = w.reshape(g, -1, w.shape[1])
-        f = freqs.reshape(g, -1, 1)
-        mass = np.abs(w)
-        mean = (mass * f).sum(axis=1) / np.maximum(mass.sum(axis=1), np.finfo(float).tiny)
-        spread = (mass * np.abs(f - mean[:, None, :])).sum(axis=1)
-        floor = floor * np.maximum(np.abs(w.sum(axis=1)) - t * spread, 0.0).prod(axis=0)
-    return floor
-
-
-def chi_prefixes(bath: Bath, system: SystemConfig, times: np.ndarray,
-                 threshold: float) -> Iterator[np.ndarray]:
-    """Exact decay factor of every beta on growing prefixes of the grid, (n_beta, j) each.
-
-    For a caller that waits for |chi| of every beta to fall to
-    ``threshold``.  Each prefix extends the last by one slab of block
-    rows of the full grid's split (``kernels.row_slabs``); the last
-    covers the whole grid.  The first slab is evaluated on its own only
-    if every beta can have fallen to the threshold inside it
-    (`_chi_floor`); otherwise the whole grid is one slab.  Every prefix
-    equals the first j points of `chi_traces`' chi bit for bit, whatever
-    the slabs, so a caller may stop as soon as it has seen enough.  The
-    terms of every block, and with two slabs its offset tables, are
+    chi is evaluated one slab of block rows of the full grid's split at
+    a time (``kernels.row_slabs``) and returned up to the end of the
+    first slab by which every beta has had |chi| <= threshold, or on the
+    whole grid if none such comes.  It equals the first j points of
+    `chi_traces`' chi bit for bit when BLAS runs on one thread (see
+    ``kernels``).  The terms of every block and their offset tables are
     built once, before the first slab, and each slab evaluates only its
-    own rows; running to the end costs no more exponentials or product
-    rows than `chi_traces`.  Prefixes are views of one array that later
-    slabs extend, not change.
+    own rows, so running to the end costs no more exponentials or
+    product rows than `chi_traces`.
     """
     times = np.asarray(times, dtype=float)
     t_max = float(np.abs(times).max(initial=0.0))
     terms = [_block_terms(bath, t_max, modes) for modes in _mode_blocks(bath)]
     slabs = kernels.row_slabs(times)
-    if len(slabs) > 1:
-        reach = float(np.abs(times[slabs[0][1]]).max())
-        if (_chi_floor(terms, reach) > threshold).any():
-            # some beta stays above the threshold over the first slab
-            slabs = [((0, slabs[-1][0][1]), slice(0, times.shape[0]))]
-    # one slab builds each chunk's offset table as it goes, next to its product
-    tables = ([kernels.offset_tables(freqs, times, groups=g) for _, freqs, g in terms]
-              if len(slabs) > 1 else [None] * len(terms))
-    phase = np.exp(1j * system.omega_s * times)
+    tables = [kernels.offset_tables(freqs, slabs[0].offsets, groups=g) for _, freqs, g in terms]
     n_beta = bath.weights.shape[0]
-    chi = np.empty((n_beta, times.shape[0]), dtype=complex)
-    for rows, points in slabs:
-        factors = (kernels.phase_sum(w, freqs, times, groups=g, rows=rows, tables=block_tables)
+    parts, crossed = [], np.zeros(n_beta, dtype=bool)
+    for slab in slabs:
+        factors = (kernels.phase_sum(w, freqs, times, groups=g, slab=slab, tables=block_tables)
                    for (w, freqs, g), block_tables in zip(terms, tables))
-        chi[:, points] = _mode_product(phase[points], n_beta, factors)
-        yield chi[:, :points.stop]
+        phase = np.exp(1j * system.omega_s * times[slab.points])
+        # each slab's product in an array of its own: into a strided view of
+        # the whole grid it runs about a third slower
+        parts.append(_mode_product(phase, n_beta, factors))
+        if slab.points.stop == times.shape[0]:
+            break
+        crossed |= (np.abs(parts[-1]) <= threshold).any(axis=1)
+        if crossed.all():
+            break
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:

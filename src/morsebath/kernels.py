@@ -19,17 +19,20 @@ that is not uniform, or has fewer than 2 points, splits as n_b = n
 starts and the one offset 0 (B = 1), at T n exponentials.  Work is
 chunked over terms so the temporaries stay bounded in memory.
 
-``phase_sum(..., rows=(b0, b1))`` evaluates only block rows b0 .. b1 - 1
+``phase_sum(..., slab=...)`` evaluates only block rows b0 .. b1 - 1
 of that split, the grid points b0 B .. b1 B - 1: their start table and
-one matrix product with c (b1 - b0) rows.  A caller that extends a trace
-slab by slab (``row_slabs``) builds each chunk's offset table
-exp(i f s dt) once (``offset_tables``) and passes it to every slab.  B
-comes from the full grid, never from the slab, so a slab's values equal
-the full call's at the same points bit for bit: the exponentials are
-elementwise, and with BLAS on one thread (as the CLI runs it) a row of a
-matrix product does not depend on how many rows the product has.  That
-holds for matrix-matrix products only.  With c (b1 - b0) = 1 numpy takes
-its vector-matrix path, which rounds differently, so ``row_slabs`` never
+one matrix product with c (b1 - b0) rows.  ``row_slabs`` splits the grid
+once and cuts its rows into slabs; a caller that extends a trace slab by
+slab builds each chunk's offset table exp(i f s dt) once
+(``offset_tables``) and passes it to every slab.  B comes from the full
+grid, never from the slab, so a slab's values equal the full call's at
+the same points bit for bit: the exponentials are elementwise, and with
+BLAS on one thread (as the CLI runs it) a row of a matrix product does
+not depend on how many rows the product has.  Multithreaded BLAS may
+split a product's sum over terms by its row count, so there a slab can
+round unlike the whole grid.  The row independence holds for
+matrix-matrix products only: with c (b1 - b0) = 1 numpy takes its
+vector-matrix path, which rounds differently, so ``row_slabs`` never
 asks for a single row of a grid that has more; a grid with B = 1, whose
 products are all matrix-vector, is one slab.
 
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,8 +131,16 @@ def _blocked_sum(factors, shape: tuple[int, int], n: int) -> np.ndarray:
     return acc.reshape(shape + (-1,))[..., :n]
 
 
-def row_slabs(times: np.ndarray) -> list[tuple[tuple[int, int], slice]]:
-    """Block rows (b0, b1) of the split of ``times`` in slabs, with their grid points.
+class Slab(NamedTuple):
+    """Block rows b0 .. b1 - 1 of a grid's split (see ``_uniform_split``)."""
+
+    starts: np.ndarray  # their block starts t0 + b B dt
+    offsets: np.ndarray  # the grid's B in-block offsets s dt
+    points: slice  # their grid points b0 B .. min(b1 B, n) - 1
+
+
+def row_slabs(times: np.ndarray) -> list[Slab]:
+    """The block rows of the split of ``times`` in slabs, in grid order.
 
     The first slab holds _FIRST_SLAB_ROWS rows and the second the rest
     of the grid.  A caller that has seen enough after the first slab
@@ -138,14 +150,15 @@ def row_slabs(times: np.ndarray) -> list[tuple[tuple[int, int], slice]]:
     slab.  A grid split with one offset (B = 1: not uniform, or fewer
     than 2 points) is one slab, because there every product is a
     matrix-vector product, and its rounding depends on the row count.
+    A slab's values equal the whole grid's only with BLAS on one thread.
     """
     times = np.asarray(times, dtype=np.float64)
-    n = times.shape[0]
     starts, offsets = _uniform_split(times)
     n_rows, width = starts.shape[0], offsets.shape[0]
     edges = [0, n_rows] if width == 1 or n_rows <= _FIRST_SLAB_ROWS + 1 else [
         0, _FIRST_SLAB_ROWS, n_rows]
-    return [((b0, b1), slice(b0 * width, min(b1 * width, n))) for b0, b1 in zip(edges, edges[1:])]
+    return [Slab(starts[b0:b1], offsets, slice(b0 * width, min(b1 * width, times.shape[0])))
+            for b0, b1 in zip(edges, edges[1:])]
 
 
 def _offset_tables(f: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
@@ -159,15 +172,18 @@ def _offset_tables(f: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
         yield np.exp(table, out=table)
 
 
-def offset_tables(freqs: np.ndarray, times: np.ndarray, groups: int | None = None) -> list[np.ndarray]:
-    """The in-block offset tables ``phase_sum`` needs for these terms and grid, one per chunk."""
+def offset_tables(freqs: np.ndarray, offsets: np.ndarray,
+                  groups: int | None = None) -> list[np.ndarray]:
+    """The in-block offset tables ``phase_sum`` needs for these terms, one per chunk.
+
+    ``offsets`` are those of the grid's split, as every ``Slab`` of it holds.
+    """
     f = np.ascontiguousarray(freqs, dtype=np.float64).reshape(groups or 1, -1, 1)
-    _, offsets = _uniform_split(np.ascontiguousarray(times, dtype=np.float64))
     return list(_offset_tables(f, offsets))
 
 
 def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
-              groups: int | None = None, rows: tuple[int, int] | None = None,
+              groups: int | None = None, slab: Slab | None = None,
               tables: list[np.ndarray] | None = None) -> np.ndarray:
     """out[..., j] = sum_i weights[i, ...] * exp(1j * freqs[i] * times[j]).
 
@@ -176,10 +192,10 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     length g: one call serves the modes of a block, whose factors are
     multiplied, not added, afterwards.
 
-    With ``rows = (b0, b1)`` only block rows b0 .. b1 - 1 of the grid's
-    split are evaluated, and the last axis holds their grid points (see
-    ``row_slabs``).  ``tables`` are the ``offset_tables`` of the same
-    terms and grid; without them each call builds its own.
+    With a ``slab`` of the grid's split (see ``row_slabs``) only its
+    block rows are evaluated, and the last axis holds their grid points.
+    ``tables`` are the ``offset_tables`` of the same terms and grid;
+    without them each call builds its own.
     """
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
@@ -189,10 +205,11 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     c = math.prod(cols)
     w = weights.reshape(g, weights.shape[0] // g, c)
     f = freqs.reshape(g, -1, 1)
-    starts, offsets = _uniform_split(times)
-    b0, b1 = (0, starts.shape[0]) if rows is None else rows
-    starts = starts[b0:b1]
-    n = min(b1 * offsets.shape[0], times.shape[0]) - b0 * offsets.shape[0]
+    if slab is None:
+        (starts, offsets), n = _uniform_split(times), times.shape[0]
+    else:
+        starts, offsets, points = slab
+        n = points.stop - points.start
     rights = iter(_offset_tables(f, offsets) if tables is None else tables)
 
     def factors():

@@ -436,8 +436,9 @@ def assert_sweep_dephasing_bytes(tmp_path, text, expected):
 def test_sweep_dephasing_equals_full_grid_rows(case, changes, tmp_path, one_blas_thread):
     # the sweep stops each lambda at the slab where every beta has crossed; its bytes
     # must be those of the whole-grid traces.  Every lambda evaluates its first slab
-    # (rows 0 to 3) on its own, except in some-never-cross, where each is one slab; in
-    # betas-cross-in-different-slabs the first slab holds some crossings but not all
+    # (rows 0 to 3) on its own; in some-never-cross some lambdas go on to the end of
+    # the grid, and in betas-cross-in-different-slabs the first slab holds some
+    # crossings but not all
     text = SLAB_BASE
     for old, new in changes.items():
         text = text.replace(old, new)
@@ -449,6 +450,21 @@ def test_sweep_dephasing_equals_full_grid_rows(case, changes, tmp_path, one_blas
         assert 0.0 < min(taus) < first_slab_end < max(taus)
     else:
         assert 0.0 < min(taus) and max(taus) < first_slab_end
+    assert_sweep_dephasing_bytes(tmp_path, text, expected)
+
+
+def test_sweep_dephasing_takes_whole_traces_where_blas_cannot_be_pinned(tmp_path,
+                                                                       monkeypatch):
+    # a slab rounds as the whole grid only with BLAS on one thread; without a way to pin
+    # it, the sweep computes every trace on the whole grid, as every other sweep does
+    def no_slabs(*args):
+        raise AssertionError("chi_until_crossed called with BLAS unpinned")
+
+    text = SLAB_BASE.replace("lambda = 2.5", "lambda = 1.6,2.5").replace("beta = 1.0",
+                                                                         "beta = 1,4,10")
+    _, expected = full_grid_dephasing(text)
+    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(cli, "chi_until_crossed", no_slabs)
     assert_sweep_dephasing_bytes(tmp_path, text, expected)
 
 

@@ -28,11 +28,12 @@ SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
     (3.3, [7.0], np.array([0.0, 0.4])),  # a grid of one block row
     (3.3, [1.0, 7.0], np.sort(np.random.default_rng(3).uniform(0.0, 20.0, 300))),
 ])
-@pytest.mark.parametrize("threshold", [1.0, 1e-3])
-def test_chi_prefixes_equal_chi_traces(lam, betas, times, threshold, system, monkeypatch,
-                                       one_blas_thread):
-    # threshold 1 cannot be ruled out anywhere, so every slab of row_slabs is evaluated;
-    # at 1e-3 the floor rules out the first slab of a weakly decaying bath
+@pytest.mark.parametrize("threshold", [0.5, 1e-3])
+def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, system, monkeypatch,
+                                             one_blas_thread):
+    # the prefix up to the end of the first slab by which every beta has crossed, bit for
+    # bit: lam = 2.6 ends after the first slab at both thresholds, lam = 50.3 only at 0.5;
+    # the grid of one row and the irregular grid are one slab each
     k_modes = 40 if lam < 10 else 3
     bath = make_arrays(lam, betas, k_modes=k_modes)
     full = np.array([trace.chi for trace in chi_traces(bath, system, times)])
@@ -40,45 +41,47 @@ def test_chi_prefixes_equal_chi_traces(lam, betas, times, threshold, system, mon
     phase_sum = kernels.phase_sum
 
     def recording(weights, freqs, times, **kwargs):
-        calls.append((weights.shape[1], kwargs["rows"]))
+        calls.append((weights.shape[1], kwargs["slab"]))
         return phase_sum(weights, freqs, times, **kwargs)
 
     monkeypatch.setattr(kernels, "phase_sum", recording)
-    ends = []
-    for chi in dynamics.chi_prefixes(bath, system, times, threshold):
-        ends.append(chi.shape[-1])
-        np.testing.assert_array_equal(chi, full[:, :chi.shape[-1]])
-    assert ends == sorted(set(ends)) and ends[-1] == times.shape[0]
-    slabs = kernels.row_slabs(times)
-    assert [points.stop for _, points in slabs] == ends or (threshold < 1.0 and len(ends) == 1)
-    n_rows = kernels._uniform_split(times)[0].shape[0]
+    chi = dynamics.chi_until_crossed(bath, system, times, threshold)
+    ends = [slab.points.stop for slab in kernels.row_slabs(times)]
+    crossed = [(np.abs(full[:, :end]) <= threshold).any(axis=1).all() for end in ends]
+    end = ends[crossed.index(True)] if True in crossed else times.shape[0]
+    np.testing.assert_array_equal(chi, full[:, :end])
     blocks = len(dynamics._mode_blocks(bath))
-    assert len(calls) == blocks * len(ends)
+    assert len(calls) == blocks * (ends.index(end) + 1)
+    n_rows = kernels._uniform_split(times)[0].shape[0]
     # no single-row product except the whole grid of one row
-    assert all(c * (b1 - b0) >= 2 or n_rows == 1 for c, (b0, b1) in calls)
-    assert sum(b1 - b0 for _, (b0, b1) in calls) == blocks * n_rows
+    assert all(c * slab.starts.shape[0] >= 2 or n_rows == 1 for c, slab in calls)
+    if end == times.shape[0]:
+        # running to the end evaluates every block row once
+        assert sum(slab.starts.shape[0] for _, slab in calls) == blocks * n_rows
 
 
-def test_chi_floor_of_a_two_term_factor():
-    # F(t) = (exp(-i d t / 2) + exp(i d t / 2)) / 2 = cos(d t / 2): mean frequency 0 and
-    # spread d / 2, so the floor is 1 - d |t| / 2, below |F| and touching it at t = 0
-    d = 1.7
-    w = np.array([[0.5], [0.5]], dtype=complex)
-    f = np.array([-0.5 * d, 0.5 * d])
-    for t in np.linspace(0.0, 4.0 / d, 401):
-        floor, = dynamics._chi_floor([(w, f, 1)], t)
-        assert floor == pytest.approx(max(0.0, 1.0 - 0.5 * d * t), abs=1e-15)
-        assert floor <= abs(np.cos(0.5 * d * t)) + 1e-15
-
-
-def test_chi_prefixes_skip_a_first_slab_that_cannot_finish(system):
-    # eta = 0.01: at beta = 10 |chi| stays near 1 over the first slab (t < 1.8), so
-    # the floor rules out that every beta crosses 0.1 there; at eta = 2 it falls fast
-    # and the first slab comes alone
+def test_chi_until_crossed_stops_after_the_first_slab_only_when_every_beta_crossed(system):
+    # eta = 2: every beta falls to 0.1 within the first four block rows; eta = 0.01:
+    # beta = 10 never does, so the whole grid is evaluated
     times = time_grid(20.0, 0.01)
-    for eta, prefixes in ((0.01, 1), (2.0, 2)):
+    first = kernels.row_slabs(times)[0].points.stop
+    for eta, end in ((2.0, first), (0.01, times.shape[0])):
         bath = make_arrays(2.6, [1.0, 4.0, 7.0, 10.0], eta=eta)
-        assert len(list(dynamics.chi_prefixes(bath, system, times, 0.1))) == prefixes
+        assert dynamics.chi_until_crossed(bath, system, times, 0.1).shape == (4, end)
+
+
+def test_mode_product_multiplies_in_mode_order():
+    # each mode a multiplication of its own onto the product so far, in mode order and
+    # across blocks, as the whole-grid and slab paths both compute chi
+    rng = np.random.default_rng(11)
+    phase = np.exp(1j * rng.uniform(0.0, 40.0, 301))
+    blocks = [rng.normal(size=(g, 3, 301)) + 1j * rng.normal(size=(g, 3, 301)) for g in (5, 1, 7)]
+    expected = np.repeat(phase[None], 3, axis=0)
+    for factors in blocks:
+        for factor in factors:
+            expected = expected * factor
+    got = dynamics._mode_product(phase, 3, (factors.copy() for factors in blocks))
+    np.testing.assert_array_equal(got, expected)
 
 
 def test_time_grid():

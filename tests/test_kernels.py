@@ -184,8 +184,8 @@ def test_row_slabs_equal_the_full_phase_sum(grid, groups, cols, data, seed, one_
     w = rng.normal(size=(groups * per_group, cols)) + 1j * rng.normal(size=(groups * per_group, cols))
     f = rng.uniform(-5.0, 5.0, size=groups * per_group)
     full = kernels.phase_sum(w, f, t, groups=groups)
-    tables = kernels.offset_tables(f, t, groups=groups)
-    slabs = [rows for rows, _ in kernels.row_slabs(t)]
+    slabs = kernels.row_slabs(t)
+    tables = kernels.offset_tables(f, slabs[0].offsets, groups=groups)
     starts, offsets = kernels._uniform_split(t)
     n_rows, width = starts.shape[0], offsets.shape[0]
     if data is not None and width > 1 and cols * n_rows >= 2:
@@ -193,12 +193,12 @@ def test_row_slabs_equal_the_full_phase_sum(grid, groups, cols, data, seed, one_
         b1 = data.draw(st.integers(b0 + 1, n_rows))
         if cols * (b1 - b0) < 2:
             b0, b1 = (b0, b1 + 1) if b1 < n_rows else (b0 - 1, b1)
-        slabs.append((b0, b1))
-    for b0, b1 in slabs:
-        points = slice(b0 * width, min(b1 * width, t.shape[0]))
+        slabs.append(kernels.Slab(starts[b0:b1], offsets,
+                                  slice(b0 * width, min(b1 * width, t.shape[0]))))
+    for slab in slabs:
         for slab_tables in (tables, None):
-            got = kernels.phase_sum(w, f, t, groups=groups, rows=(b0, b1), tables=slab_tables)
-            np.testing.assert_array_equal(got, full[..., points])
+            got = kernels.phase_sum(w, f, t, groups=groups, slab=slab, tables=slab_tables)
+            np.testing.assert_array_equal(got, full[..., slab.points])
 
 
 def test_row_slabs_tile_the_grid_and_never_hold_a_lone_row():
@@ -210,12 +210,15 @@ def test_row_slabs_tile_the_grid_and_never_hold_a_lone_row():
     for times in grids + [GRIDS["irregular"], GRIDS["irregular"][:2]]:
         starts, offsets = kernels._uniform_split(times)
         n_rows, width = starts.shape[0], offsets.shape[0]
-        slabs = list(kernels.row_slabs(times))
-        edges = [0] + [b1 for (_, b1), _ in slabs]
-        assert [b0 for (b0, _), _ in slabs] == edges[:-1] and edges[-1] == n_rows
-        for (b0, b1), points in slabs:
+        slabs = kernels.row_slabs(times)
+        rows = [(slab.points.start // width, -(-slab.points.stop // width)) for slab in slabs]
+        edges = [0] + [b1 for _, b1 in rows]
+        assert [b0 for b0, _ in rows] == edges[:-1] and edges[-1] == n_rows
+        for slab, (b0, b1) in zip(slabs, rows):
             assert b1 - b0 >= 2 or ((b0, b1) == (0, n_rows) and n_rows <= 1)
             assert width > 1 or (b0, b1) == (0, n_rows)
-            assert points == slice(b0 * width, min(b1 * width, times.shape[0]))
+            assert slab.points == slice(b0 * width, min(b1 * width, times.shape[0]))
+            np.testing.assert_array_equal(slab.starts, starts[b0:b1])
+            assert slab.offsets is offsets or np.array_equal(slab.offsets, offsets)
         if width > 1 and n_rows > kernels._FIRST_SLAB_ROWS + 1:
-            assert slabs[0][0] == (0, kernels._FIRST_SLAB_ROWS)
+            assert rows[0] == (0, kernels._FIRST_SLAB_ROWS)

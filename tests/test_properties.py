@@ -24,7 +24,6 @@ from morsebath import (
     mean_field_shift,
     time_grid,
 )
-from morsebath import dynamics
 from morsebath.dynamics import DEFAULT_RHO0, _block_eigh, _phase_terms
 from helpers import renormalized
 
@@ -58,20 +57,6 @@ def assert_rows_match_one_beta(lam, beta_list, eta, k_modes):
 @given(lam=lams, beta_list=betas, eta=etas, k_modes=st.integers(1, 8))
 def test_per_lambda_rows_match_one_beta_calls(lam, beta_list, eta, k_modes):
     assert_rows_match_one_beta(lam, beta_list, eta, k_modes)
-
-
-@PROPERTY
-@given(lam=lams, beta_list=betas, eta=etas, k_modes=st.integers(1, 40))
-def test_chi_floor_bounds_chi_below(lam, beta_list, eta, k_modes):
-    # the bound that decides whether chi_prefixes evaluates its first slab on its own
-    bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
-    chi = np.abs([trace.chi for trace in chi_traces(bath, SYSTEM, TIMES)])
-    t_max = float(TIMES[-1])
-    terms = [dynamics._block_terms(bath, t_max, modes) for modes in dynamics._mode_blocks(bath)]
-    for j in range(0, TIMES.shape[0], 10):
-        floor = dynamics._chi_floor(terms, float(TIMES[j]))
-        assert floor.shape == (len(beta_list),)
-        assert (floor <= chi[:, :j + 1].min(axis=1) + 1e-12).all()
 
 
 def test_per_lambda_rows_match_when_betas_keep_different_terms():
