@@ -2,29 +2,28 @@
 
 Subcommands: spectrum, bath, correlation, dynamics, sweep-dephasing,
 sweep-backflow, gaussian-error, oracle-check.  File outputs are byte
-identical across runs of the same configuration and across BLAS thread
-counts, since every subcommand computes with numpy's OpenBLAS pinned to
-one thread; floats are written in scientific notation with 12
-significant digits, as ``f"{x:.11e}"`` writes them.  The 480k-row
-pointwise file of gaussian-error is built a column at a time: a value's
-digits are its float64 product with a power of ten, rounded, which gives
-those bytes whenever the product lies more than 1e-3 (over twice its
-rounding error) from a rounding boundary; a value within that margin,
-and one that is negative, not finite or outside [1e-99, 1e99) (except
-+0.0), is written with ``f"{x:.11e}"`` itself.  An output file that
-cannot be written ends the command with an error naming its path: a
-missing directory before any work, and any other failure before or
-while writing, which then leaves none of the files it created.
+identical across runs of the same configuration, and across BLAS thread
+counts where numpy's bundled OpenBLAS can be pinned: every subcommand
+then computes with it on one thread.  Floats are written in scientific
+notation with 12 significant digits, as ``f"{x:.11e}"`` writes them.
+The 480k-row pointwise file of gaussian-error is built a column at a
+time: a value's digits are its float64 product with a power of ten,
+rounded, which gives those bytes whenever the product lies more than
+1e-3 (over twice its rounding error) from a rounding boundary; a value
+within that margin, and one that is negative, not finite or outside
+[1e-99, 1e99) (except +0.0), is written with ``f"{x:.11e}"`` itself.
+An output file that cannot be written ends the command with an error
+naming its path: a missing directory before any work, and any other
+failure before or while writing, which then leaves none of the files it
+created.
 
-``sweep-dephasing`` needs each trace only up to its first threshold
-crossing.  It evaluates chi of a lambda one slab of block rows of the
-full grid's split at a time (``dynamics.chi_until_crossed``) and stops
-at the block row that ends the first slab by which every beta has
-crossed, or at the end of the grid; tau_d comes from that prefix, and
-its bytes are those of the whole trace.  A slab rounds as the whole
-grid does only with BLAS on one thread, so where BLAS cannot be pinned
-the sweep computes the whole trace.  The other sweeps need the whole
-trace and compute it at once.
+Every sweep computes chi with one ``dynamics.chi_traces`` call per
+lambda.  ``sweep-dephasing`` needs each trace only up to its first
+threshold crossing, so it passes its threshold and takes tau_d from the
+prefix of slabs that ``chi_traces`` returns, with the bytes of the whole
+trace.  A slab rounds as the whole grid does only with BLAS on one
+thread, so where BLAS cannot be pinned the sweep passes no threshold,
+as the other sweeps do.
 
 The three sweeps and dynamics run their work on a pool of threads in this
 process, of ``--threads`` workers (default: the CPUs the process may run
@@ -32,11 +31,12 @@ on), and only where BLAS can be pinned; otherwise the tasks run in the
 calling thread.  A sweep submits one task per lambda, covering all of
 its betas and running its mode blocks inline; rows are ordered
 lexicographically by (lambda, beta) no matter how the tasks were
-scheduled.  ``dynamics`` submits its Gaussian path, then each mode block
-of its exact path in mode order, and multiplies the block factors in
-mode order.  A failure names the lambda and betas of its point.
-Quantities that can be undefined (no threshold crossing, no outflow, no
-time-dependent correlation) are recorded with the sentinel value -1.
+scheduled.  ``dynamics`` submits its Gaussian path, then the term build
+of each mode block of its exact path, then each block's phase sum, and
+multiplies the block factors in mode order.  A failure names the lambda
+and betas of its point.  Quantities that can be undefined (no threshold
+crossing, no outflow, no time-dependent correlation) are recorded with
+the sentinel value -1.
 """
 
 from __future__ import annotations
@@ -57,8 +57,7 @@ import numpy as np
 from .bath import BathConfig, bath_arrays, discretize
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
-from .dynamics import (DephasingTrace, SystemConfig, chi_series, chi_traces, chi_until_crossed,
-                       gaussian_traces, time_grid)
+from .dynamics import SystemConfig, chi_series, chi_traces, gaussian_traces, time_grid
 from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
@@ -254,18 +253,15 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     bath = bath_arrays(_bath_config(cfg, lam, betas[0]), betas)
     system = _system(cfg)
     times = time_grid(cfg.t_max, cfg.dt)
+    # a slab rounds as the whole grid only with BLAS pinned to one thread
+    slabbed = kind == "dephasing" and _openblas_threads() is not None
+    exact = chi_traces(bath, system, times, threshold=cfg.threshold if slabbed else None)
     if kind == "dephasing":
-        if _openblas_threads() is not None:
-            chi = chi_until_crossed(bath, system, times, cfg.threshold)
-        else:
-            chi = np.array([trace.chi for trace in chi_traces(bath, system, times)])
         rows = []
-        for beta, row in zip(betas, chi):
-            trace = DephasingTrace(times=times[:row.shape[0]], chi=row)
+        for beta, trace in zip(betas, exact):
             tau = dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
             rows.append((lam, beta, tau if tau is not None else UNDEFINED))
         return rows
-    exact = chi_traces(bath, system, times)
     if kind == "backflow":
         rows = []
         for beta, trace in zip(betas, exact):

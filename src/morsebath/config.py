@@ -17,8 +17,8 @@ Lists are comma-separated, ranges are written ``start:stop:step``
 Required keys: ``eta``, ``lambda``, ``beta``.  Optional keys with
 defaults: ``k_modes`` (40), ``omega_c`` (1.0), ``omega_s`` (2.0),
 ``t_max`` (20.0), ``dt`` (0.01), ``threshold`` (0.1), ``rho0``
-(0.5,0.25,0.25,0.5 row-major), ``pointwise_out`` (unset).  Environment
-variables are never consulted.
+(0.5,0.25,0.25,0.5 row-major), ``pointwise_out`` (unset).  Every
+number must be finite.  Environment variables are never consulted.
 """
 
 from __future__ import annotations
@@ -33,6 +33,9 @@ from .dynamics import DEFAULT_RHO0, SystemConfig
 
 class ConfigError(ValueError):
     """Configuration problem, annotated with file and line when known."""
+
+
+_FLOAT_KEYS = ("omega_c", "eta", "omega_s", "t_max", "dt", "threshold")
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,10 @@ class ExperimentConfig:
     pointwise_out: str | None = None
 
     def __post_init__(self) -> None:
+        for name, value in [*((key, getattr(self, key)) for key in _FLOAT_KEYS),
+                            ("lambda", self.lambdas), ("beta", self.betas), ("rho0", self.rho0)]:
+            if not np.isfinite(value).all():
+                raise ConfigError(f"field {name}: every value must be finite")
         if self.k_modes < 1:
             raise ConfigError(f"field k_modes: must be >= 1, got {self.k_modes}")
         if not self.omega_c > 0.0:
@@ -96,6 +103,8 @@ def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigError(f"line {line_no}: field {key}: {exc}") from exc
+        if not all(math.isfinite(x) for x in (start, stop, step)):
+            raise ConfigError(f"line {line_no}: field {key}: range entries must be finite")
         if step <= 0.0 or stop < start:
             raise ConfigError(f"line {line_no}: field {key}: need step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
@@ -115,9 +124,6 @@ def _parse_complex_entries(raw: str, key: str, line_no: int) -> np.ndarray:
     except ValueError as exc:
         raise ConfigError(f"line {line_no}: field {key}: {exc}") from exc
     return np.array(values, dtype=complex).reshape(2, 2)
-
-
-_FLOAT_KEYS = ("omega_c", "eta", "omega_s", "t_max", "dt", "threshold")
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:

@@ -30,21 +30,22 @@ thermal tail and grows until this bound is at most NEGLIGIBLE_TERM_MASS
 for every mode and beta of the block; a block whose m would pass three
 quarters of d keeps all d levels.
 
-Each mode block is an independent task (``_block_factors``): it reads
-its slice of the bath and returns the factors of its modes.
-``chi_traces`` takes a ``map``-like argument that runs the blocks, in
-the calling thread by default or on a pool, and multiplies the factors
-in mode order whatever ran them, so chi does not depend on the runner.
-``chi_until_crossed`` is for a caller that needs chi only up to where
-every beta's |chi| has fallen to a threshold: it builds every block's
-terms once, extends chi over the grid one slab of block rows at a time,
-with the same bytes, and stops at the first slab by which every beta
-has crossed.
+``chi_traces`` is the one exact path.  A mode block's tasks read only
+its own data and write nothing shared: one builds its terms from its
+slice of the bath, then one per slab of the grid sums them there.  A
+``map``-like argument runs them, in the calling thread or on a pool,
+and the factors are multiplied in mode order whatever ran them.  The
+whole grid is one slab, unless the caller passes a threshold: then chi
+is extended one slab of block rows at a time (``kernels.row_slabs``),
+with the same bytes, up to the first slab by which every beta's |chi|
+has fallen to it.
 
 The engine takes a ``Bath`` of one lam and any number of betas
-(``chi_traces``, ``gaussian_traces``); ``chi_series`` is the one-beta
-call on the per-mode view of ``bath.discretize``, kept for the dense
-oracle and for references that build their bath one mode at a time.
+(``chi_traces``, ``gaussian_traces``).  ``chi_series`` is the one-beta
+call on the per-mode view of ``bath.discretize``; it and
+``BathMode``/``discretize`` stay only because the benchmark's
+``morsebench/checks.py`` and ``host_noise.py`` import them, so removing
+that second view of the bath waits for a change to the benchmark.
 
 Basis convention: the impurity matrix is written in the (|+>, |->)
 eigenbasis of sigma_z, and the coherence multiplied by chi(t) (which
@@ -205,17 +206,6 @@ def _block_terms(bath: Bath, t_max: float, modes: slice) -> tuple[np.ndarray, np
     return w, freqs, weights.shape[1]
 
 
-def _block_factors(bath: Bath, times: np.ndarray, t_max: float, modes: slice) -> np.ndarray:
-    """Factors (g, n_beta, n) of a block of g modes of the bath, one per mode and beta.
-
-    One phase sum serves all the block's modes and betas.  The block
-    reads only its own slice of the bath and writes nothing shared, so
-    blocks can run in any order or at once.
-    """
-    w, freqs, g = _block_terms(bath, t_max, modes)
-    return kernels.phase_sum(w, freqs, times, groups=g)
-
-
 def _mode_blocks(bath: Bath) -> list[slice]:
     """Modes in blocks of at most _BLOCK_ELEMENTS / d^2, in mode order."""
     n_modes, d = bath.energies.shape
@@ -232,55 +222,52 @@ def _mode_product(phase: np.ndarray, n_beta: int, block_factors) -> np.ndarray:
     return chi
 
 
-def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray,
-               map_blocks=map) -> list[DephasingTrace]:
+def _slab_factors(times: np.ndarray, slab: kernels.Slab | None,
+                  terms: tuple[np.ndarray, np.ndarray, int], tables: list | None) -> np.ndarray:
+    """Factors (g, n_beta, points) of a block's g modes on a slab (None: the whole grid)."""
+    w, freqs, g = terms
+    return kernels.phase_sum(w, freqs, times, groups=g, slab=slab, tables=tables)
+
+
+def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray, map_blocks=map,
+               threshold: float | None = None) -> list[DephasingTrace]:
     """Exact decay factor of every beta of one lam, sharing its eigendecompositions.
 
     map_blocks maps a function over the mode blocks and yields the
     results in block order, like the builtin ``map`` (the default) or
     ``Executor.map`` of a pool; chi does not depend on which.
+
+    With a threshold the traces, times included, end with the first slab
+    of ``kernels.row_slabs(times)`` by which every beta has had
+    |chi| <= threshold, or with the grid.  Terms, and offset tables where
+    there are several slabs, are built once per block, so running to the
+    end costs no more exponentials or product rows than one slab.
+
+    chi is bit-reproducible only with numpy's OpenBLAS on one thread, as
+    the CLI pins it; only there does a slab equal the same points of the
+    whole grid bit for bit (see ``kernels``).
     """
     times = np.asarray(times, dtype=float)
     t_max = float(np.abs(times).max(initial=0.0))
-    factors = map_blocks(functools.partial(_block_factors, bath, times, t_max), _mode_blocks(bath))
-    chi = _mode_product(np.exp(1j * system.omega_s * times), bath.weights.shape[0], factors)
-    return [DephasingTrace(times=times, chi=row) for row in chi]
-
-
-def chi_until_crossed(bath: Bath, system: SystemConfig, times: np.ndarray,
-                      threshold: float) -> np.ndarray:
-    """Exact decay factor of every beta up to where all have crossed ``threshold``, (n_beta, j).
-
-    chi is evaluated one slab of block rows of the full grid's split at
-    a time (``kernels.row_slabs``) and returned up to the end of the
-    first slab by which every beta has had |chi| <= threshold, or on the
-    whole grid if none such comes.  It equals the first j points of
-    `chi_traces`' chi bit for bit when BLAS runs on one thread (see
-    ``kernels``).  The terms of every block and their offset tables are
-    built once, before the first slab, and each slab evaluates only its
-    own rows, so running to the end costs no more exponentials or
-    product rows than `chi_traces`.
-    """
-    times = np.asarray(times, dtype=float)
-    t_max = float(np.abs(times).max(initial=0.0))
-    terms = [_block_terms(bath, t_max, modes) for modes in _mode_blocks(bath)]
-    slabs = kernels.row_slabs(times)
-    tables = [kernels.offset_tables(freqs, slabs[0].offsets, groups=g) for _, freqs, g in terms]
+    terms = list(map_blocks(functools.partial(_block_terms, bath, t_max), _mode_blocks(bath)))
+    slabs = [None] if threshold is None else kernels.row_slabs(times)
+    tables = [None] * len(terms) if len(slabs) == 1 else [
+        list(kernels.offset_tables(freqs, slabs[0].offsets, groups=g)) for _, freqs, g in terms]
     n_beta = bath.weights.shape[0]
     parts, crossed = [], np.zeros(n_beta, dtype=bool)
     for slab in slabs:
-        factors = (kernels.phase_sum(w, freqs, times, groups=g, slab=slab, tables=block_tables)
-                   for (w, freqs, g), block_tables in zip(terms, tables))
-        phase = np.exp(1j * system.omega_s * times[slab.points])
+        factors = map_blocks(functools.partial(_slab_factors, times, slab), terms, tables)
+        phase = np.exp(1j * system.omega_s * (times if slab is None else times[slab.points]))
         # each slab's product in an array of its own: into a strided view of
         # the whole grid it runs about a third slower
         parts.append(_mode_product(phase, n_beta, factors))
-        if slab.points.stop == times.shape[0]:
+        if slab is slabs[-1]:
             break
         crossed |= (np.abs(parts[-1]) <= threshold).any(axis=1)
         if crossed.all():
             break
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    chi = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return [DephasingTrace(times=times[:chi.shape[1]], chi=row) for row in chi]
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:

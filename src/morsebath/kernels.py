@@ -161,25 +161,20 @@ def row_slabs(times: np.ndarray) -> list[Slab]:
             for b0, b1 in zip(edges, edges[1:])]
 
 
-def _offset_tables(f: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
-    """exp(i f s dt) of each chunk of the (g, T / g, 1) frequencies f, (g, chunk, B).
+def offset_tables(freqs: np.ndarray, offsets: np.ndarray,
+                  groups: int | None = None) -> Iterator[np.ndarray]:
+    """exp(i f s dt) of each chunk of terms ``phase_sum`` takes, (g, chunk, B), in chunk order.
 
-    The exponentials here and of the start tables are taken in place,
-    which saves a temporary of each table's size.
+    ``offsets`` are those of the grid's split, as every ``Slab`` of it
+    holds.  A caller that evaluates several slabs keeps the tables in a
+    list and passes it to each.  The exponentials here and of the start
+    tables are taken in place, which saves a temporary of each table's
+    size.
     """
+    f = np.ascontiguousarray(freqs, dtype=np.float64).reshape(groups or 1, -1, 1)
     for k in _chunks(f.shape[1], f.shape[0]):
         table = 1j * f[:, k] * offsets
         yield np.exp(table, out=table)
-
-
-def offset_tables(freqs: np.ndarray, offsets: np.ndarray,
-                  groups: int | None = None) -> list[np.ndarray]:
-    """The in-block offset tables ``phase_sum`` needs for these terms, one per chunk.
-
-    ``offsets`` are those of the grid's split, as every ``Slab`` of it holds.
-    """
-    f = np.ascontiguousarray(freqs, dtype=np.float64).reshape(groups or 1, -1, 1)
-    return list(_offset_tables(f, offsets))
 
 
 def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
@@ -196,6 +191,11 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     block rows are evaluated, and the last axis holds their grid points.
     ``tables`` are the ``offset_tables`` of the same terms and grid;
     without them each call builds its own.
+
+    The result is bit-reproducible only with numpy's OpenBLAS on one
+    thread, as the CLI pins it: a multithreaded BLAS may split a
+    product's sum over terms by its thread and row counts, so a library
+    caller that compares bits pins BLAS too.
     """
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
@@ -210,7 +210,7 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     else:
         starts, offsets, points = slab
         n = points.stop - points.start
-    rights = iter(_offset_tables(f, offsets) if tables is None else tables)
+    rights = offset_tables(freqs, offsets, groups) if tables is None else iter(tables)
 
     def factors():
         for k in _chunks(w.shape[1], g):

@@ -69,6 +69,29 @@ def test_config_rejects_second_order_phase_key():
         parse_config_text("eta = 2\nlambda = 2.5\ngauss_second_order_phase = true\nbeta = 1\n")
 
 
+@pytest.mark.parametrize("field, value", [
+    ("omega_s", "nan"),  # wrote nan rows and exited 0
+    ("t_max", "inf"),  # ended in an OverflowError traceback
+    ("eta", "nan"),  # failed inside eigh
+    ("eta", "inf"),
+    ("omega_c", "inf"),
+    ("dt", "nan"),
+    ("threshold", "nan"),
+    ("lambda", "2.5,inf"),
+    ("lambda", "1.6:inf:0.1"),
+    ("beta", "1,nan"),
+    ("rho0", "0.5,nan,nan,0.5"),
+])
+def test_non_finite_config_values_exit_2_naming_the_field(field, value, tmp_path, capsys):
+    lines = [line for line in BASE.splitlines() if not line.startswith(f"{field} =")]
+    cfg = write_config(tmp_path, "\n".join(lines + [f"{field} = {value}"]) + "\n")
+    out = tmp_path / "d.csv"
+    assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"field {field}:" in err and "must be finite" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_threads_below_one_exit_2_at_parse_time(value, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "parse_config", lambda *args: pytest.fail("command ran"))
@@ -320,13 +343,16 @@ def test_dynamics_bytes_across_worker_counts(config, tmp_path, monkeypatch):
     else:
         cfg = write_config(tmp_path, config)
     block_threads = []
-    block_factors = dynamics._block_factors
 
-    def recording(*args):
-        block_threads.append(threading.get_ident())
-        return block_factors(*args)
+    def recording(task):
+        def run(*args):
+            block_threads.append(threading.get_ident())
+            return task(*args)
+        return run
 
-    monkeypatch.setattr(dynamics, "_block_factors", recording)
+    # a block's tasks: its term build, then its phase sum
+    for name in ("_block_terms", "_slab_factors"):
+        monkeypatch.setattr(dynamics, name, recording(getattr(dynamics, name)))
     blas = cli._openblas_threads()
     outputs = set()
     for workers in ("1", "2", "3"):
@@ -457,15 +483,20 @@ def test_sweep_dephasing_takes_whole_traces_where_blas_cannot_be_pinned(tmp_path
                                                                        monkeypatch):
     # a slab rounds as the whole grid only with BLAS on one thread; without a way to pin
     # it, the sweep computes every trace on the whole grid, as every other sweep does
-    def no_slabs(*args):
-        raise AssertionError("chi_until_crossed called with BLAS unpinned")
+    slabs = []
+    phase_sum = kernels.phase_sum
+
+    def recording(*args, **kwargs):
+        slabs.append(kwargs.get("slab"))
+        return phase_sum(*args, **kwargs)
 
     text = SLAB_BASE.replace("lambda = 2.5", "lambda = 1.6,2.5").replace("beta = 1.0",
                                                                          "beta = 1,4,10")
     _, expected = full_grid_dephasing(text)
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
-    monkeypatch.setattr(cli, "chi_until_crossed", no_slabs)
+    monkeypatch.setattr(kernels, "phase_sum", recording)
     assert_sweep_dephasing_bytes(tmp_path, text, expected)
+    assert slabs and all(slab is None for slab in slabs)
 
 
 @pytest.mark.parametrize("row", [1, 2, 4])

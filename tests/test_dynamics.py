@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -31,9 +32,10 @@ SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
 @pytest.mark.parametrize("threshold", [0.5, 1e-3])
 def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, system, monkeypatch,
                                              one_blas_thread):
-    # the prefix up to the end of the first slab by which every beta has crossed, bit for
-    # bit: lam = 2.6 ends after the first slab at both thresholds, lam = 50.3 only at 0.5;
-    # the grid of one row and the irregular grid are one slab each
+    # chi_traces with a threshold gives the whole grid's prefix up to the end of the first
+    # slab by which every beta has crossed, bit for bit: lam = 2.6 ends after the first
+    # slab at both thresholds, lam = 50.3 only at 0.5; the grid of one row and the
+    # irregular grid are one slab each
     k_modes = 40 if lam < 10 else 3
     bath = make_arrays(lam, betas, k_modes=k_modes)
     full = np.array([trace.chi for trace in chi_traces(bath, system, times)])
@@ -45,11 +47,12 @@ def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, syste
         return phase_sum(weights, freqs, times, **kwargs)
 
     monkeypatch.setattr(kernels, "phase_sum", recording)
-    chi = dynamics.chi_until_crossed(bath, system, times, threshold)
+    traces = chi_traces(bath, system, times, threshold=threshold)
     ends = [slab.points.stop for slab in kernels.row_slabs(times)]
     crossed = [(np.abs(full[:, :end]) <= threshold).any(axis=1).all() for end in ends]
     end = ends[crossed.index(True)] if True in crossed else times.shape[0]
-    np.testing.assert_array_equal(chi, full[:, :end])
+    np.testing.assert_array_equal(np.array([trace.chi for trace in traces]), full[:, :end])
+    assert all(np.array_equal(trace.times, times[:end]) for trace in traces)
     blocks = len(dynamics._mode_blocks(bath))
     assert len(calls) == blocks * (ends.index(end) + 1)
     n_rows = kernels._uniform_split(times)[0].shape[0]
@@ -61,13 +64,31 @@ def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, syste
 
 
 def test_chi_until_crossed_stops_after_the_first_slab_only_when_every_beta_crossed(system):
-    # eta = 2: every beta falls to 0.1 within the first four block rows; eta = 0.01:
-    # beta = 10 never does, so the whole grid is evaluated
+    # chi_traces with a threshold; eta = 2: every beta falls to 0.1 within the first four
+    # block rows; eta = 0.01: beta = 10 never does, so the whole grid is evaluated
     times = time_grid(20.0, 0.01)
     first = kernels.row_slabs(times)[0].points.stop
     for eta, end in ((2.0, first), (0.01, times.shape[0])):
         bath = make_arrays(2.6, [1.0, 4.0, 7.0, 10.0], eta=eta)
-        assert dynamics.chi_until_crossed(bath, system, times, 0.1).shape == (4, end)
+        traces = chi_traces(bath, system, times, threshold=0.1)
+        assert [(trace.times.shape[0], trace.chi.shape[0]) for trace in traces] == [(end, end)] * 4
+
+
+@pytest.mark.parametrize("eta", [2.0, 0.01])
+def test_chi_traces_threshold_on_a_pool_equals_inline_and_whole_grid(eta, system,
+                                                                     one_blas_thread):
+    # d = 50 puts each mode in a block of its own, so the pool runs many term and slab
+    # tasks; eta = 2 stops after the first slab, eta = 0.01 runs to the end of the grid
+    bath = make_arrays(50.3, [1.0, 4.0], eta=eta, k_modes=5)
+    times = time_grid(20.0, 0.01)
+    full = np.array([trace.chi for trace in chi_traces(bath, system, times)])
+    inline = np.array([trace.chi for trace in chi_traces(bath, system, times, threshold=0.1)])
+    with ThreadPoolExecutor(2) as pool:
+        pooled = chi_traces(bath, system, times, map_blocks=pool.map, threshold=0.1)
+    pooled = np.array([trace.chi for trace in pooled])
+    np.testing.assert_array_equal(pooled, inline)
+    np.testing.assert_array_equal(pooled, full[:, :pooled.shape[1]])
+    assert (pooled.shape[1] < times.shape[0]) == (eta == 2.0)
 
 
 def test_mode_product_multiplies_in_mode_order():

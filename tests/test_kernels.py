@@ -185,7 +185,7 @@ def test_row_slabs_equal_the_full_phase_sum(grid, groups, cols, data, seed, one_
     f = rng.uniform(-5.0, 5.0, size=groups * per_group)
     full = kernels.phase_sum(w, f, t, groups=groups)
     slabs = kernels.row_slabs(t)
-    tables = kernels.offset_tables(f, slabs[0].offsets, groups=groups)
+    tables = list(kernels.offset_tables(f, slabs[0].offsets, groups=groups))
     starts, offsets = kernels._uniform_split(t)
     n_rows, width = starts.shape[0], offsets.shape[0]
     if data is not None and width > 1 and cols * n_rows >= 2:
