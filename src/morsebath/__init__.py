@@ -7,7 +7,7 @@ them: dephasing times, information backflow, and the exact-vs-Gaussian
 error.
 """
 
-from .bath import Bath, BathConfig, bath_arrays, discretize, spectral_density
+from .bath import Bath, BathConfig, bath_arrays, spectral_density
 from .correlation import (
     CorrelationModel,
     alpha,
@@ -21,8 +21,6 @@ from .dynamics import (
     DEFAULT_RHO0,
     DephasingTrace,
     SystemConfig,
-    apply_map,
-    chi_series,
     chi_traces,
     gaussian_traces,
     time_grid,
@@ -32,10 +30,9 @@ from .morse import (
     bound_state_count,
     ladder_matrix,
     region_classify,
-    wavefunction,
     x_matrix,
 )
-from .observables import blp_flows, dephasing_time, gaussian_error, trace_distance
+from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
 from .specfun import digamma, log_gamma
 
@@ -43,11 +40,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bath", "BathConfig", "CorrelationModel", "DEFAULT_RHO0", "DephasingTrace", "SystemConfig",
-    "alpha", "apply_map", "bath_arrays", "blp_flows", "bound_energies",
-    "bound_state_count", "build_correlation", "chi_series", "chi_traces", "dense_chi",
-    "dephasing_time", "digamma", "discretize", "gamma_decay", "gaussian_chi",
-    "gaussian_error", "gaussian_traces", "ladder_matrix", "log_gamma",
-    "mean_field_shift", "offset_ratio", "overlap_element",
-    "quadrature_element", "region_classify", "spectral_density",
-    "time_grid", "trace_distance", "wavefunction", "x_matrix",
+    "alpha", "bath_arrays", "blp_flows", "bound_energies", "bound_state_count",
+    "build_correlation", "chi_traces", "dense_chi", "dephasing_time", "digamma",
+    "gamma_decay", "gaussian_chi", "gaussian_error", "gaussian_traces", "ladder_matrix",
+    "log_gamma", "mean_field_shift", "offset_ratio", "overlap_element",
+    "quadrature_element", "region_classify", "spectral_density", "time_grid", "x_matrix",
 ]

@@ -13,9 +13,10 @@ Theta(0) = 0, so the k = K mode carries exactly zero coupling.
 
 ``bath_arrays`` holds the K modes of one lam as arrays, with the thermal
 data of any number of betas; the correlation, Gaussian and exact-chi
-code takes this ``Bath``.  ``discretize`` gives a read-only per-mode
-view of one beta, kept for the dense oracle and for references that
-read one mode at a time.
+code, the dense oracle and the CLI take this ``Bath``.  ``discretize``
+gives a read-only per-mode view of one beta; it is kept only for the
+benchmark's references under ``morsebench/``, which read one mode at a
+time.
 """
 
 from __future__ import annotations

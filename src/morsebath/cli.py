@@ -17,13 +17,15 @@ naming its path: a missing directory before any work, and any other
 failure before or while writing, which then leaves none of the files it
 created.
 
-Every sweep computes chi with one ``dynamics.chi_traces`` call per
-lambda.  ``sweep-dephasing`` needs each trace only up to its first
-threshold crossing, so it passes its threshold and takes tau_d from the
-prefix of slabs that ``chi_traces`` returns, with the bytes of the whole
-trace.  A slab rounds as the whole grid does only with BLAS on one
-thread, so where BLAS cannot be pinned the sweep passes no threshold,
-as the other sweeps do.
+Every command builds its ``Bath`` of one lambda and its betas with
+``_bath``.  The three sweeps are ``cmd_sweep``, whose table ``_SWEEPS``
+gives each its kind and CSV columns; each computes chi with one
+``dynamics.chi_traces`` call per lambda.  ``sweep-dephasing`` needs each
+trace only up to its first threshold crossing, so it passes its
+threshold and takes tau_d from the prefix of slabs that ``chi_traces``
+returns, with the bytes of the whole trace.  A slab rounds as the whole
+grid does only with BLAS on one thread, so where BLAS cannot be pinned
+the sweep passes no threshold, as the other sweeps do.
 
 The three sweeps and dynamics run their work on a pool of threads in this
 process, of ``--threads`` workers (default: the CPUs the process may run
@@ -54,10 +56,10 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 
-from .bath import BathConfig, bath_arrays, discretize
+from .bath import Bath, BathConfig, bath_arrays
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
-from .dynamics import SystemConfig, chi_series, chi_traces, gaussian_traces, time_grid
+from .dynamics import chi_traces, gaussian_traces, time_grid
 from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
@@ -169,13 +171,10 @@ def _write_outputs(*outputs: tuple[str | None, Iterable[str]]) -> None:
         raise
 
 
-def _system(cfg: ExperimentConfig) -> SystemConfig:
-    return SystemConfig(omega_s=cfg.omega_s, rho0=cfg.rho0)
-
-
-def _bath_config(cfg: ExperimentConfig, lam: float, beta: float) -> BathConfig:
-    return BathConfig(eta=cfg.eta, omega_c=cfg.omega_c, k_modes=cfg.k_modes,
-                      lam=lam, beta=beta)
+def _bath(cfg: ExperimentConfig, lam: float, betas: list[float]) -> Bath:
+    """The K modes of cfg at lam, with the thermal data of every beta."""
+    return bath_arrays(BathConfig(eta=cfg.eta, omega_c=cfg.omega_c, k_modes=cfg.k_modes,
+                                  lam=lam, beta=betas[0]), betas)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -195,7 +194,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_bath(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     lam, beta = cfg.single_point()
-    bath = bath_arrays(_bath_config(cfg, lam, beta))
+    bath = _bath(cfg, lam, [beta])
     count = bath.energies.shape[1]
     lines = ["k,omega_k,g_k,count,mean_b,z_k"]
     for k, (omega, g, mean_b, z) in enumerate(
@@ -208,7 +207,7 @@ def cmd_bath(args: argparse.Namespace) -> int:
 def cmd_correlation(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     lam, beta = cfg.single_point()
-    model = build_correlation(bath_arrays(_bath_config(cfg, lam, beta)))
+    model = build_correlation(_bath(cfg, lam, [beta]))
     times = time_grid(cfg.t_max, cfg.dt)
     alpha_t, = alpha(model, times)
     gamma_t, = gamma_decay(model, times)
@@ -230,13 +229,12 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 def cmd_dynamics(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     lam, beta = cfg.single_point()
-    bath = bath_arrays(_bath_config(cfg, lam, beta))
-    system = _system(cfg)
+    bath = _bath(cfg, lam, [beta])
     times = time_grid(cfg.t_max, cfg.dt)
     _check_outputs(args.out)
     with _failure_names("dynamics point", lam, [beta]), _executor(args.threads) as pool:
-        gauss_future = pool.submit(gaussian_traces, bath, system, times)
-        exact, = chi_traces(bath, system, times, map_blocks=pool.map)
+        gauss_future = pool.submit(gaussian_traces, bath, cfg.system, times)
+        exact, = chi_traces(bath, cfg.system, times, map_blocks=pool.map)
         gauss, = gauss_future.result()
     lines = ["t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss"]
     for t, c, g in zip(times, exact.chi, gauss.chi):
@@ -250,32 +248,22 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
 
 def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float]) -> list:
     """Sweep rows of every beta at one lambda, in the order of betas."""
-    bath = bath_arrays(_bath_config(cfg, lam, betas[0]), betas)
-    system = _system(cfg)
+    bath = _bath(cfg, lam, betas)
     times = time_grid(cfg.t_max, cfg.dt)
     # a slab rounds as the whole grid only with BLAS pinned to one thread
     slabbed = kind == "dephasing" and _openblas_threads() is not None
-    exact = chi_traces(bath, system, times, threshold=cfg.threshold if slabbed else None)
+    exact = chi_traces(bath, cfg.system, times, threshold=cfg.threshold if slabbed else None)
     if kind == "dephasing":
-        rows = []
-        for beta, trace in zip(betas, exact):
-            tau = dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
-            rows.append((lam, beta, tau if tau is not None else UNDEFINED))
-        return rows
+        taus = [dephasing_time(trace, cfg.rho0, threshold=cfg.threshold) for trace in exact]
+        return [(lam, beta, UNDEFINED if tau is None else tau) for beta, tau in zip(betas, taus)]
     if kind == "backflow":
-        rows = []
-        for beta, trace in zip(betas, exact):
-            flows = blp_flows(np.abs(trace.chi))
-            ratio = flows.ratio if flows.ratio is not None else UNDEFINED
-            rows.append((lam, beta, flows.n_minus, flows.n_plus, ratio))
-        return rows
+        flows = [blp_flows(np.abs(trace.chi)) for trace in exact]
+        return [(lam, beta, f.n_minus, f.n_plus, UNDEFINED if f.ratio is None else f.ratio)
+                for beta, f in zip(betas, flows)]
     if kind == "gaussian-error":
-        gauss = gaussian_traces(bath, system, times)
-        rows = []
-        for beta, e, g in zip(betas, exact, gauss):
-            report = gaussian_error(e, g, cfg.rho0)
-            rows.append((lam, beta, report.time_avg, report.pointwise))
-        return rows
+        gauss = gaussian_traces(bath, cfg.system, times)
+        reports = [gaussian_error(e, g, cfg.rho0) for e, g in zip(exact, gauss)]
+        return [(lam, beta, r.time_avg, r.pointwise) for beta, r in zip(betas, reports)]
     raise ValueError(f"unknown sweep kind {kind!r}")
 
 
@@ -349,38 +337,26 @@ def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
     return sorted((row for rows in blocks for row in rows), key=lambda row: (row[0], row[1]))
 
 
-def cmd_sweep_dephasing(args: argparse.Namespace) -> int:
+# sweep command -> (kind of `_run_sweep`, CSV columns after lambda,beta,eta)
+_SWEEPS = {
+    "sweep-dephasing": ("dephasing", ("tau_d",)),
+    "sweep-backflow": ("backflow", ("n_minus", "n_plus", "ratio")),
+    "gaussian-error": ("gaussian-error", ("time_avg_error",)),
+}
+
+
+def cmd_sweep(args: argparse.Namespace) -> int:
+    """One row per (lambda, beta) of the sweep; gaussian-error also writes pointwise_out if set."""
+    kind, columns = _SWEEPS[args.command]
     cfg = parse_config(args.config)
-    _check_outputs(args.out)
-    rows = _run_sweep("dephasing", cfg, args.threads)
-    lines = ["lambda,beta,eta,tau_d"]
-    for lam, beta, tau in rows:
-        lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(tau)}")
-    _write_outputs((args.out, [_csv_text(lines)]))
-    return 0
-
-
-def cmd_sweep_backflow(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    _check_outputs(args.out)
-    rows = _run_sweep("backflow", cfg, args.threads)
-    lines = ["lambda,beta,eta,n_minus,n_plus,ratio"]
-    for lam, beta, n_minus, n_plus, ratio in rows:
-        lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},"
-                     f"{_fmt(n_minus)},{_fmt(n_plus)},{_fmt(ratio)}")
-    _write_outputs((args.out, [_csv_text(lines)]))
-    return 0
-
-
-def cmd_gaussian_error(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    _check_outputs(args.out, cfg.pointwise_out)
-    rows = _run_sweep("gaussian-error", cfg, args.threads)
-    lines = ["lambda,beta,eta,time_avg_error"]
-    for lam, beta, time_avg, _ in rows:
-        lines.append(f"{_fmt(lam)},{_fmt(beta)},{_fmt(cfg.eta)},{_fmt(time_avg)}")
-    pointwise = [] if cfg.pointwise_out is None else [
-        (cfg.pointwise_out, _pointwise_blocks(rows, cfg.eta, time_grid(cfg.t_max, cfg.dt)))]
+    pointwise_out = cfg.pointwise_out if kind == "gaussian-error" else None
+    _check_outputs(args.out, pointwise_out)
+    rows = _run_sweep(kind, cfg, args.threads)
+    lines = [",".join(("lambda", "beta", "eta", *columns))]
+    for lam, beta, *values in rows:
+        lines.append(",".join(_fmt(x) for x in (lam, beta, cfg.eta, *values[:len(columns)])))
+    pointwise = [] if pointwise_out is None else [
+        (pointwise_out, _pointwise_blocks(rows, cfg.eta, time_grid(cfg.t_max, cfg.dt)))]
     _write_outputs((args.out, [_csv_text(lines)]), *pointwise)
     return 0
 
@@ -412,12 +388,11 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     lam, beta = cfg.single_point()
     if cfg.k_modes > 3:
         raise ConfigError(f"field k_modes: oracle-check needs k_modes <= 3, got {cfg.k_modes}")
-    modes = discretize(_bath_config(cfg, lam, beta))
-    system = _system(cfg)
+    bath = _bath(cfg, lam, [beta])
     times = time_grid(cfg.t_max, cfg.dt)
 
-    fact = chi_series(modes, system, times)
-    dense = dense_chi(modes, system, times)
+    fact, = chi_traces(bath, cfg.system, times)
+    dense = dense_chi(bath, cfg.system, times)
     chi_dev = float(np.abs(fact.chi - dense.chi).max())
 
     d = bound_state_count(lam)
@@ -441,6 +416,17 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _finite(raw: str) -> float:
+    """Value of --lambda and --omega: a finite number."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = np.nan
+    if not np.isfinite(value):
+        raise argparse.ArgumentTypeError(f"need a finite number, got {raw!r}")
+    return value
+
+
 def _worker_count(raw: str) -> int:
     """Value of --threads: an integer >= 1."""
     if not raw.strip().isdigit() or int(raw) < 1:
@@ -455,9 +441,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     spectrum_p = sub.add_parser("spectrum", help="bound-state energies and x elements of one oscillator")
-    spectrum_p.add_argument("--lambda", dest="lam", type=float, required=True,
+    spectrum_p.add_argument("--lambda", dest="lam", type=_finite, required=True,
                             help="anharmonicity parameter (> 0.5)")
-    spectrum_p.add_argument("--omega", type=float, default=1.0, help="harmonic frequency")
+    spectrum_p.add_argument("--omega", type=_finite, default=1.0, help="harmonic frequency")
     spectrum_p.add_argument("--out", default=None, help="output CSV path (default stdout)")
     spectrum_p.set_defaults(func=cmd_spectrum)
 
@@ -465,9 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("bath", cmd_bath, False),
         ("correlation", cmd_correlation, False),
         ("dynamics", cmd_dynamics, True),
-        ("sweep-dephasing", cmd_sweep_dephasing, True),
-        ("sweep-backflow", cmd_sweep_backflow, True),
-        ("gaussian-error", cmd_gaussian_error, True),
+        *((name, cmd_sweep, True) for name in _SWEEPS),
         ("oracle-check", cmd_oracle_check, False),
     ):
         p = sub.add_parser(name)

@@ -51,6 +51,7 @@ class ExperimentConfig:
     threshold: float = 0.1
     rho0: np.ndarray = field(default_factory=lambda: DEFAULT_RHO0.copy())
     pointwise_out: str | None = None
+    system: SystemConfig = field(init=False, compare=False)  # omega_s and rho0, built once
 
     def __post_init__(self) -> None:
         for name, value in [*((key, getattr(self, key)) for key in _FLOAT_KEYS),
@@ -80,7 +81,7 @@ class ExperimentConfig:
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"field threshold: must lie in (0, 1), got {self.threshold}")
         try:
-            SystemConfig(omega_s=self.omega_s, rho0=self.rho0)
+            object.__setattr__(self, "system", SystemConfig(omega_s=self.omega_s, rho0=self.rho0))
         except ValueError as exc:
             raise ConfigError(f"field rho0: {exc}") from exc
 

@@ -42,10 +42,9 @@ has fallen to it.
 
 The engine takes a ``Bath`` of one lam and any number of betas
 (``chi_traces``, ``gaussian_traces``).  ``chi_series`` is the one-beta
-call on the per-mode view of ``bath.discretize``; it and
-``BathMode``/``discretize`` stay only because the benchmark's
-``morsebench/checks.py`` and ``host_noise.py`` import them, so removing
-that second view of the bath waits for a change to the benchmark.
+call on the per-mode view of ``bath.discretize``.  Nothing in the
+package calls it: it stays, outside the package root, only for the
+benchmark's ``morsebench/checks.py`` and ``host_noise.py``.
 
 Basis convention: the impurity matrix is written in the (|+>, |->)
 eigenbasis of sigma_z, and the coherence multiplied by chi(t) (which
@@ -280,17 +279,3 @@ def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray) -> list
     times = np.asarray(times, dtype=float)
     chi = gaussian_chi(build_correlation(bath), system.omega_s, mean_field_shift(bath), times)
     return [DephasingTrace(times=times, chi=row) for row in chi]
-
-
-def apply_map(rho0: np.ndarray, chi_value: complex) -> np.ndarray:
-    """Apply the dephasing map: populations frozen, coherence times chi.
-
-    The [1, 0] entry (<-|rho|+> in the sigma_z eigenbasis) is multiplied
-    by chi_value and the [0, 1] entry is its conjugate, so Hermiticity
-    and the trace are preserved exactly.
-    """
-    rho = np.asarray(rho0, dtype=complex)
-    out = rho.copy()
-    out[1, 0] = chi_value * rho[1, 0]
-    out[0, 1] = np.conj(out[1, 0])
-    return out

@@ -169,10 +169,3 @@ def wavefunction_z(lam: float, n: int, z: float) -> float:
     # for the d <= ~25 states used here
     terms = [s * math.exp(base + lc + m * math.log(z)) for m, (s, lc) in enumerate(zip(signs, ln_coeffs))]
     return math.fsum(terms)
-
-
-def wavefunction(lam: float, n: int, x: float) -> float:
-    """Bound-state amplitude at dimensionless coordinate x."""
-    big_n = lam - 0.5
-    z = (2.0 * big_n + 1.0) * math.exp(-x)
-    return wavefunction_z(lam, n, z)

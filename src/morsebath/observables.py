@@ -79,20 +79,6 @@ def blp_flows(abs_chi: np.ndarray, tol: float = MONOTONE_TOL) -> FlowReport:
     return FlowReport(n_minus=n_minus, n_plus=n_plus, ratio=ratio)
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Trace distance (1/2) Tr |a - b| of two 2x2 Hermitian matrices.
-
-    Uses the closed-form 2x2 eigenvalues of the Hermitian difference.
-    """
-    m = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    tr = float(m[0, 0].real + m[1, 1].real)
-    det = float(m[0, 0].real * m[1, 1].real - abs(m[0, 1]) ** 2)
-    disc = np.sqrt(max(tr * tr - 4.0 * det, 0.0))
-    e1 = 0.5 * (tr + disc)
-    e2 = 0.5 * (tr - disc)
-    return 0.5 * (abs(e1) + abs(e2))
-
-
 def gaussian_error(exact: DephasingTrace, gauss: DephasingTrace,
                    rho0: np.ndarray) -> ErrorReport:
     """Pointwise and time-averaged error of the Gaussian surrogate.

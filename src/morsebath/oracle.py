@@ -1,9 +1,10 @@
 """Independent brute-force validators for the factorized map and the
 closed-form matrix elements.
 
-`dense_chi` evolves the coherence block on the full tensor-product
-Hilbert space without using the factorization over modes, so agreement
-with `chi_series` validates the product structure end to end.
+`dense_chi` evolves the coherence block of a one-beta ``Bath`` on the
+full tensor-product Hilbert space without using the factorization over
+modes, so agreement with ``dynamics.chi_traces`` validates the product
+structure end to end.
 `quadrature_element` integrates the analytic bound-state wavefunctions
 directly and is the oracle for the closed-form position elements.
 """
@@ -14,7 +15,7 @@ import math
 
 import numpy as np
 
-from .bath import BathMode
+from .bath import Bath
 from .dynamics import DephasingTrace, SystemConfig
 from .morse import bound_state_count, wavefunction_z
 
@@ -28,32 +29,32 @@ def _embed(op: np.ndarray, left: int, right: int) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
 
-def dense_chi(modes: list[BathMode], system: SystemConfig,
-              times: np.ndarray) -> DephasingTrace:
-    """Decay factor from the full tensor-product evolution (K <= 3).
+def dense_chi(bath: Bath, system: SystemConfig, times: np.ndarray) -> DephasingTrace:
+    """Decay factor of a one-beta bath from the full tensor-product evolution (K <= 3).
 
     Builds H_pm = sum_k (H_k +- B_k) and the product thermal state on
     the full environment space, eigendecomposes once, and forms the
     propagators explicitly at every grid point.  No factorization over
     modes is used anywhere.
     """
-    if len(modes) > MAX_DENSE_MODES:
-        raise ValueError(f"dense oracle supports K <= {MAX_DENSE_MODES}, got {len(modes)}")
-    dims = [mode.count for mode in modes]
-    total_dim = int(np.prod(dims))
+    n_beta, n_modes, d = bath.weights.shape
+    if n_beta != 1:
+        raise ValueError(f"dense oracle takes a bath of one beta, got {n_beta} betas")
+    if n_modes > MAX_DENSE_MODES:
+        raise ValueError(f"dense oracle supports K <= {MAX_DENSE_MODES}, got {n_modes}")
+    total_dim = d ** n_modes
     if total_dim > MAX_DENSE_DIM:
         raise ValueError(f"dense dimension {total_dim} exceeds guard {MAX_DENSE_DIM}")
 
     h_plus = np.zeros((total_dim, total_dim))
     h_minus = np.zeros((total_dim, total_dim))
     rho = np.ones((1, 1))
-    for i, mode in enumerate(modes):
-        left = int(np.prod(dims[:i]))
-        right = int(np.prod(dims[i + 1:]))
-        local = np.diag(mode.h_diag)
-        h_plus += _embed(local + mode.b_matrix, left, right)
-        h_minus += _embed(local - mode.b_matrix, left, right)
-        rho = np.kron(rho, np.diag(mode.weights))
+    for k in range(n_modes):
+        left, right = d ** k, d ** (n_modes - k - 1)
+        local = np.diag(bath.energies[k])
+        h_plus += _embed(local + bath.couplings[k], left, right)
+        h_minus += _embed(local - bath.couplings[k], left, right)
+        rho = np.kron(rho, np.diag(bath.weights[0, k]))
 
     evals_plus, u_plus = np.linalg.eigh(h_plus)
     evals_minus, u_minus = np.linalg.eigh(h_minus)

@@ -13,12 +13,12 @@ from scipy.integrate import quad
 
 from morsebath import (
     DEFAULT_RHO0,
+    Bath,
     CorrelationModel,
     SystemConfig,
     blp_flows,
     bound_energies,
     build_correlation,
-    chi_series,
     chi_traces,
     dense_chi,
     gamma_decay,
@@ -31,6 +31,7 @@ from morsebath import (
 )
 from morsebath.cli import _run_sweep
 from morsebath.config import ExperimentConfig
+from morsebath.dynamics import chi_series
 from helpers import make_arrays, make_bath
 
 SYSTEM = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
@@ -50,7 +51,7 @@ def test_criterion_01_oracle_equivalence():
                 for eta in (0.5, 2.0):
                     modes = make_bath(lam=lam, beta=beta, eta=eta, k_modes=k_modes)
                     fact = chi_series(modes, SYSTEM, times)
-                    dense = dense_chi(modes, SYSTEM, times)
+                    dense = dense_chi(Bath.from_modes(modes), SYSTEM, times)
                     worst = max(worst, float(np.abs(fact.chi - dense.chi).max()))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
@@ -175,7 +176,7 @@ def test_criterion_06_spin_limit_freeze():
     times = time_grid(20.0, 0.01)
     # dense-oracle confirmation at K = 2 before trusting the full run
     small = make_bath(lam=1.52, beta=1e4, eta=2.0, k_modes=2)
-    dense = dense_chi(small, SYSTEM, times)
+    dense = dense_chi(Bath.from_modes(small), SYSTEM, times)
     fact = chi_series(small, SYSTEM, times)
     assert np.abs(dense.chi - fact.chi).max() < 1e-10
     assert float(np.abs(dense.chi).min()) > 0.9

@@ -10,12 +10,12 @@ from morsebath import (
     SystemConfig,
     bath_arrays,
     bound_energies,
-    chi_series,
     chi_traces,
-    discretize,
     spectral_density,
     time_grid,
 )
+from morsebath.bath import discretize
+from morsebath.dynamics import chi_series
 from helpers import make_bath
 
 

@@ -39,6 +39,14 @@ def read_rows(path):
     return [line.split(",") for line in path.read_text().splitlines()]
 
 
+def exit_code(argv):
+    """The status of main, returned or, for an argument argparse rejects, exited with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
 def test_config_parsing_defaults_and_ranges():
     cfg = parse_config_text("eta = 2\nlambda = 1.6:2.0:0.1\nbeta = 1,4\n")
     assert cfg.k_modes == 40 and cfg.omega_c == 1.0 and cfg.omega_s == 2.0
@@ -133,9 +141,24 @@ def test_spectrum_rejects_lambda_binding_no_state(capsys):
 
 @pytest.mark.parametrize("omega", ["0", "-1", "nan"])
 def test_spectrum_rejects_bad_omega(omega, capsys):
-    assert main(["spectrum", "--lambda", "2.5", "--omega", omega]) == 2
+    assert exit_code(["spectrum", "--lambda", "2.5", "--omega", omega]) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "omega" in err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--lambda", "inf"], "--lambda"),  # ended in an OverflowError traceback
+    (["--lambda", "nan"], "--lambda"),
+    (["--lambda", "2.5", "--omega", "inf"], "--omega"),  # exited 0 with -inf energies
+    (["--lambda", "2.5", "--omega=-inf"], "--omega"),
+], ids=["lambda-inf", "lambda-nan", "omega-inf", "omega-minus-inf"])
+def test_spectrum_rejects_non_finite_flags_at_parse_time(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["spectrum", *argv])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: need a finite number" in captured.err
 
 
 def test_bath_csv(tmp_path):
@@ -414,6 +437,19 @@ def test_cli_import_loads_no_process_pool_or_integrator():
     assert proc.stdout.strip() == "[]"
 
 
+def test_benchmark_imports_and_tracer_wraps_resolve(tmp_path):
+    # the benchmark's modules import names from the package and its tracer wraps the
+    # CLI's per-point function; all of them must resolve, and nothing is written there
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import run, checks, tracer, host_noise, morsebath.cli as cli; "
+            "tracer.install(tracer.Tracer()); print(hasattr(cli._sweep_point, '__wrapped__'))")
+    proc = subprocess.run([sys.executable, "-c", code, os.path.join(ROOT, "morsebench")],
+                          capture_output=True, text=True, timeout=60, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "True"
+
+
 def test_package_root_exports_resolve_once():
     import morsebath
 
@@ -433,8 +469,8 @@ def full_grid_dephasing(text):
     betas = sorted(cfg.betas)
     taus, lines = [], ["lambda,beta,eta,tau_d"]
     for lam in sorted(cfg.lambdas):
-        bath = cli.bath_arrays(cli._bath_config(cfg, lam, betas[0]), betas)
-        for beta, trace in zip(betas, dynamics.chi_traces(bath, cli._system(cfg), times)):
+        bath = cli._bath(cfg, lam, betas)
+        for beta, trace in zip(betas, dynamics.chi_traces(bath, cfg.system, times)):
             tau = observables.dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
             taus.append(cli.UNDEFINED if tau is None else tau)
             lines.append(",".join(cli._fmt(x) for x in (lam, beta, cfg.eta, taus[-1])))
@@ -507,9 +543,9 @@ def test_sweep_dephasing_crossing_at_a_block_row_start(row, tmp_path, one_blas_t
     # slab
     text = SLAB_BASE.replace("eta = 2.0", "eta = 0.2").replace("beta = 1.0", "beta = 4")
     cfg = parse_config_text(text)
-    bath = cli.bath_arrays(cli._bath_config(cfg, 2.5, 4.0), [4.0])
+    bath = cli._bath(cfg, 2.5, [4.0])
     times = dynamics.time_grid(cfg.t_max, cfg.dt)
-    trace, = dynamics.chi_traces(bath, cli._system(cfg), times)
+    trace, = dynamics.chi_traces(bath, cfg.system, times)
     j = row * SLAB_ROWS
     above, below = (float(x) for x in np.abs(trace.chi[j - 1:j + 1]))
     text += f"threshold = {0.5 * (above + below)!r}\n"

@@ -8,16 +8,14 @@ from morsebath import (
     DEFAULT_RHO0,
     BathConfig,
     SystemConfig,
-    apply_map,
     bath_arrays,
-    chi_series,
     chi_traces,
     mean_field_shift,
     time_grid,
 )
 from morsebath import dynamics, kernels
-from morsebath.dynamics import _block_eigh
-from helpers import make_arrays, make_bath, renormalized
+from morsebath.dynamics import _block_eigh, chi_series
+from helpers import apply_map, make_arrays, make_bath, renormalized
 
 # no impurity phase: chi of one mode is that mode's trace factor
 SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)

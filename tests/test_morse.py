@@ -9,10 +9,10 @@ from morsebath import (
     digamma,
     ladder_matrix,
     region_classify,
-    wavefunction,
     x_matrix,
 )
 from scipy.integrate import quad
+from helpers import wavefunction
 
 
 def test_bound_state_count():

@@ -6,17 +6,15 @@ import pytest
 from morsebath import (
     DEFAULT_RHO0,
     DephasingTrace,
-    apply_map,
     blp_flows,
-    chi_series,
     dephasing_time,
     gaussian_error,
     chi_traces,
     gaussian_traces,
     time_grid,
-    trace_distance,
 )
-from helpers import make_arrays, make_bath
+from morsebath.dynamics import chi_series
+from helpers import apply_map, make_arrays, make_bath, trace_distance
 
 
 def synthetic_trace(times, chi):

@@ -6,6 +6,8 @@ what the one-beta calls give for that beta alone.  The exact decay
 factor must also keep the invariants of a dephasing map on any bath.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -15,16 +17,15 @@ from morsebath import (
     SystemConfig,
     bath_arrays,
     bound_state_count,
-    chi_series,
     chi_traces,
     dense_chi,
-    discretize,
     gaussian_traces,
     kernels,
     mean_field_shift,
     time_grid,
 )
-from morsebath.dynamics import DEFAULT_RHO0, _block_eigh, _phase_terms
+from morsebath.bath import discretize
+from morsebath.dynamics import DEFAULT_RHO0, _block_eigh, _phase_terms, chi_series
 from helpers import renormalized
 
 SYSTEM = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
@@ -75,7 +76,7 @@ def test_per_lambda_rows_match_dense_oracle(lam, beta_list, eta, k_modes):
         k_modes = 1
     bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
     for beta, trace in zip(beta_list, chi_traces(bath, SYSTEM, TIMES)):
-        dense = dense_chi(discretize(config(lam, beta, eta, k_modes)), SYSTEM, TIMES)
+        dense = dense_chi(bath_arrays(config(lam, beta, eta, k_modes)), SYSTEM, TIMES)
         assert np.abs(trace.chi - dense.chi).max() <= 1e-10
 
 
@@ -94,6 +95,21 @@ def test_exact_chi_invariants(lam, beta, eta, k_modes):
     renorm, = chi_traces(renormalized(bath), SYSTEM, TIMES)
     shift, = mean_field_shift(bath)
     assert np.abs(bare.chi - np.exp(1j * shift * TIMES) * renorm.chi).max() <= 1e-11
+
+
+@PROPERTY
+@given(lam=lams, beta_list=betas, eta=st.floats(min_value=0.0, max_value=3.0),
+       k_modes=st.integers(1, 60))
+def test_coupling_sign_flip_conjugates_chi(lam, beta_list, eta, k_modes):
+    # B -> -B swaps H_+ and H_-, so every mode factor, and chi exp(-i omega_s t) with
+    # them, turns into its complex conjugate; in the Gaussian path only the
+    # mean-field phase 2 <B> t changes sign
+    bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
+    flipped = dataclasses.replace(bath, couplings=-bath.couplings, mean_b=-bath.mean_b)
+    bare = np.exp(-1j * SYSTEM.omega_s * TIMES)
+    for traces in (chi_traces, gaussian_traces):
+        for a, b in zip(traces(bath, SYSTEM, TIMES), traces(flipped, SYSTEM, TIMES)):
+            assert np.abs(a.chi * bare - np.conj(b.chi * bare)).max() <= 1e-12
 
 
 GRIDS = {
