@@ -13,19 +13,17 @@ rounded, which gives those bytes whenever the product lies more than
 within that margin, and one that is negative, not finite or outside
 [1e-99, 1e99) (except +0.0), is written with ``f"{x:.11e}"`` itself.
 An output file that cannot be written ends the command with an error
-naming its path: a missing directory before any work, and any other
-failure before or while writing, which then leaves none of the files it
-created.
+naming its path: a missing directory, a directory as the path or two
+outputs naming one file before any work, and any other failure before
+or while writing, which then leaves none of the files it created.
 
 Every command builds its ``Bath`` of one lambda and its betas with
-``_bath``.  The three sweeps are ``cmd_sweep``, whose table ``_SWEEPS``
-gives each its kind and CSV columns; each computes chi with one
-``dynamics.chi_traces`` call per lambda.  ``sweep-dephasing`` needs each
-trace only up to its first threshold crossing, so it passes its
-threshold and takes tau_d from the prefix of slabs that ``chi_traces``
-returns, with the bytes of the whole trace.  A slab rounds as the whole
-grid does only with BLAS on one thread, so where BLAS cannot be pinned
-the sweep passes no threshold, as the other sweeps do.
+``_bath`` and writes its tables with ``_csv``.  The three sweeps are
+``cmd_sweep``, whose table ``_SWEEPS`` gives each its kind and CSV
+columns; each computes chi with one ``dynamics.chi_traces`` call per
+lambda.  ``sweep-dephasing`` passes its threshold and takes tau_d from
+the prefix of slabs that ``chi_traces`` returns, which has the bytes of
+the whole trace where BLAS is pinned.
 
 The three sweeps and dynamics run their work on a pool of threads in this
 process, of ``--threads`` workers (default: the CPUs the process may run
@@ -122,19 +120,34 @@ def _fmt_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, wide
 
 
-def _csv_text(lines: list[str]) -> str:
-    return "\n".join(lines) + "\n"
+def _csv(header: str, *columns: Iterable) -> str:
+    """A CSV table: the header line, then one line per row of the columns.
+
+    A column of integers is written as integers, any other with ``_fmt``.
+    """
+    fields = [map(str, column) if np.asarray(column).dtype.kind in "iu" else map(_fmt, column)
+              for column in columns]
+    return "".join([header + "\n", *(",".join(row) + "\n" for row in zip(*fields))])
 
 
 def _check_outputs(*paths: str | None) -> None:
-    """Fail, naming the file, if the directory of an output path does not exist.
+    """Fail, naming the path, if an output cannot be a file of its own.
 
+    That is an output whose directory does not exist, one that is a
+    directory, or one that names the same file as an earlier output.
     Commands call this before their work, so a typo in a path costs no
     run; it creates nothing.
     """
-    for path in paths:
-        if path is not None and not os.path.isdir(os.path.dirname(path) or "."):
+    seen = set()
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "is a directory", path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, "no such directory", path)
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ValueError(f"two outputs name the file {path!r}")
+        seen.add(real)
 
 
 def _write_outputs(*outputs: tuple[str | None, Iterable[str]]) -> None:
@@ -177,70 +190,62 @@ def _bath(cfg: ExperimentConfig, lam: float, betas: list[float]) -> Bath:
                                   lam=lam, beta=betas[0]), betas)
 
 
+def _one_point(args: argparse.Namespace, max_modes: int | None = None):
+    """(cfg, lam, beta, bath, times) of a one-point config; more than max_modes modes fail."""
+    cfg = parse_config(args.config)
+    lam, beta = cfg.single_point()
+    if max_modes is not None and cfg.k_modes > max_modes:
+        raise ConfigError(f"field k_modes: {args.command} needs k_modes <= {max_modes}, "
+                          f"got {cfg.k_modes}")
+    return cfg, lam, beta, _bath(cfg, lam, [beta]), time_grid(cfg.t_max, cfg.dt)
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     energies = bound_energies(args.omega, args.lam)
-    x = x_matrix(args.lam)
-    lines = ["n,energy"]
-    for n, energy in enumerate(energies):
-        lines.append(f"{n},{_fmt(energy)}")
-    lines.append("n,m,x_element")
-    for n in range(len(energies)):
-        for m in range(n, len(energies)):
-            lines.append(f"{n},{m},{_fmt(x[n, m])}")
-    _write_outputs((args.out, [_csv_text(lines)]))
+    n, m = np.triu_indices(len(energies))
+    _write_outputs((args.out, [_csv("n,energy", range(len(energies)), energies),
+                               _csv("n,m,x_element", n, m, x_matrix(args.lam)[n, m])]))
     return 0
 
 
 def cmd_bath(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    lam, beta = cfg.single_point()
-    bath = _bath(cfg, lam, [beta])
-    count = bath.energies.shape[1]
-    lines = ["k,omega_k,g_k,count,mean_b,z_k"]
-    for k, (omega, g, mean_b, z) in enumerate(
-            zip(bath.omega, bath.g, bath.mean_b[0], bath.partition[0]), start=1):
-        lines.append(f"{k},{_fmt(omega)},{_fmt(g)},{count},{_fmt(mean_b)},{_fmt(z)}")
-    _write_outputs((args.out, [_csv_text(lines)]))
+    *_, bath, _ = _one_point(args)
+    k_modes, count = bath.energies.shape
+    _write_outputs((args.out, [_csv("k,omega_k,g_k,count,mean_b,z_k", range(1, k_modes + 1),
+                                    bath.omega, bath.g, [count] * k_modes, bath.mean_b[0],
+                                    bath.partition[0])]))
     return 0
 
 
 def cmd_correlation(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    lam, beta = cfg.single_point()
-    model = build_correlation(_bath(cfg, lam, [beta]))
-    times = time_grid(cfg.t_max, cfg.dt)
+    *_, bath, times = _one_point(args)
+    model = build_correlation(bath)
     alpha_t, = alpha(model, times)
     gamma_t, = gamma_decay(model, times)
-    lines = ["t,re_alpha,im_alpha,gamma"]
-    for t, a, g in zip(times, alpha_t, gamma_t):
-        lines.append(f"{_fmt(t)},{_fmt(a.real)},{_fmt(a.imag)},{_fmt(g)}")
     c0, = model.offset_c0
     c_at_0, = model.weights.sum(axis=0)
     try:
         ratio, = offset_ratio(model)
     except ZeroDivisionError:  # no time-dependent terms (eta = 0)
         ratio = UNDEFINED
-    lines.append("c0,c_at_0,offset_ratio")
-    lines.append(f"{_fmt(c0)},{_fmt(c_at_0)},{_fmt(ratio)}")
-    _write_outputs((args.out, [_csv_text(lines)]))
+    _write_outputs((args.out, [
+        _csv("t,re_alpha,im_alpha,gamma", times, alpha_t.real, alpha_t.imag, gamma_t),
+        _csv("c0,c_at_0,offset_ratio", [c0], [c_at_0], [ratio])]))
     return 0
 
 
 def cmd_dynamics(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    lam, beta = cfg.single_point()
-    bath = _bath(cfg, lam, [beta])
-    times = time_grid(cfg.t_max, cfg.dt)
+    cfg, lam, beta, bath, times = _one_point(args)
     _check_outputs(args.out)
     with _failure_names("dynamics point", lam, [beta]), _executor(args.threads) as pool:
         gauss_future = pool.submit(gaussian_traces, bath, cfg.system, times)
         exact, = chi_traces(bath, cfg.system, times, map_blocks=pool.map)
         gauss, = gauss_future.result()
-    lines = ["t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss"]
-    for t, c, g in zip(times, exact.chi, gauss.chi):
-        lines.append(f"{_fmt(t)},{_fmt(c.real)},{_fmt(c.imag)},{_fmt(abs(c))},"
-                     f"{_fmt(g.real)},{_fmt(g.imag)},{_fmt(abs(g))}")
-    _write_outputs((args.out, [_csv_text(lines)]))
+    # the scalar abs: numpy's array abs differs from it in the last bit on some values
+    _write_outputs((args.out, [_csv(
+        "t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss",
+        times, exact.chi.real, exact.chi.imag, [abs(c) for c in exact.chi],
+        gauss.chi.real, gauss.chi.imag, [abs(g) for g in gauss.chi])]))
     # invertibility proxy, reported for every run
     print(f"min |chi| = {_fmt(float(np.abs(exact.chi).min()))}", file=sys.stderr)
     return 0
@@ -250,9 +255,8 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     """Sweep rows of every beta at one lambda, in the order of betas."""
     bath = _bath(cfg, lam, betas)
     times = time_grid(cfg.t_max, cfg.dt)
-    # a slab rounds as the whole grid only with BLAS pinned to one thread
-    slabbed = kind == "dephasing" and _openblas_threads() is not None
-    exact = chi_traces(bath, cfg.system, times, threshold=cfg.threshold if slabbed else None)
+    exact = chi_traces(bath, cfg.system, times,
+                       threshold=cfg.threshold if kind == "dephasing" else None)
     if kind == "dephasing":
         taus = [dephasing_time(trace, cfg.rho0, threshold=cfg.threshold) for trace in exact]
         return [(lam, beta, UNDEFINED if tau is None else tau) for beta, tau in zip(betas, taus)]
@@ -352,12 +356,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pointwise_out = cfg.pointwise_out if kind == "gaussian-error" else None
     _check_outputs(args.out, pointwise_out)
     rows = _run_sweep(kind, cfg, args.threads)
-    lines = [",".join(("lambda", "beta", "eta", *columns))]
-    for lam, beta, *values in rows:
-        lines.append(",".join(_fmt(x) for x in (lam, beta, cfg.eta, *values[:len(columns)])))
+    lams, betas, *values = zip(*rows)
+    table = _csv(",".join(("lambda", "beta", "eta", *columns)),
+                 lams, betas, [cfg.eta] * len(rows), *values[:len(columns)])
     pointwise = [] if pointwise_out is None else [
         (pointwise_out, _pointwise_blocks(rows, cfg.eta, time_grid(cfg.t_max, cfg.dt)))]
-    _write_outputs((args.out, [_csv_text(lines)]), *pointwise)
+    _write_outputs((args.out, [table]), *pointwise)
     return 0
 
 
@@ -384,13 +388,7 @@ def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[str
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    cfg = parse_config(args.config)
-    lam, beta = cfg.single_point()
-    if cfg.k_modes > 3:
-        raise ConfigError(f"field k_modes: oracle-check needs k_modes <= 3, got {cfg.k_modes}")
-    bath = _bath(cfg, lam, [beta])
-    times = time_grid(cfg.t_max, cfg.dt)
-
+    cfg, lam, _, bath, times = _one_point(args, max_modes=3)
     fact, = chi_traces(bath, cfg.system, times)
     dense = dense_chi(bath, cfg.system, times)
     chi_dev = float(np.abs(fact.chi - dense.chi).max())
@@ -407,13 +405,10 @@ def cmd_oracle_check(args: argparse.Namespace) -> int:
         ("closed_form_vs_quadrature", elem_dev, 1e-8),
         ("wavefunction_orthonormality", gram_dev, 1e-8),
     ]
-    failed = False
     print(f"{'check':<30} {'max_deviation':>15} {'tolerance':>10}  status")
     for name, dev, tol in checks:
-        status = "PASS" if dev < tol else "FAIL"
-        failed = failed or status == "FAIL"
-        print(f"{name:<30} {dev:>15.3e} {tol:>10.0e}  {status}")
-    return 1 if failed else 0
+        print(f"{name:<30} {dev:>15.3e} {tol:>10.0e}  {'PASS' if dev < tol else 'FAIL'}")
+    return 0 if all(dev < tol for _, dev, tol in checks) else 1
 
 
 def _finite(raw: str) -> float:

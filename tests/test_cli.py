@@ -467,14 +467,14 @@ def full_grid_dephasing(text):
     cfg = parse_config_text(text)
     times = dynamics.time_grid(cfg.t_max, cfg.dt)
     betas = sorted(cfg.betas)
-    taus, lines = [], ["lambda,beta,eta,tau_d"]
+    taus, lines = [], ["lambda,beta,eta,tau_d\n"]
     for lam in sorted(cfg.lambdas):
         bath = cli._bath(cfg, lam, betas)
         for beta, trace in zip(betas, dynamics.chi_traces(bath, cfg.system, times)):
             tau = observables.dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
-            taus.append(cli.UNDEFINED if tau is None else tau)
-            lines.append(",".join(cli._fmt(x) for x in (lam, beta, cfg.eta, taus[-1])))
-    return taus, cli._csv_text(lines).encode()
+            taus.append(-1.0 if tau is None else tau)
+            lines.append(f"{lam:.11e},{beta:.11e},{cfg.eta:.11e},{taus[-1]:.11e}\n")
+    return taus, "".join(lines).encode()
 
 
 def assert_sweep_dephasing_bytes(tmp_path, text, expected):
@@ -486,9 +486,12 @@ def assert_sweep_dephasing_bytes(tmp_path, text, expected):
         assert out.read_bytes() == expected
 
 
+ALL_CROSS_EARLY = {"lambda = 2.5": "lambda = 1.6,2.5,4.2", "beta = 1.0": "beta = 1,4,10",
+                   "k_modes = 8": "k_modes = 40"}
+
+
 @pytest.mark.parametrize("case, changes", [
-    ("all-cross-early", {"lambda = 2.5": "lambda = 1.6,2.5,4.2", "beta = 1.0": "beta = 1,4,10",
-                         "k_modes = 8": "k_modes = 40"}),
+    ("all-cross-early", ALL_CROSS_EARLY),
     ("some-never-cross", {"lambda = 2.5": "lambda = 1.6,2.5,4.2,6.1",
                           "beta = 1.0": "beta = 1,4,10", "eta = 2.0": "eta = 0.01"}),
     ("betas-cross-in-different-slabs", {"lambda = 2.5": "lambda = 2.5,4.2",
@@ -515,10 +518,15 @@ def test_sweep_dephasing_equals_full_grid_rows(case, changes, tmp_path, one_blas
     assert_sweep_dephasing_bytes(tmp_path, text, expected)
 
 
-def test_sweep_dephasing_takes_whole_traces_where_blas_cannot_be_pinned(tmp_path,
-                                                                       monkeypatch):
-    # a slab rounds as the whole grid only with BLAS on one thread; without a way to pin
-    # it, the sweep computes every trace on the whole grid, as every other sweep does
+def test_sweep_dephasing_stops_at_the_first_slab_where_blas_cannot_be_pinned(monkeypatch):
+    # without a way to pin BLAS the sweep still passes its threshold: every lambda of
+    # this config stops after its first slab.  A slab rounds as the whole grid only with
+    # BLAS on one thread, so here tau_d equals the whole-grid values to rounding
+    text = SLAB_BASE
+    for old, new in ALL_CROSS_EARLY.items():
+        text = text.replace(old, new)
+    taus, _ = full_grid_dephasing(text)
+    first = kernels.row_slabs(dynamics.time_grid(10.0, 0.01))[0]
     slabs = []
     phase_sum = kernels.phase_sum
 
@@ -526,13 +534,11 @@ def test_sweep_dephasing_takes_whole_traces_where_blas_cannot_be_pinned(tmp_path
         slabs.append(kwargs.get("slab"))
         return phase_sum(*args, **kwargs)
 
-    text = SLAB_BASE.replace("lambda = 2.5", "lambda = 1.6,2.5").replace("beta = 1.0",
-                                                                         "beta = 1,4,10")
-    _, expected = full_grid_dephasing(text)
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
     monkeypatch.setattr(kernels, "phase_sum", recording)
-    assert_sweep_dephasing_bytes(tmp_path, text, expected)
-    assert slabs and all(slab is None for slab in slabs)
+    rows = cli._run_sweep("dephasing", parse_config_text(text), 1)
+    assert slabs and all(slab is not None and slab.points == first.points for slab in slabs)
+    np.testing.assert_allclose([tau for *_, tau in rows], taus, rtol=1e-12, atol=0.0)
 
 
 @pytest.mark.parametrize("row", [1, 2, 4])
@@ -587,7 +593,7 @@ def test_gaussian_error_csv_with_pointwise(tmp_path):
     assert (values == 0.0).any() and ((values > 0.0) & (values < 1e-15)).any()
     times = dynamics.time_grid(5.0, 0.05)
     reference = "lambda,beta,eta,t,e_chi\n" + "".join(
-        f"{cli._fmt(lam)},{cli._fmt(beta)},{cli._fmt(2.0)},{cli._fmt(t)},{cli._fmt(e)}\n"
+        f"{lam:.11e},{beta:.11e},{2.0:.11e},{t:.11e},{e:.11e}\n"
         for lam, beta, _, errors in points for t, e in zip(times, errors))
     summaries = []
     for workers in ("1", "2"):
@@ -618,17 +624,37 @@ def test_unwritable_output_exits_2_naming_the_path(command, path, tmp_path, caps
 
 @pytest.mark.parametrize("path", ["/nonexistent/dir/pw.csv", "/dev/full", "{tmp}"])
 def test_unwritable_pointwise_out_exits_2_naming_the_path(path, tmp_path, capsys, monkeypatch):
-    # a missing directory is found before the sweep; a directory as the path fails at its
-    # open, after the sweep, and /dev/full at its write; none leaves a summary file
+    # a missing directory and a directory as the path are found before the sweep, and
+    # /dev/full fails at its write; none leaves a summary file
     path = path.format(tmp=tmp_path)
     cfg = write_config(tmp_path, BASE + f"pointwise_out = {path}\n")
     out = tmp_path / "gauss.csv"
-    if path.startswith("/nonexistent/"):
+    if path != "/dev/full":
         monkeypatch.setattr(cli, "_sweep_point", lambda *args: pytest.fail("a point was computed"))
     assert main(["gaussian-error", "--config", cfg, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and path in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("out, pointwise, named", [
+    ("{tmp}/gauss.csv", "{tmp}/gauss.csv", "{tmp}/gauss.csv"),
+    ("{tmp}/gauss.csv", "{tmp}/./gauss.csv", "{tmp}/./gauss.csv"),
+    ("{tmp}", "{tmp}/pw.csv", "{tmp}"),
+    ("{tmp}/gauss.csv", "{tmp}", "{tmp}"),
+], ids=["pointwise-is-out", "pointwise-is-out-via-dot", "out-is-a-directory",
+        "pointwise-is-a-directory"])
+def test_outputs_that_cannot_be_files_of_their_own_exit_2_before_any_work(
+        out, pointwise, named, tmp_path, capsys, monkeypatch):
+    # both outputs at one file lost the summary table; a directory failed only after
+    # every point was computed
+    out, pointwise, named = (path.format(tmp=tmp_path) for path in (out, pointwise, named))
+    cfg = write_config(tmp_path, BASE + f"pointwise_out = {pointwise}\n")
+    monkeypatch.setattr(cli, "_sweep_point", lambda *args: pytest.fail("a point was computed"))
+    assert main(["gaussian-error", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and repr(named) in err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 
 def test_oracle_check_passes(tmp_path, capsys):
@@ -652,12 +678,29 @@ def test_missing_config_file(capsys):
 
 
 def test_scientific_notation_everywhere(tmp_path):
+    # every field is a float in scientific notation but those of the integer columns;
+    # spectrum and correlation write two tables, each under its own header
     cfg = write_config(tmp_path, BASE)
-    out = tmp_path / "dyn.csv"
-    main(["dynamics", "--config", cfg, "--out", str(out)])
-    for row in read_rows(out)[1:]:
-        for field in row:
-            assert SCI.match(field), field
+    sweep = write_config(tmp_path, BASE.replace("lambda = 2.5", "lambda = 2.5,3.1")
+                         .replace("beta = 1.0", "beta = 1,7"), name="sweep.cfg")
+    for argv in (["spectrum", "--lambda", "7.3"], ["bath", "--config", cfg],
+                 ["correlation", "--config", cfg], ["dynamics", "--config", cfg],
+                 *([name, "--config", sweep] for name in cli._SWEEPS)):
+        out = tmp_path / f"{argv[0]}.csv"
+        assert main([*argv, "--out", str(out)]) == 0
+        rows = read_rows(out)
+        header = rows[0]
+        assert len(rows) > 2
+        for row in rows[1:]:
+            if re.fullmatch(r"[a-z]\w*", row[0]):
+                header = row
+                continue
+            assert len(row) == len(header)
+            for name, field in zip(header, row):
+                if name in ("n", "m", "k", "count"):
+                    assert re.fullmatch(r"\d+", field), (argv[0], name, field)
+                else:
+                    assert SCI.match(field), (argv[0], name, field)
 
 
 def test_sweep_failure_names_lambda_and_betas(tmp_path, monkeypatch, capsys):
