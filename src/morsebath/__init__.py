@@ -7,7 +7,7 @@ them: dephasing times, information backflow, and the exact-vs-Gaussian
 error.
 """
 
-from .bath import Bath, BathConfig, bath_arrays, spectral_density
+from .bath import Bath, bath_arrays, spectral_density
 from .correlation import (
     CorrelationModel,
     alpha,
@@ -39,7 +39,7 @@ from .specfun import digamma, log_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bath", "BathConfig", "CorrelationModel", "DEFAULT_RHO0", "DephasingTrace", "SystemConfig",
+    "Bath", "CorrelationModel", "DEFAULT_RHO0", "DephasingTrace", "SystemConfig",
     "alpha", "bath_arrays", "blp_flows", "bound_energies", "bound_state_count",
     "build_correlation", "chi_traces", "dense_chi", "dephasing_time", "digamma",
     "gamma_decay", "gaussian_chi", "gaussian_error", "gaussian_traces", "ladder_matrix",

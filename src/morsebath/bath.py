@@ -11,12 +11,12 @@ with the ohmic density J(w) = Theta(2 omega_c - w) eta (w/omega_c)
 exp(-w/omega_c).  The hard cut uses the boundary convention
 Theta(0) = 0, so the k = K mode carries exactly zero coupling.
 
-``bath_arrays`` holds the K modes of one lam as arrays, with the thermal
-data of any number of betas; the correlation, Gaussian and exact-chi
-code, the dense oracle and the CLI take this ``Bath``.  ``discretize``
-gives a read-only per-mode view of one beta; it is kept only for the
-benchmark's references under ``morsebench/``, which read one mode at a
-time.
+``bath_arrays(eta, omega_c, k_modes, lam, betas)`` holds the K modes of
+one lam as arrays, with the thermal data of any number of betas; the
+correlation, Gaussian and exact-chi code, the dense oracle and the CLI
+take this ``Bath``.  ``discretize(BathConfig)`` gives a read-only
+per-mode view of one beta; both are kept only for the benchmark's
+references under ``morsebench/``, which read one mode at a time.
 """
 
 from __future__ import annotations
@@ -30,25 +30,13 @@ from .morse import bound_energies, ladder_matrix
 
 @dataclass(frozen=True)
 class BathConfig:
-    """Discretized-bath parameters (shared anharmonicity, one temperature)."""
+    """Parameters of ``discretize``: ``bath_arrays`` of one beta, which validates them."""
 
     eta: float
     omega_c: float
     k_modes: int
     lam: float
     beta: float
-
-    def __post_init__(self) -> None:
-        if self.eta < 0.0:
-            raise ValueError(f"eta must be >= 0, got {self.eta}")
-        if not self.omega_c > 0.0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.k_modes < 1:
-            raise ValueError(f"k_modes must be >= 1, got {self.k_modes}")
-        if not self.lam > 0.5:
-            raise ValueError(f"lam must exceed 1/2, got {self.lam}")
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 @dataclass(frozen=True)
@@ -142,26 +130,30 @@ class Bath:
         )
 
 
-def bath_arrays(config: BathConfig, betas=None) -> Bath:
-    """The K discretized modes of config.lam at every beta (default: config.beta).
+def bath_arrays(eta: float, omega_c: float, k_modes: int, lam: float, betas) -> Bath:
+    """The k_modes discretized modes of lam at every beta of betas.
 
-    The beta-free arrays are built once; the thermal data of all betas
-    come from one vectorized expression.
+    The beta-free arrays are built once, the thermal data of all betas
+    in one expression; ``bound_state_count`` checks lam and ``_thermal`` the betas.
     """
-    omega = 2.0 * config.omega_c * np.arange(1, config.k_modes + 1) / config.k_modes
-    energies = bound_energies(omega, config.lam)
-    g = np.sqrt(2.0 * config.omega_c / config.k_modes
-                * spectral_density(omega, config.eta, config.omega_c))
-    couplings = g[:, None, None] * ladder_matrix(config.lam)
-    betas = np.array([config.beta] if betas is None else betas, dtype=float)
-    weights, partition, mean_b = _thermal(energies, couplings, betas)
+    if eta < 0.0:
+        raise ValueError(f"eta must be >= 0, got {eta}")
+    if not omega_c > 0.0:
+        raise ValueError(f"omega_c must be positive, got {omega_c}")
+    if k_modes < 1:
+        raise ValueError(f"k_modes must be >= 1, got {k_modes}")
+    omega = 2.0 * omega_c * np.arange(1, k_modes + 1) / k_modes
+    energies = bound_energies(omega, lam)
+    g = np.sqrt(2.0 * omega_c / k_modes * spectral_density(omega, eta, omega_c))
+    couplings = g[:, None, None] * ladder_matrix(lam)
+    weights, partition, mean_b = _thermal(energies, couplings, np.array(betas, dtype=float))
     return Bath(omega=omega, g=g, energies=energies, couplings=couplings,
                 weights=weights, partition=partition, mean_b=mean_b)
 
 
 def discretize(config: BathConfig) -> list[BathMode]:
-    """The K discretized modes as per-mode views of ``bath_arrays(config)`` at config.beta."""
-    bath = bath_arrays(config)
+    """The K discretized modes as per-mode views of ``bath_arrays`` at config.beta."""
+    bath = bath_arrays(config.eta, config.omega_c, config.k_modes, config.lam, [config.beta])
     return [BathMode(omega=float(bath.omega[k]), g=float(bath.g[k]), h_diag=bath.energies[k],
                      b_matrix=bath.couplings[k], weights=bath.weights[0, k],
                      partition=float(bath.partition[0, k]), mean_b=float(bath.mean_b[0, k]))

@@ -54,7 +54,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
 import numpy as np
 
-from .bath import Bath, BathConfig, bath_arrays
+from .bath import Bath, bath_arrays
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
 from .dynamics import chi_traces, gaussian_traces, time_grid
@@ -186,8 +186,7 @@ def _write_outputs(*outputs: tuple[str | None, Iterable[str]]) -> None:
 
 def _bath(cfg: ExperimentConfig, lam: float, betas: list[float]) -> Bath:
     """The K modes of cfg at lam, with the thermal data of every beta."""
-    return bath_arrays(BathConfig(eta=cfg.eta, omega_c=cfg.omega_c, k_modes=cfg.k_modes,
-                                  lam=lam, beta=betas[0]), betas)
+    return bath_arrays(cfg.eta, cfg.omega_c, cfg.k_modes, lam, betas)
 
 
 def _one_point(args: argparse.Namespace, max_modes: int | None = None):

@@ -17,8 +17,9 @@ Lists are comma-separated, ranges are written ``start:stop:step``
 Required keys: ``eta``, ``lambda``, ``beta``.  Optional keys with
 defaults: ``k_modes`` (40), ``omega_c`` (1.0), ``omega_s`` (2.0),
 ``t_max`` (20.0), ``dt`` (0.01), ``threshold`` (0.1), ``rho0``
-(0.5,0.25,0.25,0.5 row-major), ``pointwise_out`` (unset).  Every
-number must be finite.  Environment variables are never consulted.
+(0.5,0.25,0.25,0.5 row-major), ``pointwise_out`` (unset).  Each key
+may appear once.  Every number must be finite.  Environment variables
+are never consulted.
 """
 
 from __future__ import annotations
@@ -33,9 +34,6 @@ from .dynamics import DEFAULT_RHO0, SystemConfig
 
 class ConfigError(ValueError):
     """Configuration problem, annotated with file and line when known."""
-
-
-_FLOAT_KEYS = ("omega_c", "eta", "omega_s", "t_max", "dt", "threshold")
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,9 @@ class ExperimentConfig:
     system: SystemConfig = field(init=False, compare=False)  # omega_s and rho0, built once
 
     def __post_init__(self) -> None:
-        for name, value in [*((key, getattr(self, key)) for key in _FLOAT_KEYS),
-                            ("lambda", self.lambdas), ("beta", self.betas), ("rho0", self.rho0)]:
-            if not np.isfinite(value).all():
-                raise ConfigError(f"field {name}: every value must be finite")
+        for key, (name, parse) in _KEYS.items():
+            if parse is not str and not np.isfinite(getattr(self, name)).all():
+                raise ConfigError(f"field {key}: every value must be finite")
         if self.k_modes < 1:
             raise ConfigError(f"field k_modes: must be >= 1, got {self.k_modes}")
         if not self.omega_c > 0.0:
@@ -94,42 +91,47 @@ class ExperimentConfig:
         return self.lambdas[0], self.betas[0]
 
 
-def _parse_float_list(raw: str, key: str, line_no: int) -> tuple[float, ...]:
-    raw = raw.strip()
+def _parse_float_list(raw: str) -> tuple[float, ...]:
     if ":" in raw:
         parts = raw.split(":")
         if len(parts) != 3:
-            raise ConfigError(f"line {line_no}: field {key}: range must be start:stop:step")
-        try:
-            start, stop, step = (float(p) for p in parts)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: field {key}: {exc}") from exc
+            raise ValueError("range must be start:stop:step")
+        start, stop, step = (float(p) for p in parts)
         if not all(math.isfinite(x) for x in (start, stop, step)):
-            raise ConfigError(f"line {line_no}: field {key}: range entries must be finite")
+            raise ValueError("range entries must be finite")
         if step <= 0.0 or stop < start:
-            raise ConfigError(f"line {line_no}: field {key}: need step > 0 and stop >= start")
+            raise ValueError("need step > 0 and stop >= start")
         count = int(math.floor((stop - start) / step + 1e-9)) + 1
         return tuple(start + i * step for i in range(count))
-    try:
-        return tuple(float(p) for p in raw.split(","))
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: field {key}: {exc}") from exc
+    return tuple(float(p) for p in raw.split(","))
 
 
-def _parse_complex_entries(raw: str, key: str, line_no: int) -> np.ndarray:
+def _parse_complex_entries(raw: str) -> np.ndarray:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 4:
-        raise ConfigError(f"line {line_no}: field {key}: expected 4 row-major entries")
-    try:
-        values = [complex(p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"line {line_no}: field {key}: {exc}") from exc
-    return np.array(values, dtype=complex).reshape(2, 2)
+        raise ValueError("expected 4 row-major entries")
+    return np.array([complex(p) for p in parts], dtype=complex).reshape(2, 2)
+
+
+# config key -> (ExperimentConfig field, parser of the value)
+_KEYS = {
+    "eta": ("eta", float),
+    "lambda": ("lambdas", _parse_float_list),
+    "beta": ("betas", _parse_float_list),
+    "k_modes": ("k_modes", int),
+    "omega_c": ("omega_c", float),
+    "omega_s": ("omega_s", float),
+    "t_max": ("t_max", float),
+    "dt": ("dt", float),
+    "threshold": ("threshold", float),
+    "rho0": ("rho0", _parse_complex_entries),
+    "pointwise_out": ("pointwise_out", str),
+}
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     """Parse configuration text; errors carry the source and line number."""
-    seen: dict[str, object] = {}
+    fields: dict[str, object] = {}
     line_of: dict[str, int] = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
@@ -139,36 +141,22 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             raise ConfigError(f"{source}: line {line_no}: expected 'key = value', got {raw_line!r}")
         key, _, raw = line.partition("=")
         key = key.strip()
-        raw = raw.strip()
-        if key in seen:
+        if key in line_of:
             raise ConfigError(f"{source}: line {line_no}: duplicate key {key!r} "
                               f"(first set on line {line_of[key]})")
+        if key not in _KEYS:
+            raise ConfigError(f"{source}: line {line_no}: unknown key {key!r}")
         line_of[key] = line_no
+        name, parse = _KEYS[key]
         try:
-            if key == "k_modes":
-                seen[key] = int(raw)
-            elif key in _FLOAT_KEYS:
-                seen[key] = float(raw)
-            elif key == "lambda":
-                seen["lambdas"] = _parse_float_list(raw, key, line_no)
-            elif key == "beta":
-                seen["betas"] = _parse_float_list(raw, key, line_no)
-            elif key == "rho0":
-                seen[key] = _parse_complex_entries(raw, key, line_no)
-            elif key == "pointwise_out":
-                seen[key] = raw
-            else:
-                raise ConfigError(f"line {line_no}: unknown key {key!r}")
-        except ConfigError as exc:
-            raise ConfigError(f"{source}: {exc}") from None
+            fields[name] = parse(raw.strip())
         except ValueError as exc:
             raise ConfigError(f"{source}: line {line_no}: field {key}: {exc}") from None
-    for required in ("eta", "lambdas", "betas"):
-        if required not in seen:
-            name = "lambda" if required == "lambdas" else ("beta" if required == "betas" else required)
-            raise ConfigError(f"{source}: missing required key {name!r}")
+    for key in ("eta", "lambda", "beta"):
+        if key not in line_of:
+            raise ConfigError(f"{source}: missing required key {key!r}")
     try:
-        return ExperimentConfig(**seen)  # type: ignore[arg-type]
+        return ExperimentConfig(**fields)  # type: ignore[arg-type]
     except ConfigError as exc:
         raise ConfigError(f"{source}: {exc}") from None
 

@@ -69,16 +69,16 @@ def _pair_weights(bath: Bath, rows_listed: np.ndarray) -> tuple[np.ndarray, np.n
     return w, starts
 
 
-def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -> CorrelationModel:
+def build_correlation(bath: Bath) -> CorrelationModel:
     """Aggregate offset and time-dependent terms over all modes, for every beta.
 
     offset_c0 = sum_{k,n} p_kn (B_k[n,n] - <B_k>)^2; the term list
     enumerates the ordered pairs n != p of every mode, with the gap
     E_n - E_p and the weight p_n B[n,p]^2 (the mean shifts only the
     diagonal).  Terms carrying a negligible fraction of a beta's total
-    weight are discarded for that beta (see ``NEGLIGIBLE_WEIGHT``); pass
-    ``weight_cutoff=0`` to keep all.  A beta whose pairs all weigh zero
-    (eta = 0) keeps no terms and lists no rows.
+    weight are discarded for that beta (``NEGLIGIBLE_WEIGHT``, read at
+    each call).  A beta whose pairs all weigh zero (eta = 0) keeps no
+    terms and lists no rows.
 
     A mode's rows n whose pairs weigh less, all together, than
     _ROW_TAIL of the pruning budget are not listed; the budget left for
@@ -102,7 +102,7 @@ def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -
     tail = np.concatenate([np.cumsum(row_w[..., ::-1], axis=-1)[..., ::-1],
                            np.zeros((n_beta, n_modes, 1))], axis=-1)
     total = row_w.sum(axis=(1, 2))
-    floor = _ROW_TAIL * weight_cutoff * total
+    floor = _ROW_TAIL * NEGLIGIBLE_WEIGHT * total
     listed = np.count_nonzero(tail[..., :d] >= floor[:, None, None], axis=-1)
     rows_listed = np.where(total[:, None] > 0.0, listed, 0).max(axis=0)
     # (n_beta, K) weight left out of each mode: under K _ROW_TAIL of the
@@ -110,10 +110,10 @@ def build_correlation(bath: Bath, *, weight_cutoff: float = NEGLIGIBLE_WEIGHT) -
     left = np.take_along_axis(tail, rows_listed[None, :, None], axis=-1)[..., 0]
     left_sum = left.sum(axis=-1)
     w, starts = _pair_weights(bath, rows_listed)
-    keep = kernels.kept_terms(w, weight_cutoff * (w.sum(axis=-1) + left_sum) - left_sum)
+    keep = kernels.kept_terms(w, NEGLIGIBLE_WEIGHT * (w.sum(axis=-1) + left_sum) - left_sum)
     if np.any(left.max(axis=-1) > np.where(keep, w, np.inf).min(axis=-1, initial=np.inf)):
         w, starts = _pair_weights(bath, np.full(n_modes, d))
-        keep = kernels.kept_terms(w, weight_cutoff * w.sum(axis=-1))
+        keep = kernels.kept_terms(w, NEGLIGIBLE_WEIGHT * w.sum(axis=-1))
     union = keep.any(axis=0)
     w = w[:, union]
     w[~keep[:, union]] = 0.0

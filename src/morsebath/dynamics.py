@@ -144,39 +144,38 @@ def _truncation_bound(eig: tuple[np.ndarray, ...], couplings: np.ndarray,
     return bound
 
 
-def _kept_levels(energies: np.ndarray, couplings: np.ndarray, weights: np.ndarray, t_max: float,
-                 tol: float = NEGLIGIBLE_TERM_MASS) -> tuple[int, tuple[np.ndarray, ...]]:
+def _kept_levels(energies: np.ndarray, couplings: np.ndarray, weights: np.ndarray,
+                 t_max: float) -> tuple[int, tuple[np.ndarray, ...]]:
     """Kept level count m of a mode block and its `_block_eigh` on those levels.
 
-    m starts at the fewest levels whose thermal tail is at most tol for
-    every mode and beta, and grows by a quarter (at least 8 levels)
-    until `_truncation_bound` is at most tol.  Past three quarters of d
-    the block keeps all d levels: there the cut saves little eigh time
-    and may take several tries.
+    m starts at the fewest levels whose thermal tail is at most
+    NEGLIGIBLE_TERM_MASS for every mode and beta, and grows by a quarter
+    (at least 8 levels) until `_truncation_bound` is at most that too.
+    Past three quarters of d the block keeps all d levels: there the cut
+    saves little eigh time and may take several tries.
     """
     d = energies.shape[-1]
     tail = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
-    m = int(np.count_nonzero(tail > tol, axis=-1).max())
+    m = int(np.count_nonzero(tail > NEGLIGIBLE_TERM_MASS, axis=-1).max())
     while 4 * m <= 3 * d:
         eig = _block_eigh(energies[:, :m], couplings[:, :m, :m])
-        if _truncation_bound(eig, couplings, weights, t_max).max() <= tol:
+        if _truncation_bound(eig, couplings, weights, t_max).max() <= NEGLIGIBLE_TERM_MASS:
             return m, eig
         m += max(8, m // 4)
     return d, _block_eigh(energies, couplings)
 
 
-def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray,
-                 drop_tol: float = NEGLIGIBLE_TERM_MASS) -> tuple[np.ndarray, np.ndarray]:
+def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Terms-first (g T, n_beta) weights and (g T,) frequencies of a block of g modes.
 
     eig is the block's `_block_eigh` on its m kept levels and weights
     their (n_beta, g, m) thermal weights.  Mode k's trace factor at each
     beta is sum_{a,b} W[a,b] exp(i (L_plus[b] - L_minus[a]) t).  Each
     (beta, mode) is pruned from its smallest |W| up while the dropped
-    mass stays below drop_tol, which bounds the factor error by the same
-    amount (|exp(i w t)| = 1).  Every mode keeps the union of its betas' terms,
-    in index order, with zero weight where a beta dropped one, padded to
-    a common count T with zero-weight terms.
+    mass stays below NEGLIGIBLE_TERM_MASS, which bounds the factor error
+    by the same amount (|exp(i w t)| = 1).  Every mode keeps the union of
+    its betas' terms, in index order, with zero weight where a beta
+    dropped one, padded to a common count T with zero-weight terms.
     """
     evals_plus, evecs_plus, evals_minus, evecs_minus = eig
     a = evecs_minus.swapaxes(-1, -2) @ (weights[..., :, None] * evecs_plus)
@@ -184,7 +183,7 @@ def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray,
     n_beta, g, m = weights.shape
     w = (a * b.swapaxes(-1, -2)).reshape(n_beta, g, m * m)
     freqs = (evals_plus[:, None, :] - evals_minus[:, :, None]).reshape(g, m * m)
-    keep = kernels.kept_terms(np.abs(w), drop_tol)
+    keep = kernels.kept_terms(np.abs(w), NEGLIGIBLE_TERM_MASS)
     union = keep.any(axis=0)
     order = np.argsort(~union, axis=-1, kind="stable")[:, :union.sum(axis=-1).max()]
     w = np.take_along_axis(np.where(keep, w, 0.0), order[None], axis=-1)

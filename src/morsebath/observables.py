@@ -62,19 +62,19 @@ def dephasing_time(trace: DephasingTrace, rho0: np.ndarray,
     return float(t_prev + (t_next - t_prev) * (r_prev - threshold) / (r_prev - r_next))
 
 
-def blp_flows(abs_chi: np.ndarray, tol: float = MONOTONE_TOL) -> FlowReport:
+def blp_flows(abs_chi: np.ndarray) -> FlowReport:
     """Partition |chi| into monotone segments and sum rises and falls.
 
-    Steps with |d|chi|| <= tol count as flat and contribute to neither
-    direction, which keeps numerical plateaus from registering as
-    spurious backflow.
+    Steps with |d|chi|| <= MONOTONE_TOL count as flat and contribute to
+    neither direction, which keeps numerical plateaus from registering
+    as spurious backflow.
     """
     x = np.asarray(abs_chi, dtype=float)
     if x.size < 2:
         raise ValueError("need at least two samples to measure flows")
     dx = np.diff(x)
-    n_minus = float(dx[dx > tol].sum())
-    n_plus = float(-dx[dx < -tol].sum())
+    n_minus = float(dx[dx > MONOTONE_TOL].sum())
+    n_plus = float(-dx[dx < -MONOTONE_TOL].sum())
     ratio = (n_minus / n_plus) if n_plus > 0.0 else None
     return FlowReport(n_minus=n_minus, n_plus=n_plus, ratio=ratio)
 

@@ -69,6 +69,9 @@ def dense_chi(bath: Bath, system: SystemConfig, times: np.ndarray) -> DephasingT
 
 
 def _quadrature(lam: float, n: int, m: int, with_x: bool) -> float:
+    d = bound_state_count(lam)
+    if not (0 <= n < d and 0 <= m < d):
+        raise IndexError(f"indices ({n}, {m}) out of range for {d} bound states")
     # imported here: scipy.integrate costs most of the package import time
     from scipy.integrate import quad
 
@@ -100,15 +103,9 @@ def quadrature_element(lam: float, n: int, m: int) -> float:
     exp(-z) times a power, so the truncated tail is far below the
     1e-9 tolerance.
     """
-    d = bound_state_count(lam)
-    if not (0 <= n < d and 0 <= m < d):
-        raise IndexError(f"indices ({n}, {m}) out of range for {d} bound states")
     return _quadrature(lam, n, m, with_x=True)
 
 
 def overlap_element(lam: float, n: int, m: int) -> float:
     """<n|m> by the same quadrature; identity matrix up to tolerance."""
-    d = bound_state_count(lam)
-    if not (0 <= n < d and 0 <= m < d):
-        raise IndexError(f"indices ({n}, {m}) out of range for {d} bound states")
     return _quadrature(lam, n, m, with_x=False)

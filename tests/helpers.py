@@ -5,8 +5,8 @@ import math
 
 import numpy as np
 
-from morsebath import BathConfig, bath_arrays
-from morsebath.bath import discretize
+from morsebath import bath_arrays
+from morsebath.bath import BathConfig, discretize
 from morsebath.morse import wavefunction_z
 
 
@@ -16,8 +16,7 @@ def make_bath(lam, beta, eta=2.0, k_modes=40, omega_c=1.0):
 
 
 def make_arrays(lam, betas, eta=2.0, k_modes=40, omega_c=1.0):
-    return bath_arrays(BathConfig(eta=eta, omega_c=omega_c, k_modes=k_modes,
-                                  lam=lam, beta=betas[0]), betas)
+    return bath_arrays(eta, omega_c, k_modes, lam, betas)
 
 
 def renormalized(bath):

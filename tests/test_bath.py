@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from morsebath import (
     DEFAULT_RHO0,
-    BathConfig,
     SystemConfig,
     bath_arrays,
     bound_energies,
@@ -14,7 +13,7 @@ from morsebath import (
     spectral_density,
     time_grid,
 )
-from morsebath.bath import discretize
+from morsebath.bath import BathConfig, discretize
 from morsebath.dynamics import chi_series
 from helpers import make_bath
 
@@ -78,8 +77,7 @@ def test_thermal_normalization_and_renormalization(beta):
 
 
 def test_thermal_data_at_second_beta():
-    config = BathConfig(eta=2.0, omega_c=1.0, k_modes=2, lam=2.5, beta=1.0)
-    bath = bath_arrays(config, [1.0, 10.0])
+    bath = bath_arrays(2.0, 1.0, 2, 2.5, [1.0, 10.0])
     weights, partition, mean_b = bath.weights[1, 0], bath.partition[1, 0], bath.mean_b[1, 0]
     e = bath.energies[0]
     expected = np.exp(-10.0 * (e - e[0]))
@@ -90,7 +88,7 @@ def test_thermal_data_at_second_beta():
     b_tilde = bath.couplings[0] - mean_b * np.eye(e.size)
     assert abs(weights @ np.diag(b_tilde)) < 1e-13
     with pytest.raises(ValueError):
-        bath_arrays(config, [1.0, 0.0])
+        bath_arrays(2.0, 1.0, 2, 2.5, [1.0, 0.0])
 
 
 @pytest.mark.parametrize("lam, beta, eta, k_modes", [
@@ -102,7 +100,7 @@ def test_discretize_is_a_view_of_bath_arrays(lam, beta, eta, k_modes):
     # the per-mode view that the dense oracle and the benchmark's references read
     config = BathConfig(eta=eta, omega_c=1.0, k_modes=k_modes, lam=lam, beta=beta)
     modes = discretize(config)
-    bath = bath_arrays(config)
+    bath = bath_arrays(eta, 1.0, k_modes, lam, [beta])
     assert len(modes) == k_modes
     for k, mode in enumerate(modes):
         assert np.array_equal(mode.omega, bath.omega[k])
@@ -119,7 +117,7 @@ def test_discretize_is_a_view_of_bath_arrays(lam, beta, eta, k_modes):
 @pytest.mark.parametrize("lam, k_modes, count", [(1.6, 40, 2), (7.4, 40, 7), (399.8, 3, 400)])
 def test_bath_energies_are_bound_energies(lam, k_modes, count):
     # one formula for the level energies: the array and the one-mode call give the same bits
-    bath = bath_arrays(BathConfig(eta=2.0, omega_c=1.0, k_modes=k_modes, lam=lam, beta=1.0))
+    bath = bath_arrays(2.0, 1.0, k_modes, lam, [1.0])
     assert bath.energies.shape == (k_modes, count)
     assert np.array_equal(bound_energies(bath.omega, lam), bath.energies)
     for omega, energies in zip(bath.omega, bath.energies):
@@ -133,13 +131,16 @@ def test_lambda_without_bound_state_is_rejected():
 
 
 def test_bath_config_validation():
-    with pytest.raises(ValueError):
-        BathConfig(eta=-1.0, omega_c=1.0, k_modes=4, lam=2.5, beta=1.0)
-    with pytest.raises(ValueError):
-        BathConfig(eta=1.0, omega_c=0.0, k_modes=4, lam=2.5, beta=1.0)
-    with pytest.raises(ValueError):
-        BathConfig(eta=1.0, omega_c=1.0, k_modes=0, lam=2.5, beta=1.0)
-    with pytest.raises(ValueError):
-        BathConfig(eta=1.0, omega_c=1.0, k_modes=4, lam=0.4, beta=1.0)
-    with pytest.raises(ValueError):
-        BathConfig(eta=1.0, omega_c=1.0, k_modes=4, lam=2.5, beta=-2.0)
+    # bath_arrays checks eta, omega_c and k_modes, bound_state_count lam and
+    # _thermal the betas; discretize validates its BathConfig through bath_arrays
+    for (eta, omega_c, k_modes, lam, beta), message in [
+        ((-1.0, 1.0, 4, 2.5, 1.0), "eta must be >= 0"),
+        ((1.0, 0.0, 4, 2.5, 1.0), "omega_c must be positive"),
+        ((1.0, 1.0, 0, 2.5, 1.0), "k_modes must be >= 1"),
+        ((1.0, 1.0, 4, 0.4, 1.0), "lam must exceed 1/2"),
+        ((1.0, 1.0, 4, 2.5, -2.0), "beta must be positive"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            bath_arrays(eta, omega_c, k_modes, lam, [beta])
+        with pytest.raises(ValueError, match=message):
+            discretize(BathConfig(eta, omega_c, k_modes, lam, beta))

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from morsebath import cli, dynamics, kernels, observables
+from morsebath import cli, config, dynamics, kernels, observables
 from morsebath.cli import main
 from morsebath.config import ConfigError, parse_config_text
 
@@ -69,6 +69,30 @@ def test_config_errors_name_field_and_line():
         parse_config_text("eta = 2\nlambda = 2.5\nbeta = 1\ndt = 30.0\n")
     with pytest.raises(ConfigError, match="rho0"):
         parse_config_text("eta = 2\nlambda = 2.5\nbeta = 1\nrho0 = 1,0,0,0.5\n")
+
+
+# a valid value of every config key
+KEY_VALUES = {"eta": "2", "lambda": "2.5", "beta": "1,4", "k_modes": "8", "omega_c": "1",
+              "omega_s": "2", "t_max": "5", "dt": "0.05", "threshold": "0.2",
+              "rho0": "0.5,0.25,0.25,0.5", "pointwise_out": "e.csv"}
+
+
+@pytest.mark.parametrize("key", sorted(config._KEYS))
+def test_every_key_given_twice_is_rejected(key):
+    lines = [f"{key} = {KEY_VALUES[key]}"]
+    lines += [f"{other} = {KEY_VALUES[other]}" for other in ("eta", "lambda", "beta") if other != key]
+    lines += [f"{key} = {KEY_VALUES[key]}"]
+    with pytest.raises(ConfigError, match=re.escape(
+            f"line {len(lines)}: duplicate key {key!r} (first set on line 1)")):
+        parse_config_text("\n".join(lines) + "\n")
+
+
+def test_readme_configuration_table_lists_the_config_keys():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        section = handle.read().split("\n## Configuration files\n", 1)[1].split("\n## ", 1)[0]
+    keys = {key for line in section.splitlines() if line.startswith("| `")
+            for key in re.findall(r"`([^`]+)`", line.split("|")[1])}
+    assert keys == set(config._KEYS)
 
 
 def test_config_rejects_second_order_phase_key():

@@ -238,6 +238,17 @@ def test_row_listing_equals_full_list(lam, betas, eta, k_modes):
     assert np.array_equal(model.deltas, deltas)
 
 
+def test_weight_cutoff_is_read_at_each_call(monkeypatch):
+    # a cutoff of 0 keeps every pair of every mode: 40 modes of 7 levels at lam = 7.4
+    monkeypatch.setattr(correlation, "NEGLIGIBLE_WEIGHT", 0.0)
+    bath = make_arrays(lam=7.4, betas=[1.0, 10.0], eta=0.01, k_modes=40)
+    model = build_correlation(bath)
+    weights, deltas = full_list_model(bath, 0.0)
+    assert deltas.shape == (40 * 7 * 6,)
+    assert np.array_equal(model.weights, weights)
+    assert np.array_equal(model.deltas, deltas)
+
+
 def test_rows_are_relisted_when_a_left_out_term_could_be_kept(monkeypatch):
     # a row tail far above the budget leaves out terms the pruning keeps
     monkeypatch.setattr(correlation, "_ROW_TAIL", 1e11)

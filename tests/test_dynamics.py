@@ -6,9 +6,7 @@ import pytest
 
 from morsebath import (
     DEFAULT_RHO0,
-    BathConfig,
     SystemConfig,
-    bath_arrays,
     chi_traces,
     mean_field_shift,
     time_grid,
@@ -123,7 +121,7 @@ def test_system_config_validation():
 
 
 def test_propagator_reconstruction():
-    bath = bath_arrays(BathConfig(eta=2.0, omega_c=1.0, k_modes=5, lam=2.6, beta=1.0))
+    bath = make_arrays(lam=2.6, betas=[1.0], eta=2.0, k_modes=5)
     evals_plus, evecs_plus, evals_minus, evecs_minus = _block_eigh(bath.energies, bath.couplings)
     for k, (energies, b) in enumerate(zip(bath.energies, bath.couplings)):
         for sign, evals, evecs in ((1.0, evals_plus[k], evecs_plus[k]),

@@ -13,9 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morsebath import (
-    BathConfig,
     SystemConfig,
-    bath_arrays,
     bound_state_count,
     chi_traces,
     dense_chi,
@@ -24,9 +22,8 @@ from morsebath import (
     mean_field_shift,
     time_grid,
 )
-from morsebath.bath import discretize
 from morsebath.dynamics import DEFAULT_RHO0, _block_eigh, _phase_terms, chi_series
-from helpers import renormalized
+from helpers import make_arrays, make_bath, renormalized
 
 SYSTEM = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
 TIMES = time_grid(5.0, 0.05)
@@ -39,17 +36,13 @@ betas = st.lists(st.floats(min_value=0.1, max_value=1e4), min_size=1, max_size=4
 etas = st.floats(min_value=0.0, max_value=2.0)
 
 
-def config(lam, beta, eta, k_modes):
-    return BathConfig(eta=eta, omega_c=1.0, k_modes=k_modes, lam=lam, beta=beta)
-
-
 def assert_rows_match_one_beta(lam, beta_list, eta, k_modes):
-    bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
+    bath = make_arrays(lam, beta_list, eta, k_modes)
     exact = chi_traces(bath, SYSTEM, TIMES)
     gauss = gaussian_traces(bath, SYSTEM, TIMES)
     for beta, e, g in zip(beta_list, exact, gauss):
-        modes = discretize(config(lam, beta, eta, k_modes))
-        one_beta = bath_arrays(config(lam, beta, eta, k_modes))
+        modes = make_bath(lam, beta, eta, k_modes)
+        one_beta = make_arrays(lam, [beta], eta, k_modes)
         assert np.abs(e.chi - chi_series(modes, SYSTEM, TIMES).chi).max() <= 1e-13
         assert np.abs(g.chi - gaussian_traces(one_beta, SYSTEM, TIMES)[0].chi).max() <= 1e-13
 
@@ -62,7 +55,7 @@ def test_per_lambda_rows_match_one_beta_calls(lam, beta_list, eta, k_modes):
 
 def test_per_lambda_rows_match_when_betas_keep_different_terms():
     lam, beta_list, eta, k_modes = 7.3, [0.1, 1.0, 1e4], 2.0, 6
-    bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
+    bath = make_arrays(lam, beta_list, eta, k_modes)
     w, _ = _phase_terms(_block_eigh(bath.energies, bath.couplings), bath.weights)
     kept = [frozenset(np.flatnonzero(column)) for column in w.T]
     assert len(set(kept)) > 1  # the cold beta keeps fewer terms
@@ -74,9 +67,9 @@ def test_per_lambda_rows_match_when_betas_keep_different_terms():
 def test_per_lambda_rows_match_dense_oracle(lam, beta_list, eta, k_modes):
     if bound_state_count(lam) ** k_modes > 64:
         k_modes = 1
-    bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
+    bath = make_arrays(lam, beta_list, eta, k_modes)
     for beta, trace in zip(beta_list, chi_traces(bath, SYSTEM, TIMES)):
-        dense = dense_chi(bath_arrays(config(lam, beta, eta, k_modes)), SYSTEM, TIMES)
+        dense = dense_chi(make_arrays(lam, [beta], eta, k_modes), SYSTEM, TIMES)
         assert np.abs(trace.chi - dense.chi).max() <= 1e-10
 
 
@@ -84,7 +77,7 @@ def test_per_lambda_rows_match_dense_oracle(lam, beta_list, eta, k_modes):
 @given(lam=lams, beta=st.floats(min_value=0.1, max_value=1e4), eta=etas,
        k_modes=st.integers(1, 40))
 def test_exact_chi_invariants(lam, beta, eta, k_modes):
-    bath = bath_arrays(config(lam, beta, eta, k_modes))
+    bath = make_arrays(lam, [beta], eta, k_modes)
     bare, = chi_traces(bath, SYSTEM, TIMES)
     assert abs(bare.chi[0] - 1.0) <= 1e-13
     assert np.abs(bare.chi).max() <= 1.0 + 1e-12
@@ -104,7 +97,7 @@ def test_coupling_sign_flip_conjugates_chi(lam, beta_list, eta, k_modes):
     # B -> -B swaps H_+ and H_-, so every mode factor, and chi exp(-i omega_s t) with
     # them, turns into its complex conjugate; in the Gaussian path only the
     # mean-field phase 2 <B> t changes sign
-    bath = bath_arrays(config(lam, beta_list[0], eta, k_modes), beta_list)
+    bath = make_arrays(lam, beta_list, eta, k_modes)
     flipped = dataclasses.replace(bath, couplings=-bath.couplings, mean_b=-bath.mean_b)
     bare = np.exp(-1j * SYSTEM.omega_s * TIMES)
     for traces in (chi_traces, gaussian_traces):

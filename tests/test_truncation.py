@@ -16,7 +16,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from morsebath import DEFAULT_RHO0, BathConfig, SystemConfig, bath_arrays, chi_traces
+from morsebath import DEFAULT_RHO0, SystemConfig, bath_arrays, chi_traces
+from morsebath import dynamics
 from morsebath.config import parse_config
 from morsebath.dynamics import (
     _BLOCK_ELEMENTS,
@@ -92,17 +93,25 @@ def assert_factors_within_bound(bath, times):
        beta=st.floats(min_value=0.5, max_value=20.0),
        eta=st.floats(min_value=0.0, max_value=0.05), k_modes=st.integers(1, 4))
 def test_truncated_factors_stay_within_bound(lam, beta, eta, k_modes):
-    bath = bath_arrays(BathConfig(eta=eta, omega_c=1.0, k_modes=k_modes, lam=lam, beta=beta))
+    bath = bath_arrays(eta, 1.0, k_modes, lam, [beta])
     assert_factors_within_bound(bath, TIMES)
 
 
-def test_truncated_factors_at_harmonic_point():
-    bath = bath_arrays(BathConfig(eta=0.01, omega_c=1.0, k_modes=40, lam=399.8, beta=4.0))
+def test_truncated_factors_at_harmonic_point(monkeypatch):
+    bath = bath_arrays(0.01, 1.0, 40, 399.8, [4.0])
     d = bath.energies.shape[1]
     kept = [_kept_levels(bath.energies[k:k + 1], bath.couplings[k:k + 1],
                          bath.weights[:, k:k + 1], 20.0)[0] for k in range(40)]
     assert max(kept[1:]) < d // 2  # the point truncates: every mode but the lowest keeps < 200
     assert_factors_within_bound(bath, TIMES)
+    # the bound is read at each call: at 0 every coupled mode keeps all d levels
+    # and all d^2 terms; the uncoupled k = K mode, whose eigenvectors cannot
+    # leak, keeps every level of nonzero thermal weight
+    monkeypatch.setattr(dynamics, "NEGLIGIBLE_TERM_MASS", 0.0)
+    for k in range(40):
+        w, _, _ = dynamics._block_terms(bath, 20.0, slice(k, k + 1))
+        m = d if bath.g[k] > 0.0 else np.count_nonzero(bath.weights[0, k])
+        assert w.shape == (m * m, 1), (k, w.shape)
 
 
 @pytest.mark.parametrize("name", ["fig3_dephasing.cfg", "fig4_backflow.cfg",
@@ -111,8 +120,7 @@ def test_figure_sweeps_keep_every_level(name):
     cfg = parse_config(os.path.join(CONFIGS, name))
     betas = sorted(cfg.betas)
     for lam in cfg.lambdas:
-        bath = bath_arrays(BathConfig(eta=cfg.eta, omega_c=cfg.omega_c, k_modes=cfg.k_modes,
-                                      lam=lam, beta=betas[0]), betas)
+        bath = bath_arrays(cfg.eta, cfg.omega_c, cfg.k_modes, lam, betas)
         d = bath.energies.shape[1]
         size = max(1, _BLOCK_ELEMENTS // (d * d))
         for start in range(0, cfg.k_modes, size):
