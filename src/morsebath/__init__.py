@@ -14,17 +14,11 @@ from .correlation import (
     build_correlation,
     gamma_decay,
     gaussian_chi,
+    gaussian_traces,
     mean_field_shift,
     offset_ratio,
 )
-from .dynamics import (
-    DEFAULT_RHO0,
-    DephasingTrace,
-    SystemConfig,
-    chi_traces,
-    gaussian_traces,
-    time_grid,
-)
+from .dynamics import DEFAULT_RHO0, SystemConfig, chi_traces, time_grid
 from .morse import (
     bound_energies,
     bound_state_count,
@@ -39,7 +33,7 @@ from .specfun import digamma, log_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bath", "CorrelationModel", "DEFAULT_RHO0", "DephasingTrace", "SystemConfig",
+    "Bath", "CorrelationModel", "DEFAULT_RHO0", "SystemConfig",
     "alpha", "bath_arrays", "blp_flows", "bound_energies", "bound_state_count",
     "build_correlation", "chi_traces", "dense_chi", "dephasing_time", "digamma",
     "gamma_decay", "gaussian_chi", "gaussian_error", "gaussian_traces", "ladder_matrix",

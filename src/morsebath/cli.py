@@ -56,8 +56,8 @@ import numpy as np
 
 from .bath import Bath, bath_arrays
 from .config import ConfigError, ExperimentConfig, parse_config
-from .correlation import alpha, build_correlation, gamma_decay, offset_ratio
-from .dynamics import chi_traces, gaussian_traces, time_grid
+from .correlation import alpha, build_correlation, gamma_decay, gaussian_traces, offset_ratio
+from .dynamics import chi_traces, time_grid
 from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
@@ -237,16 +237,16 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     cfg, lam, beta, bath, times = _one_point(args)
     _check_outputs(args.out)
     with _failure_names("dynamics point", lam, [beta]), _executor(args.threads) as pool:
-        gauss_future = pool.submit(gaussian_traces, bath, cfg.system, times)
-        exact, = chi_traces(bath, cfg.system, times, map_blocks=pool.map)
-        gauss, = gauss_future.result()
+        gauss_future = pool.submit(gaussian_traces, bath, cfg.omega_s, times)
+        chi, = chi_traces(bath, cfg.omega_s, times, map_blocks=pool.map)
+        chi_gauss, = gauss_future.result()
     # the scalar abs: numpy's array abs differs from it in the last bit on some values
     _write_outputs((args.out, [_csv(
         "t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss",
-        times, exact.chi.real, exact.chi.imag, [abs(c) for c in exact.chi],
-        gauss.chi.real, gauss.chi.imag, [abs(g) for g in gauss.chi])]))
+        times, chi.real, chi.imag, [abs(c) for c in chi],
+        chi_gauss.real, chi_gauss.imag, [abs(g) for g in chi_gauss])]))
     # invertibility proxy, reported for every run
-    print(f"min |chi| = {_fmt(float(np.abs(exact.chi).min()))}", file=sys.stderr)
+    print(f"min |chi| = {_fmt(float(np.abs(chi).min()))}", file=sys.stderr)
     return 0
 
 
@@ -254,18 +254,19 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     """Sweep rows of every beta at one lambda, in the order of betas."""
     bath = _bath(cfg, lam, betas)
     times = time_grid(cfg.t_max, cfg.dt)
-    exact = chi_traces(bath, cfg.system, times,
-                       threshold=cfg.threshold if kind == "dephasing" else None)
+    chi = chi_traces(bath, cfg.omega_s, times,
+                     threshold=cfg.threshold if kind == "dephasing" else None)
     if kind == "dephasing":
-        taus = [dephasing_time(trace, cfg.rho0, threshold=cfg.threshold) for trace in exact]
+        taus = [dephasing_time(times[:chi.shape[1]], row, cfg.rho0, threshold=cfg.threshold)
+                for row in chi]
         return [(lam, beta, UNDEFINED if tau is None else tau) for beta, tau in zip(betas, taus)]
     if kind == "backflow":
-        flows = [blp_flows(np.abs(trace.chi)) for trace in exact]
+        flows = [blp_flows(np.abs(row)) for row in chi]
         return [(lam, beta, f.n_minus, f.n_plus, UNDEFINED if f.ratio is None else f.ratio)
                 for beta, f in zip(betas, flows)]
     if kind == "gaussian-error":
-        gauss = gaussian_traces(bath, cfg.system, times)
-        reports = [gaussian_error(e, g, cfg.rho0) for e, g in zip(exact, gauss)]
+        chi_gauss = gaussian_traces(bath, cfg.omega_s, times)
+        reports = [gaussian_error(times, e, g, cfg.rho0) for e, g in zip(chi, chi_gauss)]
         return [(lam, beta, r.time_avg, r.pointwise) for beta, r in zip(betas, reports)]
     raise ValueError(f"unknown sweep kind {kind!r}")
 
@@ -388,9 +389,8 @@ def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[str
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
     cfg, lam, _, bath, times = _one_point(args, max_modes=3)
-    fact, = chi_traces(bath, cfg.system, times)
-    dense = dense_chi(bath, cfg.system, times)
-    chi_dev = float(np.abs(fact.chi - dense.chi).max())
+    fact, = chi_traces(bath, cfg.omega_s, times)
+    chi_dev = float(np.abs(fact - dense_chi(bath, cfg.omega_s, times)).max())
 
     d = bound_state_count(lam)
     xm = x_matrix(lam)
@@ -470,7 +470,8 @@ def main(argv: list[str] | None = None) -> int:
         set_threads(1)
     try:
         return args.func(args)
-    except (ValueError, ZeroDivisionError, IndexError, RuntimeError, OSError) as exc:
+    except (ValueError, ZeroDivisionError, IndexError, RuntimeError, OSError,
+            MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     finally:

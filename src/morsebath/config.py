@@ -49,7 +49,6 @@ class ExperimentConfig:
     threshold: float = 0.1
     rho0: np.ndarray = field(default_factory=lambda: DEFAULT_RHO0.copy())
     pointwise_out: str | None = None
-    system: SystemConfig = field(init=False, compare=False)  # omega_s and rho0, built once
 
     def __post_init__(self) -> None:
         for key, (name, parse) in _KEYS.items():
@@ -77,8 +76,8 @@ class ExperimentConfig:
             raise ConfigError(f"field dt: need 0 < dt < t_max, got dt={self.dt}, t_max={self.t_max}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"field threshold: must lie in (0, 1), got {self.threshold}")
-        try:
-            object.__setattr__(self, "system", SystemConfig(omega_s=self.omega_s, rho0=self.rho0))
+        try:  # the engine takes omega_s and the observables rho0: this only validates
+            SystemConfig(omega_s=self.omega_s, rho0=self.rho0)
         except ValueError as exc:
             raise ConfigError(f"field rho0: {exc}") from exc
 

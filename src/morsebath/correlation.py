@@ -16,6 +16,8 @@ of the Gaussian surrogate is the real part of the double time integral,
 
 The model is built from a ``Bath`` and holds every beta of it; alpha,
 Gamma and chi_G take a time array and return (n_beta, n).
+``gaussian_traces`` is chi_G of a ``Bath`` at omega_s from one model
+build: the Gaussian counterpart of ``dynamics.chi_traces``.
 """
 
 from __future__ import annotations
@@ -163,3 +165,8 @@ def gaussian_chi(model: CorrelationModel, omega_s: float, mean_shift: np.ndarray
     """
     phase = np.multiply.outer(omega_s + mean_shift, times)
     return np.exp(1j * phase - gamma_decay(model, times))
+
+
+def gaussian_traces(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
+    """Gaussian surrogate chi_G (n_beta, n) of every beta of one lam, from one model build."""
+    return gaussian_chi(build_correlation(bath), omega_s, mean_field_shift(bath), times)

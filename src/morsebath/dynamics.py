@@ -40,11 +40,12 @@ is extended one slab of block rows at a time (``kernels.row_slabs``),
 with the same bytes, up to the first slab by which every beta's |chi|
 has fallen to it.
 
-The engine takes a ``Bath`` of one lam and any number of betas
-(``chi_traces``, ``gaussian_traces``).  ``chi_series`` is the one-beta
-call on the per-mode view of ``bath.discretize``.  Nothing in the
-package calls it: it stays, outside the package root, only for the
-benchmark's ``morsebench/checks.py`` and ``host_noise.py``.
+``chi_traces`` takes a ``Bath`` of one lam and any number of betas and
+the impurity splitting omega_s, and returns chi as a complex (n_beta, n')
+array on the first n' points of the caller's grid.  ``chi_series`` is
+the one-beta call on the per-mode view of ``bath.discretize``.  Nothing
+in the package calls it: it stays, outside the package root, only for
+the benchmark's ``morsebench/host_noise.py``.
 
 Basis convention: the impurity matrix is written in the (|+>, |->)
 eigenbasis of sigma_z, and the coherence multiplied by chi(t) (which
@@ -61,7 +62,6 @@ import numpy as np
 
 from . import kernels
 from .bath import Bath, BathMode
-from .correlation import build_correlation, gaussian_chi, mean_field_shift
 
 # Bounds both approximations of a mode factor: the level truncation moves
 # it by at most this much, and so do the factor terms dropped afterwards
@@ -96,14 +96,6 @@ class SystemConfig:
         if np.linalg.eigvalsh(rho).min() < -1e-12:
             raise ValueError("rho0 must be positive semidefinite")
         object.__setattr__(self, "rho0", rho)
-
-
-@dataclass(frozen=True)
-class DephasingTrace:
-    """Decay factor chi on a uniform time grid."""
-
-    times: np.ndarray
-    chi: np.ndarray
 
 
 def time_grid(t_max: float, dt: float) -> np.ndarray:
@@ -227,19 +219,20 @@ def _slab_factors(times: np.ndarray, slab: kernels.Slab | None,
     return kernels.phase_sum(w, freqs, times, groups=g, slab=slab, tables=tables)
 
 
-def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray, map_blocks=map,
-               threshold: float | None = None) -> list[DephasingTrace]:
-    """Exact decay factor of every beta of one lam, sharing its eigendecompositions.
+def chi_traces(bath: Bath, omega_s: float, times: np.ndarray, map_blocks=map,
+               threshold: float | None = None) -> np.ndarray:
+    """Exact decay factor (n_beta, n') of every beta of one lam, sharing its eigendecompositions.
 
     map_blocks maps a function over the mode blocks and yields the
     results in block order, like the builtin ``map`` (the default) or
     ``Executor.map`` of a pool; chi does not depend on which.
 
-    With a threshold the traces, times included, end with the first slab
-    of ``kernels.row_slabs(times)`` by which every beta has had
-    |chi| <= threshold, or with the grid.  Terms, and offset tables where
-    there are several slabs, are built once per block, so running to the
-    end costs no more exponentials or product rows than one slab.
+    The rows are chi on times[:n'].  Without a threshold n' = n.  With
+    one the rows end with the first slab of ``kernels.row_slabs(times)``
+    by which every beta has had |chi| <= threshold, or with the grid.
+    Terms, and offset tables where there are several slabs, are built
+    once per block, so running to the end costs no more exponentials or
+    product rows than one slab.
 
     chi is bit-reproducible only with numpy's OpenBLAS on one thread, as
     the CLI pins it; only there does a slab equal the same points of the
@@ -255,7 +248,7 @@ def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray, map_blocks=m
     parts, crossed = [], np.zeros(n_beta, dtype=bool)
     for slab in slabs:
         factors = map_blocks(functools.partial(_slab_factors, times, slab), terms, tables)
-        phase = np.exp(1j * system.omega_s * (times if slab is None else times[slab.points]))
+        phase = np.exp(1j * omega_s * (times if slab is None else times[slab.points]))
         # each slab's product in an array of its own: into a strided view of
         # the whole grid it runs about a third slower
         parts.append(_mode_product(phase, n_beta, factors))
@@ -264,17 +257,9 @@ def chi_traces(bath: Bath, system: SystemConfig, times: np.ndarray, map_blocks=m
         crossed |= (np.abs(parts[-1]) <= threshold).any(axis=1)
         if crossed.all():
             break
-    chi = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return [DephasingTrace(times=times[:chi.shape[1]], chi=row) for row in chi]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> DephasingTrace:
-    """Exact decay factor on the grid of one beta's per-mode view: `chi_traces` of its Bath."""
-    return chi_traces(Bath.from_modes(modes), system, times)[0]
-
-
-def gaussian_traces(bath: Bath, system: SystemConfig, times: np.ndarray) -> list[DephasingTrace]:
-    """Gaussian surrogate trace of every beta of one lam, from one correlation build."""
-    times = np.asarray(times, dtype=float)
-    chi = gaussian_chi(build_correlation(bath), system.omega_s, mean_field_shift(bath), times)
-    return [DephasingTrace(times=times, chi=row) for row in chi]
+def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> np.ndarray:
+    """Exact decay factor (n,) of one beta's per-mode view: `chi_traces` of its Bath."""
+    return chi_traces(Bath.from_modes(modes), system.omega_s, times)[0]

@@ -3,8 +3,8 @@ closed-form matrix elements.
 
 `dense_chi` evolves the coherence block of a one-beta ``Bath`` on the
 full tensor-product Hilbert space without using the factorization over
-modes, so agreement with ``dynamics.chi_traces`` validates the product
-structure end to end.
+modes, so agreement with ``dynamics.chi_traces`` (the same omega_s in,
+the same (n,) chi row out) validates the product structure end to end.
 `quadrature_element` integrates the analytic bound-state wavefunctions
 directly and is the oracle for the closed-form position elements.
 """
@@ -16,7 +16,6 @@ import math
 import numpy as np
 
 from .bath import Bath
-from .dynamics import DephasingTrace, SystemConfig
 from .morse import bound_state_count, wavefunction_z
 
 MAX_DENSE_MODES = 3
@@ -29,8 +28,8 @@ def _embed(op: np.ndarray, left: int, right: int) -> np.ndarray:
     return np.kron(np.kron(np.eye(left), op), np.eye(right))
 
 
-def dense_chi(bath: Bath, system: SystemConfig, times: np.ndarray) -> DephasingTrace:
-    """Decay factor of a one-beta bath from the full tensor-product evolution (K <= 3).
+def dense_chi(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
+    """Decay factor (n,) of a one-beta bath from the full tensor-product evolution (K <= 3).
 
     Builds H_pm = sum_k (H_k +- B_k) and the product thermal state on
     the full environment space, eigendecomposes once, and forms the
@@ -64,8 +63,8 @@ def dense_chi(bath: Bath, system: SystemConfig, times: np.ndarray) -> DephasingT
         prop_minus = (u_minus * np.exp(-1j * evals_minus * t)) @ u_minus.T
         prop_plus = (u_plus * np.exp(1j * evals_plus * t)) @ u_plus.T
         chi[j] = np.trace(prop_minus @ rho @ prop_plus)
-    chi *= np.exp(1j * system.omega_s * times)
-    return DephasingTrace(times=times, chi=chi)
+    chi *= np.exp(1j * omega_s * times)
+    return chi
 
 
 def _quadrature(lam: float, n: int, m: int, with_x: bool) -> float:

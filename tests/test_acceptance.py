@@ -51,8 +51,8 @@ def test_criterion_01_oracle_equivalence():
                 for eta in (0.5, 2.0):
                     modes = make_bath(lam=lam, beta=beta, eta=eta, k_modes=k_modes)
                     fact = chi_series(modes, SYSTEM, times)
-                    dense = dense_chi(Bath.from_modes(modes), SYSTEM, times)
-                    worst = max(worst, float(np.abs(fact.chi - dense.chi).max()))
+                    dense = dense_chi(Bath.from_modes(modes), SYSTEM.omega_s, times)
+                    worst = max(worst, float(np.abs(fact - dense).max()))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
     assert elapsed < 5.0
@@ -84,9 +84,9 @@ def test_criterion_03_harmonic_limit():
 
     times = time_grid(20.0, 0.01)
     bath = make_arrays(lam=400.0, betas=[4.0], eta=0.01, k_modes=40)
-    exact, = chi_traces(bath, SYSTEM, times)
-    gauss, = gaussian_traces(bath, SYSTEM, times)
-    chi_dev = float(np.abs(exact.chi - gauss.chi).max())
+    chi, = chi_traces(bath, SYSTEM.omega_s, times)
+    chi_gauss, = gaussian_traces(bath, SYSTEM.omega_s, times)
+    chi_dev = float(np.abs(chi - chi_gauss).max())
     elapsed = time.perf_counter() - start
     assert chi_dev < 0.02
     assert elapsed < 30.0
@@ -176,14 +176,13 @@ def test_criterion_06_spin_limit_freeze():
     times = time_grid(20.0, 0.01)
     # dense-oracle confirmation at K = 2 before trusting the full run
     small = make_bath(lam=1.52, beta=1e4, eta=2.0, k_modes=2)
-    dense = dense_chi(Bath.from_modes(small), SYSTEM, times)
+    dense = dense_chi(Bath.from_modes(small), SYSTEM.omega_s, times)
     fact = chi_series(small, SYSTEM, times)
-    assert np.abs(dense.chi - fact.chi).max() < 1e-10
-    assert float(np.abs(dense.chi).min()) > 0.9
+    assert np.abs(dense - fact).max() < 1e-10
+    assert float(np.abs(dense).min()) > 0.9
 
     modes = make_bath(lam=1.52, beta=1e4, eta=2.0, k_modes=40)
-    trace = chi_series(modes, SYSTEM, times)
-    min_abs = float(np.abs(trace.chi).min())
+    min_abs = float(np.abs(chi_series(modes, SYSTEM, times)).min())
     elapsed = time.perf_counter() - start
     assert min_abs > 0.9
     assert elapsed < 60.0
@@ -197,8 +196,7 @@ def test_criterion_07_backflow_localization():
     flows = {}
     for lam in (2.5, 2.6):
         modes = make_bath(lam=lam, beta=7.0, eta=0.01, k_modes=40)
-        trace = chi_series(modes, SYSTEM, times)
-        flows[lam] = blp_flows(np.abs(trace.chi))
+        flows[lam] = blp_flows(np.abs(chi_series(modes, SYSTEM, times)))
     elapsed = time.perf_counter() - start
     assert flows[2.5].n_minus < 1e-9
     assert flows[2.6].n_minus > 1e-6
@@ -215,8 +213,8 @@ def test_criterion_08_gaussian_has_no_backflow():
     for lam in (2.5, 2.6, 3.5, 3.6):
         for eta in (0.01, 2.0):
             bath = make_arrays(lam=lam, betas=[1.0, 10.0], eta=eta, k_modes=40)
-            for gauss in gaussian_traces(bath, SYSTEM, times):
-                worst = max(worst, blp_flows(np.abs(gauss.chi)).n_minus)
+            for chi_gauss in gaussian_traces(bath, SYSTEM.omega_s, times):
+                worst = max(worst, blp_flows(np.abs(chi_gauss)).n_minus)
     elapsed = time.perf_counter() - start
     assert worst < 1e-12
     assert elapsed < 60.0
@@ -230,9 +228,9 @@ def test_criterion_09_gaussian_error_temperature_ordering():
     averages = {}
     betas = [1.0, 7.0, 10.0]
     bath = make_arrays(lam=2.6, betas=betas, eta=0.01, k_modes=40)
-    for beta, exact, gauss in zip(betas, chi_traces(bath, SYSTEM, times),
-                                  gaussian_traces(bath, SYSTEM, times)):
-        pointwise = np.abs(exact.chi - gauss.chi) * abs(DEFAULT_RHO0[1, 0])
+    for beta, chi, chi_gauss in zip(betas, chi_traces(bath, SYSTEM.omega_s, times),
+                                    gaussian_traces(bath, SYSTEM.omega_s, times)):
+        pointwise = np.abs(chi - chi_gauss) * abs(DEFAULT_RHO0[1, 0])
         averages[beta] = float(np.trapezoid(pointwise, times) / times[-1])
     elapsed = time.perf_counter() - start
     assert averages[10.0] > averages[7.0] > averages[1.0]
@@ -280,9 +278,9 @@ def test_criterion_11_invariant_suite():
     # |chi| <= 1, chi(0) = 1, telescoping flow identity
     times = time_grid(20.0, 0.01)
     modes = make_bath(lam=2.6, beta=7.0, eta=2.0, k_modes=40)
-    trace = chi_series(modes, SYSTEM, times)
-    abs_chi = np.abs(trace.chi)
-    assert abs(trace.chi[0] - 1.0) < 1e-12
+    chi = chi_series(modes, SYSTEM, times)
+    abs_chi = np.abs(chi)
+    assert abs(chi[0] - 1.0) < 1e-12
     assert abs_chi.max() <= 1.0 + 1e-12
     flows = blp_flows(abs_chi)
     assert abs((abs_chi[-1] - abs_chi[0]) - (flows.n_minus - flows.n_plus)) < 1e-10

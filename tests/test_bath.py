@@ -108,10 +108,10 @@ def test_discretize_is_a_view_of_bath_arrays(lam, beta, eta, k_modes):
         assert np.array_equal(mode.h_diag, bath.energies[k])
         assert np.array_equal(mode.b_matrix, bath.couplings[k])
         assert np.array_equal(mode.weights, bath.weights[0, k])
-    system = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
     times = time_grid(5.0, 0.01)
-    exact, = chi_traces(bath, system, times)
-    assert np.array_equal(chi_series(modes, system, times).chi, exact.chi)
+    exact, = chi_traces(bath, 2.0, times)
+    chi = chi_series(modes, SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0), times)
+    assert chi.shape == times.shape and np.array_equal(chi, exact)
 
 
 @pytest.mark.parametrize("lam, k_modes, count", [(1.6, 40, 2), (7.4, 40, 7), (399.8, 3, 400)])

@@ -494,8 +494,8 @@ def full_grid_dephasing(text):
     taus, lines = [], ["lambda,beta,eta,tau_d\n"]
     for lam in sorted(cfg.lambdas):
         bath = cli._bath(cfg, lam, betas)
-        for beta, trace in zip(betas, dynamics.chi_traces(bath, cfg.system, times)):
-            tau = observables.dephasing_time(trace, cfg.rho0, threshold=cfg.threshold)
+        for beta, chi in zip(betas, dynamics.chi_traces(bath, cfg.omega_s, times)):
+            tau = observables.dephasing_time(times, chi, cfg.rho0, threshold=cfg.threshold)
             taus.append(-1.0 if tau is None else tau)
             lines.append(f"{lam:.11e},{beta:.11e},{cfg.eta:.11e},{taus[-1]:.11e}\n")
     return taus, "".join(lines).encode()
@@ -575,12 +575,12 @@ def test_sweep_dephasing_crossing_at_a_block_row_start(row, tmp_path, one_blas_t
     cfg = parse_config_text(text)
     bath = cli._bath(cfg, 2.5, [4.0])
     times = dynamics.time_grid(cfg.t_max, cfg.dt)
-    trace, = dynamics.chi_traces(bath, cfg.system, times)
+    chi, = dynamics.chi_traces(bath, cfg.omega_s, times)
     j = row * SLAB_ROWS
-    above, below = (float(x) for x in np.abs(trace.chi[j - 1:j + 1]))
+    above, below = (float(x) for x in np.abs(chi[j - 1:j + 1]))
     text += f"threshold = {0.5 * (above + below)!r}\n"
     (tau,), expected = full_grid_dephasing(text)
-    assert np.abs(trace.chi[:j]).min() == above > 0.5 * (above + below) > below
+    assert np.abs(chi[:j]).min() == above > 0.5 * (above + below) > below
     assert times[j - 1] < tau < times[j]
     assert_sweep_dephasing_bytes(tmp_path, text, expected)
 
@@ -701,30 +701,70 @@ def test_missing_config_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def readme_columns():
+    """Backticked names in the row of each subcommand of README's "Emitted columns" table."""
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        table = handle.read().split("\nEmitted columns:\n", 1)[1].split("\n\n", 1)[0]
+    cells = (line.split("|")[1:3] for line in table.splitlines() if line.startswith("| `"))
+    return {name.strip().strip("`"): set(re.findall(r"`([^`]+)`", columns))
+            for name, columns in cells}
+
+
 def test_scientific_notation_everywhere(tmp_path):
     # every field is a float in scientific notation but those of the integer columns;
-    # spectrum and correlation write two tables, each under its own header
+    # spectrum and correlation write two tables, each under its own header, and
+    # gaussian-error its pointwise file too.  Every header is in README's row of its
+    # subcommand
+    columns = readme_columns()
     cfg = write_config(tmp_path, BASE)
+    pointwise = tmp_path / "pointwise.csv"
     sweep = write_config(tmp_path, BASE.replace("lambda = 2.5", "lambda = 2.5,3.1")
-                         .replace("beta = 1.0", "beta = 1,7"), name="sweep.cfg")
+                         .replace("beta = 1.0", "beta = 1,7")
+                         + f"pointwise_out = {pointwise}\n", name="sweep.cfg")
     for argv in (["spectrum", "--lambda", "7.3"], ["bath", "--config", cfg],
                  ["correlation", "--config", cfg], ["dynamics", "--config", cfg],
                  *([name, "--config", sweep] for name in cli._SWEEPS)):
         out = tmp_path / f"{argv[0]}.csv"
         assert main([*argv, "--out", str(out)]) == 0
-        rows = read_rows(out)
-        header = rows[0]
-        assert len(rows) > 2
-        for row in rows[1:]:
-            if re.fullmatch(r"[a-z]\w*", row[0]):
-                header = row
-                continue
-            assert len(row) == len(header)
-            for name, field in zip(header, row):
-                if name in ("n", "m", "k", "count"):
-                    assert re.fullmatch(r"\d+", field), (argv[0], name, field)
-                else:
-                    assert SCI.match(field), (argv[0], name, field)
+        tables = [read_rows(out)]
+        if argv[0] == "gaussian-error":
+            tables.append(read_rows(pointwise))
+        for rows in tables:
+            assert_fields_scientific(argv[0], rows, columns[argv[0]])
+
+
+def assert_fields_scientific(command, rows, readme_headers):
+    header = rows[0]
+    assert len(rows) > 2
+    assert ",".join(header) in readme_headers, (command, header)
+    for row in rows[1:]:
+        if re.fullmatch(r"[a-z]\w*", row[0]):
+            header = row
+            assert ",".join(header) in readme_headers, (command, header)
+            continue
+        assert len(row) == len(header)
+        for name, field in zip(header, row):
+            if name in ("n", "m", "k", "count"):
+                assert re.fullmatch(r"\d+", field), (command, name, field)
+            else:
+                assert SCI.match(field), (command, name, field)
+
+
+@pytest.mark.parametrize("argv", [["dynamics", "--config"], ["correlation", "--config"],
+                                  ["spectrum", "--lambda", "1e13"]])
+def test_allocation_failure_exits_2(argv, tmp_path, monkeypatch, capsys):
+    # a grid or level count too large to allocate (t_max = 1e10 at dt = 0.01, or
+    # lambda = 1e13) is a user error: exit 2 with an error line, not a traceback.  The
+    # builders are stubbed to fail as numpy does, so nothing large is allocated
+    def unallocatable(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000000000001,)")
+
+    monkeypatch.setattr(cli, "time_grid", unallocatable)
+    monkeypatch.setattr(cli, "bound_energies", unallocatable)
+    if argv[-1] == "--config":
+        argv = [*argv, write_config(tmp_path, BASE)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: Unable to allocate 7.28 TiB")
 
 
 def test_sweep_failure_names_lambda_and_betas(tmp_path, monkeypatch, capsys):

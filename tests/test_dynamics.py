@@ -34,7 +34,7 @@ def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, syste
     # irregular grid are one slab each
     k_modes = 40 if lam < 10 else 3
     bath = make_arrays(lam, betas, k_modes=k_modes)
-    full = np.array([trace.chi for trace in chi_traces(bath, system, times)])
+    full = chi_traces(bath, system.omega_s, times)
     calls = []
     phase_sum = kernels.phase_sum
 
@@ -43,12 +43,11 @@ def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, syste
         return phase_sum(weights, freqs, times, **kwargs)
 
     monkeypatch.setattr(kernels, "phase_sum", recording)
-    traces = chi_traces(bath, system, times, threshold=threshold)
+    chi = chi_traces(bath, system.omega_s, times, threshold=threshold)
     ends = [slab.points.stop for slab in kernels.row_slabs(times)]
     crossed = [(np.abs(full[:, :end]) <= threshold).any(axis=1).all() for end in ends]
     end = ends[crossed.index(True)] if True in crossed else times.shape[0]
-    np.testing.assert_array_equal(np.array([trace.chi for trace in traces]), full[:, :end])
-    assert all(np.array_equal(trace.times, times[:end]) for trace in traces)
+    np.testing.assert_array_equal(chi, full[:, :end])
     blocks = len(dynamics._mode_blocks(bath))
     assert len(calls) == blocks * (ends.index(end) + 1)
     n_rows = kernels._uniform_split(times)[0].shape[0]
@@ -66,8 +65,7 @@ def test_chi_until_crossed_stops_after_the_first_slab_only_when_every_beta_cross
     first = kernels.row_slabs(times)[0].points.stop
     for eta, end in ((2.0, first), (0.01, times.shape[0])):
         bath = make_arrays(2.6, [1.0, 4.0, 7.0, 10.0], eta=eta)
-        traces = chi_traces(bath, system, times, threshold=0.1)
-        assert [(trace.times.shape[0], trace.chi.shape[0]) for trace in traces] == [(end, end)] * 4
+        assert chi_traces(bath, system.omega_s, times, threshold=0.1).shape == (4, end)
 
 
 @pytest.mark.parametrize("eta", [2.0, 0.01])
@@ -77,11 +75,10 @@ def test_chi_traces_threshold_on_a_pool_equals_inline_and_whole_grid(eta, system
     # tasks; eta = 2 stops after the first slab, eta = 0.01 runs to the end of the grid
     bath = make_arrays(50.3, [1.0, 4.0], eta=eta, k_modes=5)
     times = time_grid(20.0, 0.01)
-    full = np.array([trace.chi for trace in chi_traces(bath, system, times)])
-    inline = np.array([trace.chi for trace in chi_traces(bath, system, times, threshold=0.1)])
+    full = chi_traces(bath, system.omega_s, times)
+    inline = chi_traces(bath, system.omega_s, times, threshold=0.1)
     with ThreadPoolExecutor(2) as pool:
-        pooled = chi_traces(bath, system, times, map_blocks=pool.map, threshold=0.1)
-    pooled = np.array([trace.chi for trace in pooled])
+        pooled = chi_traces(bath, system.omega_s, times, map_blocks=pool.map, threshold=0.1)
     np.testing.assert_array_equal(pooled, inline)
     np.testing.assert_array_equal(pooled, full[:, :pooled.shape[1]])
     assert (pooled.shape[1] < times.shape[0]) == (eta == 2.0)
@@ -132,11 +129,11 @@ def test_propagator_reconstruction():
 
 def test_mode_factor_basics(short_grid):
     modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=4)
-    factor = chi_series(modes[:1], SILENT, short_grid).chi
+    factor = chi_series(modes[:1], SILENT, short_grid)
     assert factor[0] == pytest.approx(1.0 + 0.0j, abs=1e-13)
     # zero-coupling boundary mode: H+ = H-, the factor stays at one
     assert modes[-1].g == 0.0
-    np.testing.assert_allclose(chi_series(modes[-1:], SILENT, short_grid).chi,
+    np.testing.assert_allclose(chi_series(modes[-1:], SILENT, short_grid),
                                np.ones_like(short_grid), atol=1e-12)
 
 
@@ -146,31 +143,31 @@ def test_mode_factor_single_state_phase(short_grid):
     mode = modes[1]
     assert mode.count == 1
     b00 = mode.b_matrix[0, 0]
-    factor = chi_series([mode], SILENT, short_grid).chi
+    factor = chi_series([mode], SILENT, short_grid)
     np.testing.assert_allclose(factor, np.exp(2j * b00 * short_grid), atol=1e-12)
     np.testing.assert_allclose(np.abs(factor), 1.0, atol=1e-13)
 
 
 def test_chi_series_decoupled(system, short_grid):
     modes = make_bath(lam=2.5, beta=1.0, eta=0.0, k_modes=8)
-    trace = chi_series(modes, system, short_grid)
-    np.testing.assert_allclose(trace.chi, np.exp(2j * short_grid), atol=1e-12)
-    np.testing.assert_allclose(np.abs(trace.chi), 1.0, atol=1e-12)
+    chi = chi_series(modes, system, short_grid)
+    assert chi.shape == short_grid.shape
+    np.testing.assert_allclose(chi, np.exp(2j * short_grid), atol=1e-12)
+    np.testing.assert_allclose(np.abs(chi), 1.0, atol=1e-12)
 
 
 def test_chi_series_invariants(system, full_grid):
     modes = make_bath(lam=2.6, beta=7.0, eta=2.0, k_modes=40)
-    trace = chi_series(modes, system, full_grid)
-    assert abs(trace.chi[0] - 1.0) < 1e-12
-    assert np.abs(trace.chi).max() <= 1.0 + 1e-12
+    chi = chi_series(modes, system, full_grid)
+    assert abs(chi[0] - 1.0) < 1e-12
+    assert np.abs(chi).max() <= 1.0 + 1e-12
 
 
 def test_chi_series_factorizes(system, short_grid):
     modes = make_bath(lam=2.6, beta=4.0, eta=2.0, k_modes=10)
-    full = chi_series(modes, system, short_grid).chi
-    silent = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
-    first = chi_series(modes[:5], silent, short_grid).chi
-    second = chi_series(modes[5:], silent, short_grid).chi
+    full = chi_series(modes, system, short_grid)
+    first = chi_series(modes[:5], SILENT, short_grid)
+    second = chi_series(modes[5:], SILENT, short_grid)
     recombined = np.exp(1j * system.omega_s * short_grid) * first * second
     assert np.abs(full - recombined).max() < 1e-13
 
@@ -178,8 +175,8 @@ def test_chi_series_factorizes(system, short_grid):
 def test_mean_field_phase_identity(system, short_grid):
     # bare chi equals exp(2i <B> t) times the renormalized-operator chi
     bath = make_arrays(lam=2.6, betas=[1.0], eta=2.0, k_modes=10)
-    bare = chi_traces(bath, system, short_grid)[0].chi
-    renorm = chi_traces(renormalized(bath), system, short_grid)[0].chi
+    bare, = chi_traces(bath, system.omega_s, short_grid)
+    renorm, = chi_traces(renormalized(bath), system.omega_s, short_grid)
     shift, = mean_field_shift(bath)
     assert np.abs(bare - np.exp(1j * shift * short_grid) * renorm).max() < 1e-11
 

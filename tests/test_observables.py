@@ -5,7 +5,6 @@ import pytest
 
 from morsebath import (
     DEFAULT_RHO0,
-    DephasingTrace,
     blp_flows,
     dephasing_time,
     gaussian_error,
@@ -17,44 +16,43 @@ from morsebath.dynamics import chi_series
 from helpers import apply_map, make_arrays, make_bath, trace_distance
 
 
-def synthetic_trace(times, chi):
-    return DephasingTrace(times=np.asarray(times, float), chi=np.asarray(chi, complex))
-
-
 def test_dephasing_time_exponential():
     ts = time_grid(5.0, 0.01)
-    trace = synthetic_trace(ts, np.exp(-ts))
-    tau = dephasing_time(trace, DEFAULT_RHO0)
+    tau = dephasing_time(ts, np.exp(-ts), DEFAULT_RHO0)
     assert tau == pytest.approx(math.log(10.0), abs=0.01)
 
 
 def test_dephasing_time_no_crossing():
     ts = time_grid(5.0, 0.01)
-    trace = synthetic_trace(ts, np.exp(1j * ts))
-    assert dephasing_time(trace, DEFAULT_RHO0) is None
+    assert dephasing_time(ts, np.exp(1j * ts), DEFAULT_RHO0) is None
 
 
 def test_dephasing_time_interpolation():
-    trace = synthetic_trace([0.0, 1.0], [1.0, 0.05])
-    tau = dephasing_time(trace, DEFAULT_RHO0)
+    tau = dephasing_time(np.array([0.0, 1.0]), np.array([1.0, 0.05]), DEFAULT_RHO0)
     assert tau == pytest.approx(0.9 / 0.95, abs=1e-12)
 
 
 def test_dephasing_time_threshold_monotone(system, full_grid):
     modes = make_bath(lam=2.6, beta=4.0, eta=2.0, k_modes=20)
-    trace = chi_series(modes, system, full_grid)
-    t_loose = dephasing_time(trace, DEFAULT_RHO0, threshold=0.2)
-    t_tight = dephasing_time(trace, DEFAULT_RHO0, threshold=0.1)
+    chi = chi_series(modes, system, full_grid)
+    t_loose = dephasing_time(full_grid, chi, DEFAULT_RHO0, threshold=0.2)
+    t_tight = dephasing_time(full_grid, chi, DEFAULT_RHO0, threshold=0.1)
     assert t_loose is not None and t_tight is not None
     assert t_loose <= t_tight
 
 
 def test_dephasing_time_errors(full_grid):
-    trace = synthetic_trace(full_grid, np.exp(-full_grid))
+    chi = np.exp(-full_grid)
     with pytest.raises(ValueError):
-        dephasing_time(trace, np.diag([0.5, 0.5]))
+        dephasing_time(full_grid, chi, np.diag([0.5, 0.5]))
     with pytest.raises(ValueError):
-        dephasing_time(trace, DEFAULT_RHO0, threshold=1.5)
+        dephasing_time(full_grid, chi, DEFAULT_RHO0, threshold=1.5)
+
+
+def test_dephasing_time_shape_mismatch(full_grid):
+    # a chi row shorter than its grid (a threshold prefix not sliced by the caller)
+    with pytest.raises(ValueError, match="share one shape"):
+        dephasing_time(full_grid, np.exp(-full_grid[:-1]), DEFAULT_RHO0)
 
 
 def test_blp_flows_example():
@@ -116,17 +114,16 @@ def test_trace_distance_metric_properties(rng):
 
 def test_gaussian_error_zero_for_identical(system, short_grid):
     modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=10)
-    trace = chi_series(modes, system, short_grid)
-    report = gaussian_error(trace, trace, DEFAULT_RHO0)
+    chi = chi_series(modes, system, short_grid)
+    report = gaussian_error(short_grid, chi, chi, DEFAULT_RHO0)
     assert np.all(report.pointwise == 0.0)
     assert report.time_avg == 0.0
 
 
 def test_gaussian_error_quarter_coherence():
     ts = np.array([0.0, 1.0, 2.0])
-    exact = synthetic_trace(ts, [1.0, 0.9, 0.8])
-    gauss = synthetic_trace(ts, [1.0, 0.7, 0.8])
-    report = gaussian_error(exact, gauss, DEFAULT_RHO0)
+    report = gaussian_error(ts, np.array([1.0, 0.9, 0.8]), np.array([1.0, 0.7, 0.8]),
+                            DEFAULT_RHO0)
     # |rho01(0)| = 1/4, so D = |chi - chi_G| / 4 pointwise
     assert report.pointwise[1] == pytest.approx(0.2, abs=1e-14)
     d_mid = trace_distance(apply_map(DEFAULT_RHO0, 0.9), apply_map(DEFAULT_RHO0, 0.7))
@@ -136,17 +133,20 @@ def test_gaussian_error_quarter_coherence():
 
 def test_gaussian_error_matches_explicit_route(system, short_grid):
     bath = make_arrays(lam=2.6, betas=[7.0], eta=0.5, k_modes=10)
-    exact, = chi_traces(bath, system, short_grid)
-    gauss, = gaussian_traces(bath, system, short_grid)
-    report = gaussian_error(exact, gauss, DEFAULT_RHO0)
+    chi, = chi_traces(bath, system.omega_s, short_grid)
+    chi_gauss, = gaussian_traces(bath, system.omega_s, short_grid)
+    report = gaussian_error(short_grid, chi, chi_gauss, DEFAULT_RHO0)
     explicit = [trace_distance(apply_map(DEFAULT_RHO0, c), apply_map(DEFAULT_RHO0, g))
-                for c, g in zip(exact.chi, gauss.chi)]
+                for c, g in zip(chi, chi_gauss)]
     np.testing.assert_allclose(report.pointwise * 0.25, explicit, atol=1e-13)
 
 
 def test_gaussian_error_grid_mismatch(system):
     modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=5)
-    a = chi_series(modes, system, time_grid(5.0, 0.01))
+    times = time_grid(5.0, 0.01)
+    a = chi_series(modes, system, times)
     b = chi_series(modes, system, time_grid(5.0, 0.05))
-    with pytest.raises(ValueError):
-        gaussian_error(a, b, DEFAULT_RHO0)
+    with pytest.raises(ValueError, match="share one shape"):
+        gaussian_error(times, a, b, DEFAULT_RHO0)
+    with pytest.raises(ValueError, match="share one shape"):
+        gaussian_error(times[:-1], a, a, DEFAULT_RHO0)
