@@ -21,6 +21,7 @@ references under ``morsebench/``, which read one mode at a time.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,8 +79,8 @@ def spectral_density(omega, eta: float, omega_c: float):
     return j
 
 
-def _thermal(energies: np.ndarray, couplings: np.ndarray, betas: np.ndarray):
-    """Weights (n_beta, K, d), partitions and mean couplings (n_beta, K) of every beta.
+def _thermal(energies: np.ndarray, betas: np.ndarray):
+    """Weights (n_beta, K, d) and partitions (n_beta, K) of every beta.
 
     Weights use the ground-energy shift exp(-beta (E_n - E_0)) / Z so
     beta as large as 1e4 cannot underflow the whole vector.
@@ -88,13 +89,7 @@ def _thermal(energies: np.ndarray, couplings: np.ndarray, betas: np.ndarray):
         raise ValueError(f"beta must be positive, got {betas.tolist()}")
     shifted = np.exp(-betas[:, None, None] * (energies - energies[:, :1]))
     partition = shifted.sum(axis=-1)
-    weights = shifted / partition[..., None]
-    # one BLAS dot of fresh (aligned) vectors per mode: the dot's rounding
-    # depends on the operands' alignment, and this is the rounding of the
-    # one-mode-at-a-time thermal data
-    diags = [np.diag(b) for b in couplings]
-    mean_b = np.array([[p.copy() @ b for p, b in zip(rows, diags)] for rows in weights])
-    return weights, partition, mean_b
+    return shifted / partition[..., None], partition
 
 
 @dataclass(frozen=True)
@@ -105,7 +100,8 @@ class Bath:
     energies (K, d) and couplings (K, d, d) = g_k sqrt(2 lam) x hold
     H_k and B_k, which do not depend on beta.  weights (n_beta, K, d),
     partition and mean_b (n_beta, K) are the thermal data of each beta,
-    as in BathMode.
+    as in BathMode; mean_b is computed from weights and couplings on its
+    first read, since only the Gaussian path and the bath table read it.
     """
 
     omega: np.ndarray
@@ -114,7 +110,15 @@ class Bath:
     couplings: np.ndarray
     weights: np.ndarray
     partition: np.ndarray
-    mean_b: np.ndarray
+
+    @functools.cached_property
+    def mean_b(self) -> np.ndarray:
+        """Thermal means <B_k> (n_beta, K), computed once per Bath."""
+        # one BLAS dot of fresh (aligned) vectors per mode: the dot's rounding
+        # depends on the operands' alignment, and this is the rounding of the
+        # one-mode-at-a-time thermal data
+        diags = [np.diag(b) for b in self.couplings]
+        return np.array([[p.copy() @ b for p, b in zip(rows, diags)] for rows in self.weights])
 
     @classmethod
     def from_modes(cls, modes: list[BathMode]) -> Bath:
@@ -126,7 +130,6 @@ class Bath:
             couplings=np.array([m.b_matrix for m in modes]),
             weights=np.array([m.weights for m in modes])[None],
             partition=np.array([[m.partition for m in modes]]),
-            mean_b=np.array([[m.mean_b for m in modes]]),
         )
 
 
@@ -146,9 +149,9 @@ def bath_arrays(eta: float, omega_c: float, k_modes: int, lam: float, betas) -> 
     energies = bound_energies(omega, lam)
     g = np.sqrt(2.0 * omega_c / k_modes * spectral_density(omega, eta, omega_c))
     couplings = g[:, None, None] * ladder_matrix(lam)
-    weights, partition, mean_b = _thermal(energies, couplings, np.array(betas, dtype=float))
+    weights, partition = _thermal(energies, np.array(betas, dtype=float))
     return Bath(omega=omega, g=g, energies=energies, couplings=couplings,
-                weights=weights, partition=partition, mean_b=mean_b)
+                weights=weights, partition=partition)
 
 
 def discretize(config: BathConfig) -> list[BathMode]:

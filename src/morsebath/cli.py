@@ -25,16 +25,25 @@ lambda.  ``sweep-dephasing`` passes its threshold and takes tau_d from
 the prefix of slabs that ``chi_traces`` returns, which has the bytes of
 the whole trace where BLAS is pinned.
 
-The three sweeps and dynamics run their work on a pool of threads in this
-process, of ``--threads`` workers (default: the CPUs the process may run
-on), and only where BLAS can be pinned; otherwise the tasks run in the
-calling thread.  A sweep submits one task per lambda, covering all of
-its betas and running its mode blocks inline; rows are ordered
-lexicographically by (lambda, beta) no matter how the tasks were
-scheduled.  ``dynamics`` submits its Gaussian path, then the term build
-of each mode block of its exact path, then each block's phase sum, and
+``--threads`` sets the worker count (default: the CPUs the process may
+run on); more than one worker is used only where BLAS can be pinned,
+otherwise the work runs in the calling thread.  A sweep's task is one
+lambda with all of its betas.  Its lambdas are dealt into interleaved
+shares, one per worker and never more than there are lambdas; this
+process runs the first share and forked children the others, where the
+platform can fork and no other Python thread is alive.  A forked child
+inherits the imported interpreter, so it starts at no import cost, and
+it runs free of this process's GIL: at d <= 8 a lambda is mostly small
+numpy calls that hold it.  A child sends its rows back pickled through a
+pipe.  Rows are ordered lexicographically by (lambda, beta) whichever
+worker computed them.  ``dynamics`` keeps a pool of threads in this
+process: its work is large eigendecompositions, exponentials and matrix
+products that release the GIL, and its block factors would otherwise be
+pickled back.  It submits its Gaussian path, then the term build of each
+mode block of its exact path, then each block's phase sum, and
 multiplies the block factors in mode order.  A failure names the lambda
-and betas of its point.  Quantities that can be undefined (no threshold
+and betas of its point; a sweep reports the smallest failing lambda at
+every worker count.  Quantities that can be undefined (no threshold
 crossing, no outflow, no time-dependent correlation) are recorded with
 the sentinel value -1.
 """
@@ -46,9 +55,14 @@ import contextlib
 import ctypes
 import errno
 import functools
+import gc
 import glob
 import os
+import pickle
+import signal
 import sys
+import threading
+import warnings
 from collections.abc import Iterable, Iterator
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
 
@@ -316,29 +330,124 @@ class _Inline(Executor):
         return future
 
 
-def _executor(threads: int | None) -> Executor:
-    """Thread pool of ``threads`` workers, or `_Inline` where the tasks run serially.
+def _workers(threads: int | None) -> int:
+    """``--threads``, by default the CPUs this process may run on, where the platform says."""
+    if threads is not None:
+        return threads
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
 
-    The worker count defaults to the CPUs this process may run on,
-    where the platform says.  A pool is used only for more than one
-    worker, and only where ``main`` can pin BLAS to one thread, so the
-    workers do not oversubscribe the cores.
+
+def _executor(threads: int | None) -> Executor:
+    """Thread pool of ``dynamics``, of `_workers` threads, or `_Inline` where the tasks run serially.
+
+    A pool is used only for more than one worker, and only where ``main``
+    can pin BLAS to one thread, so the workers do not oversubscribe the
+    cores.
     """
-    workers = threads
-    if workers is None:
-        workers = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                   else os.cpu_count() or 1)
+    workers = _workers(threads)
     if workers > 1 and _openblas_threads() is not None:
         return ThreadPoolExecutor(max_workers=workers)
     return _Inline()
 
 
+def _share_rows(kind: str, cfg: ExperimentConfig, lams: list[float]) -> tuple[list, tuple | None]:
+    """(rows, None) of the lambdas in order, or (rows so far, (lam, exception)) at the first failure."""
+    rows = []
+    for lam in lams:
+        try:
+            # looked up at each call, so a wrapper set on the module applies
+            rows += _sweep_point(kind, cfg, lam)
+        except Exception as exc:
+            return rows, (lam, exc)
+    return rows, None
+
+
+def _fork() -> int:
+    """``os.fork()``, without Python's warning about OpenBLAS's threads."""
+    with warnings.catch_warnings():
+        # Python >= 3.12 warns on fork when the OS reports more than one thread.  A
+        # sweep forks only while no other Python thread is alive, so those are
+        # OpenBLAS's idle workers, and OpenBLAS makes fork safe with its own
+        # atfork handler
+        warnings.filterwarnings("ignore", message=r"This process .* is multi-threaded, use of fork",
+                                category=DeprecationWarning)
+        return os.fork()
+
+
+def _forked_share(kind: str, cfg: ExperimentConfig, lams: list[float]):
+    """(pid, pipe) of a child that writes the pickled (rows, (lam, message) or None) of lams.
+
+    The child exits 0 only after the whole payload is written.  It leaves
+    through ``os._exit`` and never returns into the caller's stack.
+    """
+    read, write = os.pipe()
+    try:
+        pid = _fork()
+        if pid == 0:
+            status = 1
+            try:
+                rows, failure = _share_rows(kind, cfg, lams)
+                if failure is not None:
+                    failure = failure[0], str(failure[1])
+                with open(write, "wb") as pipe:
+                    pickle.dump((rows, failure), pipe, pickle.HIGHEST_PROTOCOL)
+                status = 0
+            finally:
+                os._exit(status)
+    except BaseException:
+        os.close(read)
+        raise
+    finally:
+        os.close(write)
+    return pid, open(read, "rb")
+
+
 def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
-    """Rows of every (lambda, beta) of the sweep, one task per lambda on `_executor`."""
-    point = functools.partial(_sweep_point, kind, cfg)
-    with _executor(threads) as pool:
-        blocks = list(pool.map(point, sorted(cfg.lambdas)))
-    return sorted((row for rows in blocks for row in rows), key=lambda row: (row[0], row[1]))
+    """Rows of every (lambda, beta) of the sweep, its lambdas in shares over forked workers.
+
+    With w = min(`_workers`, lambda count) > 1, where BLAS can be pinned,
+    the platform can fork and no other Python thread is alive, the sorted
+    lambdas are dealt into w interleaved shares (cost grows with lambda);
+    w - 1 forked children run a share each while this process runs the
+    first.  Otherwise every lambda runs here.  A share stops at its first
+    failure, and the failure of the smallest failing lambda is raised, so
+    the error does not depend on w.  No child outlives the call.
+    """
+    lams = sorted(cfg.lambdas)
+    workers = min(_workers(threads), len(lams))
+    if _openblas_threads() is None or not hasattr(os, "fork") or threading.active_count() > 1:
+        workers = 1
+    shares = [lams[i::workers] for i in range(workers)]
+    children = []
+    try:
+        for share in shares[1:]:
+            children.append((share[0], *_forked_share(kind, cfg, share)))
+        rows, failure = _share_rows(kind, cfg, shares[0])
+        failures = [] if failure is None else [failure]
+        while children:
+            first, pid, pipe = children[0]
+            with pipe:
+                payload = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            children.pop(0)
+            if status != 0:
+                failures.append((first, RuntimeError(
+                    f"sweep worker of lambda = {first:.12g} ended without its rows "
+                    f"(wait status {status})")))
+                continue
+            share_rows, failure = pickle.loads(payload)
+            rows += share_rows
+            if failure is not None:
+                failures.append((failure[0], RuntimeError(failure[1])))
+    finally:
+        for _, pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    return sorted(rows, key=lambda row: (row[0], row[1]))
 
 
 # sweep command -> (kind of `_run_sweep`, CSV columns after lambda,beta,eta)
@@ -479,5 +588,16 @@ def main(argv: list[str] | None = None) -> int:
             set_threads(caller_threads)
 
 
+def console_main() -> int:
+    """``main()`` of ``python -m morsebath.cli`` and the ``morsebath`` script.
+
+    Once main has returned and closed its outputs, every object is moved
+    out of the garbage collector's reach, so the exit skips its final walk.
+    """
+    status = main()
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(console_main())

@@ -23,8 +23,7 @@ def renormalized(bath):
     """One-beta bath whose couplings are B_k - <B_k>, so their thermal means vanish."""
     (mean_b,) = bath.mean_b
     eye = np.eye(bath.energies.shape[1])
-    return dataclasses.replace(bath, couplings=bath.couplings - mean_b[:, None, None] * eye,
-                               mean_b=np.zeros_like(bath.mean_b))
+    return dataclasses.replace(bath, couplings=bath.couplings - mean_b[:, None, None] * eye)
 
 
 def apply_map(rho0, chi_value):

@@ -91,6 +91,19 @@ def test_thermal_data_at_second_beta():
         bath_arrays(2.0, 1.0, 2, 2.5, [1.0, 0.0])
 
 
+def test_mean_b_is_computed_on_first_read_and_kept():
+    # the exact path never reads the thermal means, so a Bath computes them on the
+    # first read, once
+    bath = bath_arrays(2.0, 1.0, 3, 2.5, [1.0, 10.0])
+    chi_traces(bath, 2.0, time_grid(1.0, 0.1))
+    assert "mean_b" not in vars(bath)
+    mean_b = bath.mean_b
+    assert bath.mean_b is mean_b and mean_b.shape == (2, 3)
+    for weights, means in zip(bath.weights, mean_b):
+        for w, b, mean in zip(weights, bath.couplings, means):
+            assert mean == pytest.approx(float(w @ np.diag(b)), rel=1e-14, abs=1e-300)
+
+
 @pytest.mark.parametrize("lam, beta, eta, k_modes", [
     (2.6, 7.0, 0.01, 40),
     (7.4, 1.0, 2.0, 40),

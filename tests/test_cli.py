@@ -1,9 +1,11 @@
 import itertools
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -322,28 +324,174 @@ def blas_threads():
 
 
 def test_sweep_pool_pins_blas_and_restores_caller_count(tmp_path, monkeypatch, blas_threads):
+    # a lambda may run in a forked worker, whose memory the caller never sees, so
+    # each records its OpenBLAS thread count in a file of its own
     text = BASE.replace("lambda = 2.5", "lambda = 2.5,2.6,2.7").replace("beta = 1.0", "beta = 1,4")
     cfg = write_config(tmp_path, text)
     out = str(tmp_path / "s.csv")
-    seen = []
+    records = tmp_path / "records"
     lambda_rows = cli._lambda_rows
 
-    def recording(*args):
-        seen.append(blas_threads())
-        return lambda_rows(*args)
+    def record(lam):
+        (records / f"{lam}-{os.getpid()}").write_text(str(blas_threads()))
 
-    def failing(*args):
-        seen.append(blas_threads())
+    def seen():
+        return sorted(int(path.read_text()) for path in records.iterdir())
+
+    def recording(kind, cfg, lam, betas):
+        record(lam)
+        return lambda_rows(kind, cfg, lam, betas)
+
+    def failing(kind, cfg, lam, betas):
+        record(lam)
         raise FloatingPointError("overflow in a layer")
 
+    records.mkdir()
     monkeypatch.setattr(cli, "_lambda_rows", recording)
     assert main(["sweep-dephasing", "--config", cfg, "--out", out, "--threads", "2"]) == 0
-    assert seen == [1, 1, 1]
+    assert seen() == [1, 1, 1]
+    assert len({path.name.split("-")[1] for path in records.iterdir()}) == 2  # two processes
     assert blas_threads() == 2
+    for path in records.iterdir():
+        path.unlink()
     monkeypatch.setattr(cli, "_lambda_rows", failing)
     assert main(["sweep-dephasing", "--config", cfg, "--out", out, "--threads", "2"]) == 2
-    assert seen[3:] and set(seen[3:]) == {1}  # tasks not started are cancelled
+    assert seen() == [1, 1]  # each of the two shares stops at its first failure
     assert blas_threads() == 2
+    assert_no_child_left()
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The calls of os.fork made during the test, counted in the calling process."""
+    if cli._openblas_threads() is None:
+        pytest.skip("sweeps fork only where numpy's bundled OpenBLAS can be pinned")
+    calls = []
+    fork = os.fork
+
+    def counting():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counting)
+    return calls
+
+
+# 5 lambdas: at 3 workers the shares are [1.6, 4.2] here, [2.5, 7.4] and [3.4]
+# in two children; at 2 workers [1.6, 3.4, 7.4] here and [2.5, 4.2] in one
+FIVE_LAMBDAS = BASE.replace("lambda = 2.5", "lambda = 3.4,1.6,2.5,7.4,4.2").replace(
+    "beta = 1.0", "beta = 4,1")
+
+
+@pytest.mark.parametrize("command", list(cli._SWEEPS))
+def test_sweep_bytes_across_forked_worker_counts(command, tmp_path, forks):
+    outputs = set()
+    for workers in (1, 2, 3):
+        pointwise = tmp_path / f"pointwise{workers}.csv"
+        text = FIVE_LAMBDAS + (f"pointwise_out = {pointwise}\n" if command == "gaussian-error"
+                               else "")
+        cfg = write_config(tmp_path, text, name=f"workers{workers}.cfg")
+        out = tmp_path / f"workers{workers}.csv"
+        forks.clear()
+        assert main([command, "--config", cfg, "--out", str(out),
+                     "--threads", str(workers)]) == 0
+        assert len(forks) == workers - 1
+        outputs.add((out.read_bytes(), pointwise.read_bytes() if pointwise.exists() else None))
+        assert_no_child_left()
+    assert len(outputs) == 1
+    (table, pointwise), = outputs
+    assert len(table.splitlines()) == 11
+    assert (pointwise is None) == (command != "gaussian-error")
+
+
+@pytest.mark.parametrize("failing", [{3.4, 4.2}, {4.2, 7.4}, {2.5}])
+def test_sweep_failure_names_the_smallest_failing_lambda_at_every_worker_count(
+        failing, tmp_path, monkeypatch, capsys, forks):
+    # {3.4, 4.2} fails first in a child at 3 workers and here at 2, {4.2, 7.4} the
+    # other way round, {2.5} only in a child
+    cfg = write_config(tmp_path, FIVE_LAMBDAS)
+    out = tmp_path / "s.csv"
+    lambda_rows = cli._lambda_rows
+
+    def broken(kind, cfg, lam, betas):
+        if lam in failing:
+            raise FloatingPointError(f"overflow at {lam}")
+        return lambda_rows(kind, cfg, lam, betas)
+
+    monkeypatch.setattr(cli, "_lambda_rows", broken)
+    smallest = min(failing)
+    for workers in ("1", "2", "3"):
+        assert main(["sweep-dephasing", "--config", cfg, "--out", str(out),
+                     "--threads", workers]) == 2
+        assert capsys.readouterr().err == (f"error: sweep point lambda = {smallest}, "
+                                           f"beta = 1, 4: FloatingPointError: overflow at "
+                                           f"{smallest}\n")
+        assert not out.exists()
+        assert_no_child_left()
+    assert len(forks) == 3
+
+
+def test_sweep_worker_killed_by_a_signal_exits_2_naming_its_lambda(tmp_path, monkeypatch,
+                                                                   capsys, forks):
+    text = BASE.replace("lambda = 2.5", "lambda = 1.6,2.5,3.4").replace("beta = 1.0", "beta = 1,4")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "s.csv"
+    caller = os.getpid()
+    lambda_rows = cli._lambda_rows
+
+    def killed(kind, cfg, lam, betas):
+        if lam == 2.5:  # the child's share is [2.5]
+            assert os.getpid() != caller
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lambda_rows(kind, cfg, lam, betas)
+
+    monkeypatch.setattr(cli, "_lambda_rows", killed)
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep worker of lambda = 2.5 ") and "wait status" in err
+    assert not out.exists()
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch, forks):
+    text = BASE.replace("lambda = 2.5", "lambda = 1.6,2.5").replace("beta = 1.0", "beta = 1,4")
+    caller = os.getpid()
+
+    def stuck(kind, cfg, lam, betas):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)
+
+    monkeypatch.setattr(cli, "_lambda_rows", stuck)
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cli._run_sweep("dephasing", parse_config_text(text), 2)
+    assert time.perf_counter() - start < 30
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+def test_worker_count_never_exceeds_the_lambda_count(tmp_path, forks):
+    text = BASE.replace("lambda = 2.5", "lambda = 1.6,2.5,3.4").replace("beta = 1.0", "beta = 1,4")
+    cfg = write_config(tmp_path, text)
+    out = tmp_path / "s.csv"
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(out), "--threads", "1000"]) == 0
+    assert forks == [os.getpid()] * 2
+    assert_no_child_left()
+
+
+def test_console_main_freezes_the_collector_after_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    assert cli.console_main() == 3
+    assert calls == ["main", "freeze"]
 
 
 def test_openblas_lookup_runs_once_per_process(tmp_path, monkeypatch):
@@ -775,10 +923,11 @@ def test_sweep_failure_names_lambda_and_betas(tmp_path, monkeypatch, capsys):
     text = BASE.replace("lambda = 2.5", "lambda = 2.6,1.6").replace("beta = 1.0", "beta = 4,1")
     cfg = write_config(tmp_path, text)
     out = tmp_path / "s.csv"
-    for workers in ("1", "2"):
+    for workers in ("1", "2", "3"):
         assert main(["sweep-dephasing", "--config", cfg, "--out", str(out),
                      "--threads", workers]) == 2
         err = capsys.readouterr().err
         assert "lambda = 1.6, beta = 1, 4" in err
         assert "FloatingPointError: overflow in a layer" in err
         assert not out.exists()
+        assert_no_child_left()

@@ -11,10 +11,13 @@ from morsebath import (
     CorrelationModel,
     alpha,
     build_correlation,
+    chi_traces,
     gamma_decay,
     gaussian_chi,
+    gaussian_traces,
     mean_field_shift,
     offset_ratio,
+    time_grid,
 )
 from morsebath import correlation, kernels
 from helpers import make_arrays, make_bath
@@ -260,3 +263,24 @@ def test_rows_are_relisted_when_a_left_out_term_could_be_kept(monkeypatch):
     weights, deltas = full_list_model(bath)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.deltas, deltas)
+
+
+@pytest.mark.parametrize("lam, beta", [(2.6, 4.0), (4.2, 1.0), (2.6, 10.0), (5.3, 4.0),
+                                       (2.6, 1.0)])
+def test_gaussian_path_is_the_second_cumulant_of_the_exact_path(lam, beta):
+    # chi_G keeps the exact factor's cumulants up to the second, and flipping the
+    # coupling sign conjugates both traces, so L = log(chi / chi_G) has
+    # Im L = O(eta^1.5) and Re L = O(eta^2): a tenth of eta divides max|Im L| by
+    # 10^1.5 and max|Re L| by 100, where a wrong factor in C0, w, Delta, the
+    # mean-field shift or Gamma would leave an O(eta) gap.  At eta = 1e-7 |Re L| is
+    # still far above the pruning bound of 2 K 1e-14
+    times = time_grid(20.0, 0.01)
+    gaps = []
+    for eta in (1e-6, 1e-7):
+        bath = make_arrays(lam, [beta], eta=eta, k_modes=40)
+        (chi,), (chi_gauss,) = chi_traces(bath, 0.0, times), gaussian_traces(bath, 0.0, times)
+        log_ratio = np.log(chi / chi_gauss)
+        gaps.append((np.abs(log_ratio.imag).max(), np.abs(log_ratio.real).max()))
+    (phase, modulus), (phase_tenth, modulus_tenth) = gaps
+    assert phase / phase_tenth == pytest.approx(10 ** 1.5, rel=0.02)
+    assert modulus / modulus_tenth == pytest.approx(100.0, rel=0.02)

@@ -50,7 +50,7 @@ def mode_bath(bath, k):
     return dataclasses.replace(
         bath, omega=bath.omega[k:k + 1], g=bath.g[k:k + 1], energies=bath.energies[k:k + 1],
         couplings=bath.couplings[k:k + 1], weights=bath.weights[:, k:k + 1],
-        partition=bath.partition[:, k:k + 1], mean_b=bath.mean_b[:, k:k + 1])
+        partition=bath.partition[:, k:k + 1])
 
 
 def reference_factor(energies, coupling, weights, times):
