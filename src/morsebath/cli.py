@@ -12,6 +12,9 @@ rounded, which gives those bytes whenever the product lies more than
 1e-3 (over twice its rounding error) from a rounding boundary; a value
 within that margin, and one that is negative, not finite or outside
 [1e-99, 1e99) (except +0.0), is written with ``f"{x:.11e}"`` itself.
+Each value's 17 bytes are one record of five whole fields, "d.dd",
+three digit triples and "e+dd", each gathered from a table in one pass,
+and each line one record of its prefix, the two values and separators.
 An output file that cannot be written ends the command with an error
 naming its path: a missing directory, a directory as the path or two
 outputs naming one file before any work, and any other failure before
@@ -24,6 +27,12 @@ columns; each computes chi with one ``dynamics.chi_traces`` call per
 lambda.  ``sweep-dephasing`` passes its threshold and takes tau_d from
 the prefix of slabs that ``chi_traces`` returns, which has the bytes of
 the whole trace where BLAS is pinned.
+
+``main`` first has glibc's malloc keep freed blocks of up to 32 MiB in
+its heap (mallopt's mmap and trim thresholds, both or neither; nothing
+without glibc), so a lambda reuses the pages its predecessor freed, not
+fresh ones; forked sweep workers inherit the setting, library callers
+never get it.
 
 ``--threads`` sets the worker count (default: the CPUs the process may
 run on); more than one worker is used only where BLAS can be pinned,
@@ -86,6 +95,13 @@ def _fmt(x: float) -> str:
 _SCI_WIDTH = len(_fmt(0.0))
 _TRIPLES = np.frombuffer("".join(f"{i:03d}" for i in range(1000)).encode(),
                          dtype=np.uint8).reshape(1000, 3)
+# a value's bytes as five whole fields, each gathered from a table:
+# "d.dd" of the leading three digits, three triples and "e+dd" of the exponent
+_SCI_RECORD = np.dtype([("lead", "V4"), ("d3", "V3"), ("d6", "V3"), ("d9", "V3"), ("exp", "V4")])
+_LEADS = np.insert(_TRIPLES, 1, ord("."), axis=1).view("V4").ravel()
+_DIGITS = _TRIPLES.view("V3").ravel()
+_EXP_LOW = -99
+_EXPS = np.frombuffer("".join(f"e{k:+03d}" for k in range(_EXP_LOW, 100)).encode(), dtype="V4")
 _POW10_LOW = -100
 _POW10 = np.array([float(f"1e{k}") for k in range(_POW10_LOW, 121)])  # correctly rounded
 # y = x * 10**(11 - e) is off by two roundings (10**k and the product), each within
@@ -118,17 +134,14 @@ def _fmt_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
                             | (y < 1e11 + _ROUNDING_MARGIN) | (y > 1e12 - 1.0))
     digits = np.where(positive & ~undecided, np.rint(y), 0.0).astype(np.int64)
     high, low = np.divmod(digits, 1_000_000)
-    chars = np.empty((x.size, _SCI_WIDTH), dtype=np.uint8)
-    lead = _TRIPLES[high // 1000]
-    chars[:, 0] = lead[:, 0]
-    chars[:, 1] = ord(".")
-    chars[:, 2:4] = lead[:, 1:]
-    chars[:, 4:7] = _TRIPLES[high % 1000]
-    chars[:, 7:10] = _TRIPLES[low // 1000]
-    chars[:, 10:13] = _TRIPLES[low % 1000]
-    chars[:, 13] = ord("e")
-    chars[:, 14] = np.where(exponent < 0, ord("-"), ord("+"))
-    chars[:, 15:] = _TRIPLES[np.abs(exponent), 1:]
+    record = np.empty(x.size, dtype=_SCI_RECORD)
+    record["lead"] = _LEADS[high // 1000]
+    record["d3"] = _DIGITS[high % 1000]
+    record["d6"] = _DIGITS[low // 1000]
+    record["d9"] = _DIGITS[low % 1000]
+    # clipped: an exponent of -100 or 100 occurs only in an undecided row
+    record["exp"] = np.take(_EXPS, exponent - _EXP_LOW, mode="clip")
+    chars = record.view(np.uint8).reshape(x.size, _SCI_WIDTH)
     for i in np.flatnonzero(undecided):
         chars[i] = np.frombuffer(_fmt(x[i]).encode(), dtype=np.uint8)
     return chars, wide
@@ -321,6 +334,31 @@ def _openblas_threads():
     return None
 
 
+# mallopt parameters of glibc's malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_heap() -> bool:
+    """Have glibc's malloc keep freed blocks of up to 32 MiB; True if both settings took.
+
+    By default glibc serves the multi-MB numpy temporaries of each lambda
+    with mmap and unmaps them on free, so the next lambda faults in fresh
+    pages.  Here blocks under 32 MiB come from the heap, and freed memory
+    at its top is kept up to 1 GiB.  Either setting alone turns off glibc's
+    dynamic mmap threshold and costs more than it saves, so the trim
+    threshold is set only after the mmap threshold took (glibc's mallopt
+    never refuses a trim threshold): both or neither.  Without a mallopt
+    (a C library other than glibc) this does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # TypeError: no process handle (Windows)
+        return False
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
+
+
 class _Inline(Executor):
     """Executor that runs each task in the calling thread as it is submitted."""
 
@@ -478,15 +516,17 @@ def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[str
     """The pointwise file: its header, then the lines of one (lambda, beta) at a time."""
     yield "lambda,beta,eta,t,e_chi\n"
     t_chars, t_wide = _fmt_column(times)
+    field = f"V{_SCI_WIDTH}"
     for lam, beta, _, pointwise in rows:
         prefix = f"{_fmt(lam)},{_fmt(beta)},{_fmt(eta)},"
         e_chars, e_wide = _fmt_column(pointwise)
-        lines = np.empty((len(times), len(prefix) + 2 * _SCI_WIDTH + 2), dtype=np.uint8)
-        lines[:, :len(prefix)] = np.frombuffer(prefix.encode(), dtype=np.uint8)
-        lines[:, len(prefix):len(prefix) + _SCI_WIDTH] = t_chars
-        lines[:, -_SCI_WIDTH - 2] = ord(",")
-        lines[:, -_SCI_WIDTH - 1:-1] = e_chars
-        lines[:, -1] = ord("\n")
+        lines = np.empty(len(times), dtype=[("prefix", f"V{len(prefix)}"), ("t", field),
+                                            ("comma", "V1"), ("e_chi", field), ("end", "V1")])
+        lines["prefix"] = np.void(prefix.encode())
+        lines["t"] = t_chars.view(field)[:, 0]
+        lines["comma"] = np.void(b",")
+        lines["e_chi"] = e_chars.view(field)[:, 0]
+        lines["end"] = np.void(b"\n")
         pieces, start = [], 0
         for i in np.flatnonzero(t_wide | e_wide):
             pieces += [str(lines[start:i], "ascii"),
@@ -571,6 +611,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # freed memory kept for the next lambda; forked sweep workers inherit it
+    _keep_heap()
     # BLAS pinned to one thread: no output depends on the BLAS thread count
     blas = _openblas_threads()
     if blas is not None:

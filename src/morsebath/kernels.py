@@ -213,10 +213,15 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     rights = offset_tables(freqs, offsets, groups) if tables is None else iter(tables)
 
     def factors():
+        left = None
         for k in _chunks(w.shape[1], g):
             phase = 1j * f[:, k] * starts
-            left = w[:, k, :, None] * np.exp(phase, out=phase)[:, :, None, :]
-            yield left.reshape(g, left.shape[1], c * starts.shape[0]), next(rights)
+            m = phase.shape[1]
+            # the consumer has finished with a chunk's left before it asks for the next
+            if left is None or left.shape[1] != m:
+                left = np.empty((g, m, c, starts.shape[0]), dtype=np.complex128)
+            np.multiply(w[:, k, :, None], np.exp(phase, out=phase)[:, :, None, :], out=left)
+            yield left.reshape(g, m, c * starts.shape[0]), next(rights)
 
     out = _blocked_sum(factors(), (g, c), n)
     return out.reshape(((g,) if groups is not None else ()) + cols + (n,))
@@ -246,6 +251,15 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
     non-negative, so nothing cancels.  With the one offset b = 0 of an
     unsplit grid the identity still holds exactly and the product keeps
     only the term sum of c (1 - cos x).
+
+    Correlation terms come in pairs +delta, -delta, so the five trig
+    tables (cos x, sin x and 2 sin^2(x / 2) over the starts, 2 sin^2(y / 2)
+    and sin y over the offsets) are taken once per distinct |delta| of a
+    chunk and gathered into term order, the sin x and sin y rows times
+    sign(delta).  That is exact: IEEE products are sign-symmetric, and
+    numpy's sin and cos are odd and even to the bit (the tests check
+    this build), so every matrix-product operand, and with it the sum,
+    equals the one of per-term tables.
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     deltas = np.ascontiguousarray(deltas, dtype=np.float64)
@@ -261,20 +275,29 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
     d = deltas[~small]
     coef = 4.0 * w[~small] / (d * d)[:, None]
     starts, offsets = _uniform_split(times)
-    ones = np.ones((1, offsets.shape[0]))
+    c, n_b, width = coef.shape[1], starts.shape[0], offsets.shape[0]
 
     def factors():
+        left = None
         for k in _chunks(d.shape[0]):
-            dk, ck = d[k, None], coef[k, :, None]
-            a = dk * starts
+            u, term = np.unique(np.abs(d[k]), return_inverse=True)
+            sign = np.sign(d[k])[:, None]
+            a = u[:, None] * starts
             half_a = np.sin(0.5 * a)
-            half_b = np.sin(0.5 * dk * offsets)
-            rows = (dk.shape[0], coef.shape[1] * starts.shape[0])
-            left = np.concatenate([(ck * np.cos(a)[:, None]).reshape(rows),
-                                   (ck * np.sin(a)[:, None]).reshape(rows),
-                                   (coef[k].T @ (2.0 * half_a * half_a)).reshape(1, -1)])
-            yield (left[None],
-                   np.concatenate([2.0 * half_b * half_b, np.sin(dk * offsets), ones])[None])
+            half_b = np.sin(0.5 * u[:, None] * offsets)
+            m = term.shape[0]
+            # the consumer has finished with a chunk's factors before it asks for the next
+            if left is None or left.shape[0] != 2 * m + 1:
+                left, right = np.empty((2 * m + 1, c * n_b)), np.empty((2 * m + 1, width))
+            np.multiply(coef[k, :, None], np.cos(a)[term][:, None],
+                        out=left[:m].reshape(m, c, n_b))
+            np.multiply(coef[k, :, None], (np.sin(a)[term] * sign)[:, None],
+                        out=left[m:2 * m].reshape(m, c, n_b))
+            left[2 * m] = (coef[k].T @ (2.0 * half_a * half_a)[term]).ravel()
+            np.take(2.0 * half_b * half_b, term, axis=0, out=right[:m])
+            np.multiply(np.sin(u[:, None] * offsets)[term], sign, out=right[m:2 * m])
+            right[2 * m] = 1.0
+            yield left[None], right[None]
 
     out = out + _blocked_sum(factors(), (1, w.shape[1]), times.shape[0])[0]
     return out.reshape(cols + (-1,))

@@ -93,11 +93,15 @@ def gaussian_error(times: np.ndarray, chi: np.ndarray, chi_gauss: np.ndarray,
     times, all three of one shape; the time average is the trapezoidal
     mean over the grid of the trace distance between the two mapped
     states.  Both maps leave the populations untouched, so that
-    distance is |chi - chi_G| |rho01(0)| at every point.
+    distance is |chi - chi_G| |rho01(0)| at every point.  The average
+    needs a grid of at least 2 points whose first and last times differ.
     """
     if not np.shape(times) == np.shape(chi) == np.shape(chi_gauss):
         raise ValueError("times, chi and chi_gauss must share one shape, got "
                          f"{np.shape(times)}, {np.shape(chi)}, {np.shape(chi_gauss)}")
+    if len(times) < 2 or times[-1] == times[0]:
+        raise ValueError("the time average needs 2 or more times, the last unlike the first, "
+                         f"got times {np.asarray(times)}")
     pointwise = np.abs(chi - chi_gauss)
     coherence0 = abs(complex(np.asarray(rho0)[1, 0]))
     distance = pointwise * coherence0

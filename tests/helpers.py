@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 
-from morsebath import bath_arrays
+from morsebath import bath_arrays, kernels
 from morsebath.bath import BathConfig, discretize
 from morsebath.morse import wavefunction_z
 
@@ -59,3 +59,42 @@ def wavefunction(lam, n, x):
     big_n = lam - 0.5
     z = (2.0 * big_n + 1.0) * math.exp(-x)
     return wavefunction_z(lam, n, z)
+
+
+def reference_gamma_sum(weights, deltas, offset, times):
+    """``kernels.gamma_sum`` as it was with one set of trig tables per term.
+
+    The kernel now takes the tables once per distinct |delta|; its
+    matrix-product operands, and so its result, must equal these bit for bit.
+    """
+    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    deltas = np.ascontiguousarray(deltas, dtype=np.float64)
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    cols = weights.shape[1:]
+    w = weights.reshape(weights.shape[0], math.prod(cols))
+    t2 = times * times
+    out = np.zeros((w.shape[1], times.shape[0]))
+    out += 2.0 * np.asarray(offset, dtype=np.float64).reshape(-1, 1) * t2
+    small = np.abs(deltas) < kernels.ZERO_FREQ_TOL
+    if np.any(small):
+        out += 2.0 * w[small].sum(axis=0)[:, None] * t2
+    d = deltas[~small]
+    coef = 4.0 * w[~small] / (d * d)[:, None]
+    starts, offsets = kernels._uniform_split(times)
+    ones = np.ones((1, offsets.shape[0]))
+
+    def factors():
+        for k in kernels._chunks(d.shape[0]):
+            dk, ck = d[k, None], coef[k, :, None]
+            a = dk * starts
+            half_a = np.sin(0.5 * a)
+            half_b = np.sin(0.5 * dk * offsets)
+            rows = (dk.shape[0], coef.shape[1] * starts.shape[0])
+            left = np.concatenate([(ck * np.cos(a)[:, None]).reshape(rows),
+                                   (ck * np.sin(a)[:, None]).reshape(rows),
+                                   (coef[k].T @ (2.0 * half_a * half_a)).reshape(1, -1)])
+            yield (left[None],
+                   np.concatenate([2.0 * half_b * half_b, np.sin(dk * offsets), ones])[None])
+
+    out = out + kernels._blocked_sum(factors(), (1, w.shape[1]), times.shape[0])[0]
+    return out.reshape(cols + (-1,))

@@ -1,11 +1,13 @@
 import itertools
 import os
+import platform
 import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -492,6 +494,68 @@ def test_console_main_freezes_the_collector_after_main(monkeypatch):
     monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
     assert cli.console_main() == 3
     assert calls == ["main", "freeze"]
+
+
+def fake_mallopt(monkeypatch, results=None):
+    """Serve ``ctypes.CDLL(None)`` as a C library whose mallopt returns the results in turn.
+
+    With results None the library has no mallopt.  Returns the (param, value) calls.
+    """
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return results[len(calls) - 1]
+
+    libc = types.SimpleNamespace() if results is None else types.SimpleNamespace(mallopt=mallopt)
+    cdll = cli.ctypes.CDLL
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name, *args, **kwargs: libc if name is None else
+                        cdll(name, *args, **kwargs))
+    return calls
+
+
+# glibc's M_MMAP_THRESHOLD = -3 at 32 MiB, then M_TRIM_THRESHOLD = -1 at 1 GiB
+BOTH_SETTINGS = [(-3, 32 << 20), (-1, 1 << 30)]
+
+
+@pytest.mark.parametrize("results, took, calls", [
+    ([1, 1], True, BOTH_SETTINGS),
+    ([0], False, BOTH_SETTINGS[:1]),  # the trim threshold is not set alone
+    ([1, 0], False, BOTH_SETTINGS),
+], ids=["both", "mmap-refused", "trim-refused"])
+def test_keep_heap_sets_both_thresholds_in_one_call(results, took, calls, monkeypatch):
+    made = fake_mallopt(monkeypatch, results)
+    assert cli._keep_heap() is took
+    assert made == calls
+
+
+def test_keep_heap_takes_on_glibc():
+    if platform.libc_ver()[0] != "glibc":
+        pytest.skip("not a glibc process")
+    assert cli._keep_heap() is True
+
+
+def test_gaussian_error_bytes_without_mallopt(tmp_path, monkeypatch):
+    text = BASE.replace("lambda = 2.5", "lambda = 2.5,3.1").replace("beta = 1.0", "beta = 1,7")
+    outputs = []
+    for side in ("glibc", "no-mallopt"):
+        if side == "no-mallopt":
+            fake_mallopt(monkeypatch)
+            assert cli._keep_heap() is False
+        cfg = write_config(tmp_path, text + f"pointwise_out = {tmp_path / side}.pw\n", side)
+        out = tmp_path / f"{side}.csv"
+        assert main(["gaussian-error", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
+        outputs.append((out.read_bytes(), (tmp_path / f"{side}.pw").read_bytes()))
+    assert outputs[0] == outputs[1]
+
+
+def test_main_keeps_the_heap_once_before_the_command(monkeypatch, capsys):
+    events = []
+    monkeypatch.setattr(cli, "_keep_heap", lambda: events.append("keep heap") or True)
+    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: events.append("command") or 0)
+    assert main(["spectrum", "--lambda", "2.6"]) == 0
+    assert events == ["keep heap", "command"]
 
 
 def test_openblas_lookup_runs_once_per_process(tmp_path, monkeypatch):

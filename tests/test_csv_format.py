@@ -13,7 +13,8 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from morsebath import cli
+from morsebath import cli, time_grid
+from morsebath.config import parse_config_text
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -87,4 +88,42 @@ def test_pointwise_block_equals_fmt_lines(xs):
     prefix = f"{2.5:.11e},{1.0:.11e},{0.01:.11e},"
     reference = "lambda,beta,eta,t,e_chi\n" + "".join(
         f"{prefix}{t:.11e},{v:.11e}\n" for t, v in zip(times, xs))
+    assert text == reference
+
+
+EDGES = [
+    1e-99, float(np.nextafter(1e-99, 0.0)), float(np.nextafter(1e99, 0.0)), 1e99, 0.0,  # class edges
+    -0.0, -1.0, -1e-99, -2.5e10, math.nan, math.inf, -math.inf, 5e-324,  # outside the class
+    1.5e-99, 9.87654321012e-99, 9.99999999999e98, 1.0e98, 1e-98,  # exponents -99, 98
+    1.234567890125e-3, 2.000000000005e7, 9.999999999995e5, 9.9999999999949e5,  # rounding margin
+    1.00000000000049e-7, 0.1, 1.0, 10.0, 123.456,
+]
+
+
+def test_fmt_column_at_the_edges_of_its_fields():
+    chars, wide = cli._fmt_column(np.array(EDGES))
+    for v, row, is_wide in zip(EDGES, chars, wide):
+        assert is_wide == (not fixed_width(v)), v
+        if not is_wide:
+            assert row.tobytes().decode("ascii") == f"{v:.11e}", v
+    zeros = {math.copysign(1.0, v): bool(w) for v, w in zip(EDGES, wide) if v == 0.0}
+    assert zeros == {1.0: False, -1.0: True}
+    chars, wide = cli._fmt_column(np.empty(0))
+    assert chars.shape == (0, 17) and chars.dtype == np.uint8 and wide.shape == (0,)
+
+
+def test_pointwise_blocks_of_a_sweep_with_wide_rows_equal_fmt_lines():
+    text = ("k_modes = 8\neta = 0.01\nlambda = 2.5,3.1\nbeta = 1,7\n"
+            "omega_s = 2.0\nt_max = 5.0\ndt = 0.05\n")
+    cfg = parse_config_text(text)
+    times = time_grid(cfg.t_max, cfg.dt)
+    rows = cli._run_sweep("gaussian-error", cfg, 1)
+    wide = {(0, 0): math.nan, (0, 7): -1e-3, (1, 50): 1e-120, (2, 100): 1e99,
+            (3, 0): -0.0, (3, 99): math.inf, (3, 100): -math.inf}
+    for (row, i), value in wide.items():
+        rows[row][3][i] = value
+    text = "".join(cli._pointwise_blocks(rows, cfg.eta, times))
+    reference = "lambda,beta,eta,t,e_chi\n" + "".join(
+        f"{lam:.11e},{beta:.11e},{cfg.eta:.11e},{t:.11e},{e:.11e}\n"
+        for lam, beta, _, errors in rows for t, e in zip(times, errors))
     assert text == reference

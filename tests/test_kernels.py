@@ -4,6 +4,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from morsebath import kernels, time_grid
+from helpers import reference_gamma_sum
 
 
 def reference_phase_sum(w, f, t):
@@ -117,6 +118,55 @@ def test_gamma_sum_blocked_matches_direct(rng):
         atol = 0.0 if t.min() >= 0.0 else 1e-13 * expected.max()
         np.testing.assert_allclose(kernels.gamma_sum(w, d, 0.1, t), expected,
                                    rtol=1e-13, atol=atol, err_msg=name)
+
+
+GAMMA_GRIDS = {
+    "cli-grid": time_grid(20.0, 0.01),
+    "two-points": np.arange(2) * 0.01,
+    "irregular": GRIDS["irregular"],
+}
+
+
+def paired_deltas(rng, pairs, unpaired, repeats, small):
+    """Shuffled gaps: +-|delta| pairs, lone terms, repeats of a drawn |delta|, near-zero gaps."""
+    magnitudes = 10.0 ** rng.uniform(-11.0, 1.5, size=pairs + unpaired)
+    d = np.concatenate([magnitudes[:pairs], -magnitudes[:pairs],
+                        magnitudes[pairs:] * rng.choice([-1.0, 1.0], size=unpaired)])
+    if repeats and d.size:  # equal |delta| in another mode, either sign
+        d = np.concatenate([d, rng.choice(d, size=repeats) * rng.choice([-1.0, 1.0], size=repeats)])
+    d = np.concatenate([d, rng.choice([0.0, -0.0, 1e-13, -1e-13, 9e-13], size=small)])
+    return rng.permutation(d)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(grid=st.sampled_from(sorted(GAMMA_GRIDS)), cols=st.sampled_from([None, 1, 4]),
+       pairs=st.integers(0, 400), unpaired=st.integers(0, 30), repeats=st.integers(0, 30),
+       small=st.integers(0, 3), seed=st.integers(0, 2**32 - 1))
+@example(grid="cli-grid", cols=4, pairs=1500, unpaired=7, repeats=20, small=2, seed=1)
+@example(grid="irregular", cols=None, pairs=1100, unpaired=0, repeats=0, small=0, seed=2)
+@example(grid="two-points", cols=1, pairs=0, unpaired=0, repeats=0, small=1, seed=3)
+def test_gamma_sum_equals_the_per_term_tables_bit_for_bit(grid, cols, pairs, unpaired, repeats,
+                                                          small, seed):
+    # one trig table per distinct |delta| against one per term, over several chunks of
+    # terms whose +-delta partners may fall in different chunks
+    rng = np.random.default_rng(seed)
+    t = GAMMA_GRIDS[grid]
+    d = paired_deltas(rng, pairs, unpaired, repeats, small)
+    w = rng.random(d.shape if cols is None else (d.size, cols))
+    offset = 0.3 if cols is None else rng.random(cols)
+    np.testing.assert_array_equal(kernels.gamma_sum(w, d, offset, t),
+                                  reference_gamma_sum(w, d, offset, t))
+
+
+def test_sin_is_odd_and_cos_even_to_the_bit(rng):
+    # the premise of gamma_sum's shared tables, on arguments like the kernel's
+    starts, offsets = kernels._uniform_split(time_grid(20.0, 0.01))
+    u = np.concatenate([10.0 ** rng.uniform(-12.0, 2.0, size=2000), [1e-12, 0.5, 1.0, 2.0]])
+    for x in (u[:, None] * starts, 0.5 * (u[:, None] * starts), u[:, None] * offsets,
+              0.5 * u[:, None] * offsets):
+        np.testing.assert_array_equal(np.sin(-x).view(np.uint64), (-np.sin(x)).view(np.uint64))
+        np.testing.assert_array_equal(np.cos(-x).view(np.uint64), np.cos(x).view(np.uint64))
 
 
 def stable_kept(mags, tol):

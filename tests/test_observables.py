@@ -150,3 +150,13 @@ def test_gaussian_error_grid_mismatch(system):
         gaussian_error(times, a, b, DEFAULT_RHO0)
     with pytest.raises(ValueError, match="share one shape"):
         gaussian_error(times[:-1], a, a, DEFAULT_RHO0)
+
+
+@pytest.mark.parametrize("times", [np.array([0.0]), np.array([1.0, 1.0]), np.empty(0),
+                                   np.full(5, 2.5)], ids=["one-point", "equal-ends", "empty",
+                                                          "constant"])
+def test_gaussian_error_rejects_a_grid_without_a_time_span(times):
+    # the trapezoidal mean divides by t_last - t_first; no nan average is returned
+    chi = np.ones_like(times, dtype=complex)
+    with pytest.raises(ValueError, match=r"needs 2 or more times.*got times \["):
+        gaussian_error(times, chi, 0.5 * chi, DEFAULT_RHO0)
