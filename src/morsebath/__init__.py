@@ -19,13 +19,7 @@ from .correlation import (
     offset_ratio,
 )
 from .dynamics import DEFAULT_RHO0, SystemConfig, chi_traces, time_grid
-from .morse import (
-    bound_energies,
-    bound_state_count,
-    ladder_matrix,
-    region_classify,
-    x_matrix,
-)
+from .morse import bound_energies, bound_state_count, ladder_matrix, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
 from .specfun import digamma, log_gamma
@@ -38,5 +32,5 @@ __all__ = [
     "build_correlation", "chi_traces", "dense_chi", "dephasing_time", "digamma",
     "gamma_decay", "gaussian_chi", "gaussian_error", "gaussian_traces", "ladder_matrix",
     "log_gamma", "mean_field_shift", "offset_ratio", "overlap_element",
-    "quadrature_element", "region_classify", "spectral_density", "time_grid", "x_matrix",
+    "quadrature_element", "spectral_density", "time_grid", "x_matrix",
 ]

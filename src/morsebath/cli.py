@@ -80,7 +80,7 @@ import numpy as np
 from .bath import Bath, bath_arrays
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, gaussian_traces, offset_ratio
-from .dynamics import chi_traces, time_grid
+from .dynamics import DEFAULT_RHO0, chi_traces, time_grid
 from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
@@ -284,7 +284,7 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
     chi = chi_traces(bath, cfg.omega_s, times,
                      threshold=cfg.threshold if kind == "dephasing" else None)
     if kind == "dephasing":
-        taus = [dephasing_time(times[:chi.shape[1]], row, cfg.rho0, threshold=cfg.threshold)
+        taus = [dephasing_time(times[:chi.shape[1]], row, threshold=cfg.threshold)
                 for row in chi]
         return [(lam, beta, UNDEFINED if tau is None else tau) for beta, tau in zip(betas, taus)]
     if kind == "backflow":
@@ -293,7 +293,7 @@ def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float
                 for beta, f in zip(betas, flows)]
     if kind == "gaussian-error":
         chi_gauss = gaussian_traces(bath, cfg.omega_s, times)
-        reports = [gaussian_error(times, e, g, cfg.rho0) for e, g in zip(chi, chi_gauss)]
+        reports = [gaussian_error(times, e, g, DEFAULT_RHO0) for e, g in zip(chi, chi_gauss)]
         return [(lam, beta, r.time_avg, r.pointwise) for beta, r in zip(betas, reports)]
     raise ValueError(f"unknown sweep kind {kind!r}")
 

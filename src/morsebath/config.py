@@ -16,20 +16,21 @@ Lists are comma-separated, ranges are written ``start:stop:step``
 
 Required keys: ``eta``, ``lambda``, ``beta``.  Optional keys with
 defaults: ``k_modes`` (40), ``omega_c`` (1.0), ``omega_s`` (2.0),
-``t_max`` (20.0), ``dt`` (0.01), ``threshold`` (0.1), ``rho0``
-(0.5,0.25,0.25,0.5 row-major), ``pointwise_out`` (unset).  Each key
-may appear once.  Every number must be finite.  Environment variables
-are never consulted.
+``t_max`` (20.0), ``dt`` (0.01), ``threshold`` (0.1),
+``pointwise_out`` (unset).  Each key may appear once.  Every number
+must be finite.  Environment variables are never consulted.
+
+The initial impurity state is no setting: the observables take
+``dynamics.DEFAULT_RHO0``.  The fields are plain values, so configs
+compare and hash by value.  Nothing here imports the package.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .dynamics import DEFAULT_RHO0, SystemConfig
 
 
 class ConfigError(ValueError):
@@ -47,7 +48,6 @@ class ExperimentConfig:
     t_max: float = 20.0
     dt: float = 0.01
     threshold: float = 0.1
-    rho0: np.ndarray = field(default_factory=lambda: DEFAULT_RHO0.copy())
     pointwise_out: str | None = None
 
     def __post_init__(self) -> None:
@@ -76,10 +76,6 @@ class ExperimentConfig:
             raise ConfigError(f"field dt: need 0 < dt < t_max, got dt={self.dt}, t_max={self.t_max}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"field threshold: must lie in (0, 1), got {self.threshold}")
-        try:  # the engine takes omega_s and the observables rho0: this only validates
-            SystemConfig(omega_s=self.omega_s, rho0=self.rho0)
-        except ValueError as exc:
-            raise ConfigError(f"field rho0: {exc}") from exc
 
     def single_point(self) -> tuple[float, float]:
         """The unique (lambda, beta) pair; error if the config is a sweep."""
@@ -105,13 +101,6 @@ def _parse_float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(p) for p in raw.split(","))
 
 
-def _parse_complex_entries(raw: str) -> np.ndarray:
-    parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 4:
-        raise ValueError("expected 4 row-major entries")
-    return np.array([complex(p) for p in parts], dtype=complex).reshape(2, 2)
-
-
 # config key -> (ExperimentConfig field, parser of the value)
 _KEYS = {
     "eta": ("eta", float),
@@ -123,7 +112,6 @@ _KEYS = {
     "t_max": ("t_max", float),
     "dt": ("dt", float),
     "threshold": ("threshold", float),
-    "rho0": ("rho0", _parse_complex_entries),
     "pointwise_out": ("pointwise_out", str),
 }
 

@@ -43,9 +43,10 @@ has fallen to it.
 ``chi_traces`` takes a ``Bath`` of one lam and any number of betas and
 the impurity splitting omega_s, and returns chi as a complex (n_beta, n')
 array on the first n' points of the caller's grid.  ``chi_series`` is
-the one-beta call on the per-mode view of ``bath.discretize``.  Nothing
-in the package calls it: it stays, outside the package root, only for
-the benchmark's ``morsebench/host_noise.py``.
+the one-beta call on the per-mode view of ``bath.discretize``, given a
+``SystemConfig``.  Nothing in the package calls it or builds a
+``SystemConfig``: both stay (``chi_series`` outside the package root)
+only for the benchmark's ``morsebench/host_noise.py``.
 
 Basis convention: the impurity matrix is written in the (|+>, |->)
 eigenbasis of sigma_z, and the coherence multiplied by chi(t) (which
@@ -73,14 +74,14 @@ NEGLIGIBLE_TERM_MASS = 1e-14
 # 40 modes fit up to d = 10, and from d = 46 up each mode is its own block
 _BLOCK_ELEMENTS = 4096
 
-# Initial impurity state (1/2)(identity + sigma_x / 2): unit trace with
-# coherence 1/4.
+# The initial impurity state of every observable, (1/2)(identity + sigma_x / 2):
+# unit trace with coherence 1/4.
 DEFAULT_RHO0 = np.array([[0.5, 0.25], [0.25, 0.5]], dtype=complex)
 
 
 @dataclass(frozen=True)
 class SystemConfig:
-    """Impurity splitting and initial state."""
+    """Impurity splitting and a checked initial state, the argument of ``chi_series``."""
 
     omega_s: float
     rho0: np.ndarray

@@ -255,11 +255,12 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
     Correlation terms come in pairs +delta, -delta, so the five trig
     tables (cos x, sin x and 2 sin^2(x / 2) over the starts, 2 sin^2(y / 2)
     and sin y over the offsets) are taken once per distinct |delta| of a
-    chunk and gathered into term order, the sin x and sin y rows times
-    sign(delta).  That is exact: IEEE products are sign-symmetric, and
-    numpy's sin and cos are odd and even to the bit (the tests check
-    this build), so every matrix-product operand, and with it the sum,
-    equals the one of per-term tables.
+    chunk and gathered into term order.  That is exact.  Per-term tables
+    would differ only in the sin x and sin y rows, both by the factor
+    sign(delta): numpy's sin and cos are odd and even to the bit (the
+    tests check this build).  IEEE products are sign-symmetric, so every
+    product in the matrix product, and with it the sum, equals the one
+    of per-term tables (sign^2 = 1).
     """
     weights = np.ascontiguousarray(weights, dtype=np.float64)
     deltas = np.ascontiguousarray(deltas, dtype=np.float64)
@@ -281,7 +282,6 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
         left = None
         for k in _chunks(d.shape[0]):
             u, term = np.unique(np.abs(d[k]), return_inverse=True)
-            sign = np.sign(d[k])[:, None]
             a = u[:, None] * starts
             half_a = np.sin(0.5 * a)
             half_b = np.sin(0.5 * u[:, None] * offsets)
@@ -291,11 +291,11 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
                 left, right = np.empty((2 * m + 1, c * n_b)), np.empty((2 * m + 1, width))
             np.multiply(coef[k, :, None], np.cos(a)[term][:, None],
                         out=left[:m].reshape(m, c, n_b))
-            np.multiply(coef[k, :, None], (np.sin(a)[term] * sign)[:, None],
+            np.multiply(coef[k, :, None], np.sin(a)[term][:, None],
                         out=left[m:2 * m].reshape(m, c, n_b))
             left[2 * m] = (coef[k].T @ (2.0 * half_a * half_a)[term]).ravel()
             np.take(2.0 * half_b * half_b, term, axis=0, out=right[:m])
-            np.multiply(np.sin(u[:, None] * offsets)[term], sign, out=right[m:2 * m])
+            np.take(np.sin(u[:, None] * offsets), term, axis=0, out=right[m:2 * m])
             right[2 * m] = 1.0
             yield left[None], right[None]
 

@@ -14,7 +14,6 @@ N = lam - 1/2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -24,19 +23,6 @@ from .specfun import digamma, log_gamma
 # Half-integer detection tolerance on lam + 1/2.  Parameter grids in the
 # intended sweeps use steps >= 0.01, so nothing legitimate sits closer.
 HALF_INTEGER_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class RegionTag:
-    """Nearest half-integer decomposition lam = n + 1/2 + epsilon.
-
-    kind is "II" when epsilon > 0 (a weakly bound highest state exists),
-    "I" otherwise.
-    """
-
-    n: int
-    epsilon: float
-    kind: str
 
 
 def bound_state_count(lam: float) -> int:
@@ -54,16 +40,6 @@ def bound_state_count(lam: float) -> int:
     if abs(x - nearest) <= HALF_INTEGER_TOL:
         return int(nearest) - 1
     return int(math.floor(x))
-
-
-def region_classify(lam: float) -> RegionTag:
-    """Classify lam relative to the nearest half-integer."""
-    if not lam > 0.5:
-        raise ValueError(f"lam must exceed 1/2, got {lam}")
-    n = int(math.floor(lam))
-    eps = lam - n - 0.5
-    kind = "II" if eps > HALF_INTEGER_TOL else "I"
-    return RegionTag(n=n, epsilon=eps, kind=kind)
 
 
 def bound_energies(omega, lam: float) -> np.ndarray:

@@ -36,24 +36,21 @@ class ErrorReport:
     time_avg: float
 
 
-def dephasing_time(times: np.ndarray, chi: np.ndarray, rho0: np.ndarray,
+def dephasing_time(times: np.ndarray, chi: np.ndarray,
                    threshold: float = 0.1) -> float | None:
     """First time the relative coherence drops to ``threshold``.
 
-    The coherence magnitude is |rho01(t)| = |chi(t)| |rho01(0)|, so the
-    crossing of |rho01(t)| / |rho01(0)| through the threshold is located
-    on |chi| and interpolated linearly between grid points.  Returns
-    None when no crossing happens within the grid.  times and chi must
-    share one shape.
+    The coherence magnitude is |rho01(t)| = |chi(t)| |rho01(0)| for any
+    initial state, so the crossing of |rho01(t)| / |rho01(0)| through
+    the threshold is located on |chi| and interpolated linearly between
+    grid points.  Returns None when no crossing happens within the
+    grid.  times and chi must share one shape.
     """
     if np.shape(times) != np.shape(chi):
         raise ValueError("times and chi must share one shape, got "
                          f"{np.shape(times)}, {np.shape(chi)}")
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0, 1), got {threshold}")
-    coherence0 = abs(complex(np.asarray(rho0)[1, 0]))
-    if coherence0 == 0.0:
-        raise ValueError("initial coherence is zero; dephasing time undefined")
     ratio = np.abs(chi)
     below = np.nonzero(ratio <= threshold)[0]
     if below.size == 0:

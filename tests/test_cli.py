@@ -57,7 +57,6 @@ def test_config_parsing_defaults_and_ranges():
     assert cfg.t_max == 20.0 and cfg.dt == 0.01
     np.testing.assert_allclose(cfg.lambdas, [1.6, 1.7, 1.8, 1.9, 2.0])
     assert cfg.betas == (1.0, 4.0)
-    np.testing.assert_allclose(cfg.rho0, [[0.5, 0.25], [0.25, 0.5]])
 
 
 def test_config_errors_name_field_and_line():
@@ -71,14 +70,12 @@ def test_config_errors_name_field_and_line():
         parse_config_text("eta = 2\nlambda = 2.5\n")
     with pytest.raises(ConfigError, match="dt"):
         parse_config_text("eta = 2\nlambda = 2.5\nbeta = 1\ndt = 30.0\n")
-    with pytest.raises(ConfigError, match="rho0"):
-        parse_config_text("eta = 2\nlambda = 2.5\nbeta = 1\nrho0 = 1,0,0,0.5\n")
 
 
 # a valid value of every config key
 KEY_VALUES = {"eta": "2", "lambda": "2.5", "beta": "1,4", "k_modes": "8", "omega_c": "1",
               "omega_s": "2", "t_max": "5", "dt": "0.05", "threshold": "0.2",
-              "rho0": "0.5,0.25,0.25,0.5", "pointwise_out": "e.csv"}
+              "pointwise_out": "e.csv"}
 
 
 @pytest.mark.parametrize("key", sorted(config._KEYS))
@@ -99,10 +96,21 @@ def test_readme_configuration_table_lists_the_config_keys():
     assert keys == set(config._KEYS)
 
 
-def test_config_rejects_second_order_phase_key():
+def test_config_rejects_second_order_phase_key(tmp_path, capsys):
     # the Gaussian surrogate has one phase convention; the key that chose another is gone
     with pytest.raises(ConfigError, match="line 3: unknown key 'gauss_second_order_phase'"):
         parse_config_text("eta = 2\nlambda = 2.5\ngauss_second_order_phase = true\nbeta = 1\n")
+    # pure dephasing scales the one coherence by chi, so the initial state is no setting
+    cfg = write_config(tmp_path, "eta = 2\nlambda = 2.5\nrho0 = 0.5,0.25,0.25,0.5\nbeta = 1\n")
+    assert main(["dynamics", "--config", cfg]) == 2
+    assert "line 3: unknown key 'rho0'" in capsys.readouterr().err
+
+
+def test_configs_compare_and_hash_by_value():
+    text = "eta = 2\nlambda = 1.6:2.0:0.1\nbeta = 1,4\npointwise_out = e.csv\n"
+    assert parse_config_text(text) == parse_config_text(text)
+    assert hash(parse_config_text(text)) == hash(parse_config_text(text))
+    assert parse_config_text(text) != parse_config_text(text.replace("eta = 2", "eta = 3"))
 
 
 @pytest.mark.parametrize("field, value", [
@@ -116,7 +124,6 @@ def test_config_rejects_second_order_phase_key():
     ("lambda", "2.5,inf"),
     ("lambda", "1.6:inf:0.1"),
     ("beta", "1,nan"),
-    ("rho0", "0.5,nan,nan,0.5"),
 ])
 def test_non_finite_config_values_exit_2_naming_the_field(field, value, tmp_path, capsys):
     lines = [line for line in BASE.splitlines() if not line.startswith(f"{field} =")]
@@ -707,7 +714,7 @@ def full_grid_dephasing(text):
     for lam in sorted(cfg.lambdas):
         bath = cli._bath(cfg, lam, betas)
         for beta, chi in zip(betas, dynamics.chi_traces(bath, cfg.omega_s, times)):
-            tau = observables.dephasing_time(times, chi, cfg.rho0, threshold=cfg.threshold)
+            tau = observables.dephasing_time(times, chi, threshold=cfg.threshold)
             taus.append(-1.0 if tau is None else tau)
             lines.append(f"{lam:.11e},{beta:.11e},{cfg.eta:.11e},{taus[-1]:.11e}\n")
     return taus, "".join(lines).encode()

@@ -1,8 +1,9 @@
 """Import layering of the package, read from the source with ``ast``.
 
-The observables take plain arrays and import nothing of the package; the
-exact engine needs only the kernels and the bath arrays; the dense
-oracle is independent of the engine it checks.
+The observables take plain arrays and the config holds plain values, so
+neither imports anything of the package; the exact engine needs only the
+kernels and the bath arrays; the dense oracle is independent of the
+engine it checks.
 """
 
 import ast
@@ -35,11 +36,15 @@ def package_imports(module):
 
 
 def test_the_reader_finds_the_package_imports():
-    # "from .bath import Bath" (cli, config) and "from . import kernels" (correlation)
+    # "from .bath import Bath" (cli, oracle) and "from . import kernels" (correlation)
     assert {"bath", "config", "correlation", "dynamics", "observables", "oracle"} \
         <= package_imports("cli")
-    assert package_imports("config") == {"dynamics"}
+    assert package_imports("oracle") == {"bath", "morse"}
     assert "kernels" in package_imports("correlation")
+
+
+def test_config_imports_no_package_module():
+    assert package_imports("config") == set()
 
 
 def test_observables_import_no_package_module():

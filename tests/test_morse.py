@@ -8,7 +8,6 @@ from morsebath import (
     bound_state_count,
     digamma,
     ladder_matrix,
-    region_classify,
     x_matrix,
 )
 from scipy.integrate import quad
@@ -27,15 +26,6 @@ def test_bound_state_count():
         bound_state_count(0.5)
     with pytest.raises(ValueError):
         bound_state_count(0.2)
-
-
-def test_region_classify():
-    tag = region_classify(2.5)
-    assert (tag.n, tag.kind) == (2, "I") and tag.epsilon == pytest.approx(0.0, abs=1e-12)
-    tag = region_classify(2.51)
-    assert (tag.n, tag.kind) == (2, "II") and tag.epsilon == pytest.approx(0.01, abs=1e-12)
-    tag = region_classify(3.4)
-    assert (tag.n, tag.kind) == (3, "I") and tag.epsilon == pytest.approx(-0.1, abs=1e-12)
 
 
 def test_bound_energies():

@@ -18,25 +18,25 @@ from helpers import apply_map, make_arrays, make_bath, trace_distance
 
 def test_dephasing_time_exponential():
     ts = time_grid(5.0, 0.01)
-    tau = dephasing_time(ts, np.exp(-ts), DEFAULT_RHO0)
+    tau = dephasing_time(ts, np.exp(-ts))
     assert tau == pytest.approx(math.log(10.0), abs=0.01)
 
 
 def test_dephasing_time_no_crossing():
     ts = time_grid(5.0, 0.01)
-    assert dephasing_time(ts, np.exp(1j * ts), DEFAULT_RHO0) is None
+    assert dephasing_time(ts, np.exp(1j * ts)) is None
 
 
 def test_dephasing_time_interpolation():
-    tau = dephasing_time(np.array([0.0, 1.0]), np.array([1.0, 0.05]), DEFAULT_RHO0)
+    tau = dephasing_time(np.array([0.0, 1.0]), np.array([1.0, 0.05]))
     assert tau == pytest.approx(0.9 / 0.95, abs=1e-12)
 
 
 def test_dephasing_time_threshold_monotone(system, full_grid):
     modes = make_bath(lam=2.6, beta=4.0, eta=2.0, k_modes=20)
     chi = chi_series(modes, system, full_grid)
-    t_loose = dephasing_time(full_grid, chi, DEFAULT_RHO0, threshold=0.2)
-    t_tight = dephasing_time(full_grid, chi, DEFAULT_RHO0, threshold=0.1)
+    t_loose = dephasing_time(full_grid, chi, threshold=0.2)
+    t_tight = dephasing_time(full_grid, chi, threshold=0.1)
     assert t_loose is not None and t_tight is not None
     assert t_loose <= t_tight
 
@@ -44,15 +44,13 @@ def test_dephasing_time_threshold_monotone(system, full_grid):
 def test_dephasing_time_errors(full_grid):
     chi = np.exp(-full_grid)
     with pytest.raises(ValueError):
-        dephasing_time(full_grid, chi, np.diag([0.5, 0.5]))
-    with pytest.raises(ValueError):
-        dephasing_time(full_grid, chi, DEFAULT_RHO0, threshold=1.5)
+        dephasing_time(full_grid, chi, threshold=1.5)
 
 
 def test_dephasing_time_shape_mismatch(full_grid):
     # a chi row shorter than its grid (a threshold prefix not sliced by the caller)
     with pytest.raises(ValueError, match="share one shape"):
-        dephasing_time(full_grid, np.exp(-full_grid[:-1]), DEFAULT_RHO0)
+        dephasing_time(full_grid, np.exp(-full_grid[:-1]))
 
 
 def test_blp_flows_example():
