@@ -114,11 +114,9 @@ class Bath:
     @functools.cached_property
     def mean_b(self) -> np.ndarray:
         """Thermal means <B_k> (n_beta, K), computed once per Bath."""
-        # one BLAS dot of fresh (aligned) vectors per mode: the dot's rounding
-        # depends on the operands' alignment, and this is the rounding of the
-        # one-mode-at-a-time thermal data
-        diags = [np.diag(b) for b in self.couplings]
-        return np.array([[p.copy() @ b for p, b in zip(rows, diags)] for rows in self.weights])
+        # vecdot runs one BLAS dot per (beta, mode) row, the strided diagonal
+        # view included, so each mean has the rounding of that mode's own dot
+        return np.vecdot(self.weights, np.diagonal(self.couplings, axis1=-2, axis2=-1))
 
     @classmethod
     def from_modes(cls, modes: list[BathMode]) -> Bath:

@@ -15,6 +15,8 @@ within that margin, and one that is negative, not finite or outside
 Each value's 17 bytes are one record of five whole fields, "d.dd",
 three digit triples and "e+dd", each gathered from a table in one pass,
 and each line one record of its prefix, the two values and separators.
+Every output is written as bytes: each table and each pointwise block
+is a bytes object, and stdout is written through its binary buffer.
 An output file that cannot be written ends the command with an error
 naming its path: a missing directory, a directory as the path or two
 outputs naming one file before any work, and any other failure before
@@ -147,14 +149,14 @@ def _fmt_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return chars, wide
 
 
-def _csv(header: str, *columns: Iterable) -> str:
-    """A CSV table: the header line, then one line per row of the columns.
+def _csv(header: str, *columns: Iterable) -> bytes:
+    """A CSV table as bytes: the header line, then one line per row of the columns.
 
     A column of integers is written as integers, any other with ``_fmt``.
     """
     fields = [map(str, column) if np.asarray(column).dtype.kind in "iu" else map(_fmt, column)
               for column in columns]
-    return "".join([header + "\n", *(",".join(row) + "\n" for row in zip(*fields))])
+    return "".join([header + "\n", *(",".join(row) + "\n" for row in zip(*fields))]).encode()
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -177,13 +179,13 @@ def _check_outputs(*paths: str | None) -> None:
         seen.add(real)
 
 
-def _write_outputs(*outputs: tuple[str | None, Iterable[str]]) -> None:
+def _write_outputs(*outputs: tuple[str | None, Iterable[bytes]]) -> None:
     """Open every (path, blocks) output, then write each block of newline-terminated lines.
 
-    A path of None is stdout.  Every file is opened before any is
-    written.  If an open or a write fails, the files this call created
-    are removed, so a failed command leaves no new file, and the error
-    names the path.
+    Blocks are bytes.  A path of None is stdout, written through its
+    binary buffer.  Every file is opened before any is written.  If an
+    open or a write fails, the files this call created are removed, so
+    a failed command leaves no new file, and the error names the path.
     """
     path, created = None, []
     try:
@@ -191,17 +193,19 @@ def _write_outputs(*outputs: tuple[str | None, Iterable[str]]) -> None:
             handles = []
             for path, _ in outputs:
                 if path is None:
-                    handles.append(sys.stdout)
+                    sys.stdout.flush()
+                    handles.append(sys.stdout.buffer)
                     continue
                 new = not os.path.lexists(path)
-                handles.append(stack.enter_context(
-                    open(path, "w", encoding="utf-8", newline="\n")))
+                handles.append(stack.enter_context(open(path, "wb")))
                 if new:
                     created.append(path)
             for (path, blocks), handle in zip(outputs, handles):
-                for text in blocks:
-                    handle.write(text)
-                if handle is not sys.stdout:
+                for block in blocks:
+                    handle.write(block)
+                if path is None:
+                    handle.flush()
+                else:
                     handle.close()
     except OSError as exc:
         for done in created:
@@ -512,28 +516,30 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[str]:
+def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[bytes]:
     """The pointwise file: its header, then the lines of one (lambda, beta) at a time."""
-    yield "lambda,beta,eta,t,e_chi\n"
+    yield b"lambda,beta,eta,t,e_chi\n"
     t_chars, t_wide = _fmt_column(times)
     field = f"V{_SCI_WIDTH}"
+    lines = None
     for lam, beta, _, pointwise in rows:
         prefix = f"{_fmt(lam)},{_fmt(beta)},{_fmt(eta)},"
-        e_chars, e_wide = _fmt_column(pointwise)
-        lines = np.empty(len(times), dtype=[("prefix", f"V{len(prefix)}"), ("t", field),
-                                            ("comma", "V1"), ("e_chi", field), ("end", "V1")])
+        # the t, comma and newline fields are filled once, for every prefix of one width
+        if lines is None or lines.dtype["prefix"].itemsize != len(prefix):
+            lines = np.empty(len(times), dtype=[("prefix", f"V{len(prefix)}"), ("t", field),
+                                                ("comma", "V1"), ("e_chi", field), ("end", "V1")])
+            lines["t"] = t_chars.view(field)[:, 0]
+            lines["comma"] = np.void(b",")
+            lines["end"] = np.void(b"\n")
         lines["prefix"] = np.void(prefix.encode())
-        lines["t"] = t_chars.view(field)[:, 0]
-        lines["comma"] = np.void(b",")
+        e_chars, e_wide = _fmt_column(pointwise)
         lines["e_chi"] = e_chars.view(field)[:, 0]
-        lines["end"] = np.void(b"\n")
         pieces, start = [], 0
         for i in np.flatnonzero(t_wide | e_wide):
-            pieces += [str(lines[start:i], "ascii"),
-                       f"{prefix}{_fmt(times[i])},{_fmt(pointwise[i])}\n"]
+            pieces += [lines[start:i], f"{prefix}{_fmt(times[i])},{_fmt(pointwise[i])}\n".encode()]
             start = i + 1
-        pieces.append(str(lines[start:], "ascii"))
-        yield "".join(pieces)
+        pieces.append(lines[start:])
+        yield b"".join(pieces)
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:

@@ -91,12 +91,11 @@ def build_correlation(bath: Bath) -> CorrelationModel:
     """
     p = bath.weights
     n_beta, n_modes, d = p.shape
-    # C0: one dot product of fresh vectors per mode (a BLAS dot rounds
-    # by operand alignment), then a running sum over the modes in order
+    # C0: one BLAS dot per (beta, mode) row, then a running sum over the
+    # modes in order
     diag = np.diagonal(bath.couplings, axis1=-2, axis2=-1)
     bt_diag = diag - bath.mean_b[..., None]
-    c0 = np.cumsum([[pk.copy() @ (bk * bk) for pk, bk in zip(pb, btb)]
-                    for pb, btb in zip(p, bt_diag)], axis=-1)[:, -1]
+    c0 = np.cumsum(np.vecdot(p, bt_diag * bt_diag), axis=-1)[:, -1]
     # weight of row n of mode k, at least that of each of its pairs, and
     # the weight of the rows from n up, a zero column appended
     row_w = p * np.maximum(np.einsum("kij,kij->ki", bath.couplings, bath.couplings)

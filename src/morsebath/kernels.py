@@ -167,14 +167,26 @@ def offset_tables(freqs: np.ndarray, offsets: np.ndarray,
 
     ``offsets`` are those of the grid's split, as every ``Slab`` of it
     holds.  A caller that evaluates several slabs keeps the tables in a
-    list and passes it to each.  The exponentials here and of the start
-    tables are taken in place, which saves a temporary of each table's
-    size.
+    list and passes it to each.  Here and in the start tables each
+    exponential is taken in place (``_unit_phases``).
     """
     f = np.ascontiguousarray(freqs, dtype=np.float64).reshape(groups or 1, -1, 1)
     for k in _chunks(f.shape[1], f.shape[0]):
-        table = 1j * f[:, k] * offsets
-        yield np.exp(table, out=table)
+        yield _unit_phases(f[:, k], offsets)
+
+
+def _unit_phases(f: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """exp(i f x) of real f and x, broadcast against each other.
+
+    f x is written into the imaginary plane of the table, then its cos
+    into the real plane and its sin over itself: the values of
+    np.exp(1j * f * x) with no temporary and no complex exponential.
+    """
+    table = np.empty(np.broadcast_shapes(f.shape, x.shape), dtype=np.complex128)
+    np.multiply(f, x, out=table.imag)
+    np.cos(table.imag, out=table.real)
+    np.sin(table.imag, out=table.imag)
+    return table
 
 
 def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
@@ -215,12 +227,12 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     def factors():
         left = None
         for k in _chunks(w.shape[1], g):
-            phase = 1j * f[:, k] * starts
+            phase = _unit_phases(f[:, k], starts)
             m = phase.shape[1]
             # the consumer has finished with a chunk's left before it asks for the next
             if left is None or left.shape[1] != m:
                 left = np.empty((g, m, c, starts.shape[0]), dtype=np.complex128)
-            np.multiply(w[:, k, :, None], np.exp(phase, out=phase)[:, :, None, :], out=left)
+            np.multiply(w[:, k, :, None], phase[:, :, None, :], out=left)
             yield left.reshape(g, m, c * starts.shape[0]), next(rights)
 
     out = _blocked_sum(factors(), (g, c), n)

@@ -77,7 +77,8 @@ def blp_flows(abs_chi: np.ndarray) -> FlowReport:
         raise ValueError("need at least two samples to measure flows")
     dx = np.diff(x)
     n_minus = float(dx[dx > MONOTONE_TOL].sum())
-    n_plus = float(-dx[dx < -MONOTONE_TOL].sum())
+    # 0.0 - s, not -s: with no falls the empty sum is +0.0, and its negation -0.0
+    n_plus = float(0.0 - dx[dx < -MONOTONE_TOL].sum())
     ratio = (n_minus / n_plus) if n_plus > 0.0 else None
     return FlowReport(n_minus=n_minus, n_plus=n_plus, ratio=ratio)
 

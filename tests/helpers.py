@@ -98,3 +98,62 @@ def reference_gamma_sum(weights, deltas, offset, times):
 
     out = out + kernels._blocked_sum(factors(), (1, w.shape[1]), times.shape[0])[0]
     return out.reshape(cols + (-1,))
+
+
+def reference_mean_b(bath):
+    """<B_k> (n_beta, K) as one dot of fresh vectors per (beta, mode).
+
+    This is the loop ``Bath.mean_b`` had; its ``np.vecdot`` call must equal
+    it bit for bit.
+    """
+    diags = [np.diag(b) for b in bath.couplings]
+    return np.array([[p.copy() @ b for p, b in zip(rows, diags)] for rows in bath.weights])
+
+
+def reference_offset_c0(bath):
+    """C0 (n_beta,) as one dot of fresh vectors per (beta, mode), summed over the modes in order.
+
+    This is the loop ``build_correlation`` had; its ``np.vecdot`` call must
+    equal it bit for bit.
+    """
+    diag = np.diagonal(bath.couplings, axis1=-2, axis2=-1)
+    bt_diag = diag - reference_mean_b(bath)[..., None]
+    return np.cumsum([[pk.copy() @ (bk * bk) for pk, bk in zip(pb, btb)]
+                      for pb, btb in zip(bath.weights, bt_diag)], axis=-1)[:, -1]
+
+
+def reference_offset_tables(freqs, offsets, groups=None):
+    """``kernels.offset_tables`` as it was, each table np.exp of 1j * f * s dt."""
+    f = np.ascontiguousarray(freqs, dtype=np.float64).reshape(groups or 1, -1, 1)
+    for k in kernels._chunks(f.shape[1], f.shape[0]):
+        yield np.exp(1j * f[:, k] * offsets)
+
+
+def reference_exp_phase_sum(weights, freqs, times, groups=None, slab=None):
+    """``kernels.phase_sum`` as it was, its start and offset tables taken with np.exp.
+
+    The kernel now writes cos and sin into the two planes of each table;
+    its result must equal this one bit for bit.
+    """
+    weights = np.ascontiguousarray(weights, dtype=np.complex128)
+    freqs = np.ascontiguousarray(freqs, dtype=np.float64)
+    times = np.ascontiguousarray(times, dtype=np.float64)
+    g = 1 if groups is None else groups
+    cols = weights.shape[1:]
+    c = math.prod(cols)
+    w = weights.reshape(g, weights.shape[0] // g, c)
+    f = freqs.reshape(g, -1, 1)
+    if slab is None:
+        (starts, offsets), n = kernels._uniform_split(times), times.shape[0]
+    else:
+        starts, offsets, points = slab
+        n = points.stop - points.start
+    rights = reference_offset_tables(freqs, offsets, groups)
+
+    def factors():
+        for k in kernels._chunks(w.shape[1], g):
+            left = w[:, k, :, None] * np.exp(1j * f[:, k] * starts)[:, :, None, :]
+            yield left.reshape(g, left.shape[1], c * starts.shape[0]), next(rights)
+
+    out = kernels._blocked_sum(factors(), (g, c), n)
+    return out.reshape(((g,) if groups is not None else ()) + cols + (n,))

@@ -826,6 +826,18 @@ def test_sweep_backflow_csv(tmp_path):
         assert n_minus >= 0.0 and n_plus >= 0.0
 
 
+@pytest.mark.parametrize("eta, lam", [("0.0", "2.6"), ("2.0", "1.2")])
+def test_sweep_backflow_writes_positive_zero_where_chi_never_falls(eta, lam, tmp_path):
+    # uncoupled, or one bound level: |chi| never falls, so the outflow n_plus is an empty
+    # sum, written +0, not the -0 of its negation
+    text = (BASE.replace("eta = 2.0", f"eta = {eta}").replace("lambda = 2.5", f"lambda = {lam}")
+            .replace("beta = 1.0", "beta = 4").replace("t_max = 5.0", "t_max = 2.0"))
+    cfg, out = write_config(tmp_path, text), tmp_path / "flow.csv"
+    assert main(["sweep-backflow", "--config", cfg, "--out", str(out)]) == 0
+    (row,) = read_rows(out)[1:]
+    assert row[3:] == ["0.00000000000e+00", "0.00000000000e+00", "-1.00000000000e+00"]
+
+
 def test_gaussian_error_csv_with_pointwise(tmp_path):
     # lambda = 3.1, beta = 1 starts from e_chi = 0 exactly; others hold e_chi < 1e-15
     text = BASE.replace("lambda = 2.5", "lambda = 2.5,3.1").replace("beta = 1.0", "beta = 1,7")

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
@@ -20,7 +20,7 @@ from morsebath import (
     time_grid,
 )
 from morsebath import correlation, kernels
-from helpers import make_arrays, make_bath
+from helpers import make_arrays, make_bath, reference_mean_b, reference_offset_c0
 
 
 def single_term(w=1.0, delta=2.0, c0=0.0):
@@ -239,6 +239,28 @@ def test_row_listing_equals_full_list(lam, betas, eta, k_modes):
     weights, deltas = full_list_model(bath)
     assert np.array_equal(model.weights, weights)
     assert np.array_equal(model.deltas, deltas)
+
+
+@st.composite
+def vecdot_baths(draw):
+    """Baths of lam 0.6-420 (d 1-420), 1-64 modes and 1-5 betas, K d^2 <= 1e6 to bound memory."""
+    lam = draw(st.floats(min_value=0.6, max_value=420.0))
+    d = math.floor(lam + 0.5)
+    k_modes = draw(st.integers(1, max(1, min(64, 1_000_000 // (d * d)))))
+    betas = draw(st.lists(st.floats(min_value=0.05, max_value=50.0), min_size=1, max_size=5))
+    return make_arrays(lam=lam, betas=betas, eta=draw(st.floats(0.01, 3.0)), k_modes=k_modes)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(bath=vecdot_baths())
+@example(bath=make_arrays(lam=399.8, betas=[1.0, 4.0], eta=0.01, k_modes=6))
+@example(bath=make_arrays(lam=2.6, betas=[1, 4, 7, 10], eta=0.01, k_modes=40))
+@example(bath=make_arrays(lam=0.6, betas=[1.0], eta=2.0, k_modes=64))
+def test_mean_b_and_offset_equal_the_per_mode_dots(bath):
+    # bit for bit: np.vecdot runs the per-mode loop's BLAS dot on each row, where
+    # (p * diag).sum(-1), einsum or a stacked matmul round differently
+    np.testing.assert_array_equal(bath.mean_b, reference_mean_b(bath))
+    np.testing.assert_array_equal(build_correlation(bath).offset_c0, reference_offset_c0(bath))
 
 
 def test_weight_cutoff_is_read_at_each_call(monkeypatch):

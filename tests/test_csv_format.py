@@ -84,7 +84,8 @@ def test_fmt_column_on_random_decimal_ties(seed):
 def test_pointwise_block_equals_fmt_lines(xs):
     times = np.arange(len(xs)) * 0.01
     times[-1] = 1e-100  # a time outside the class takes the per-line path too
-    text = "".join(cli._pointwise_blocks([(2.5, 1.0, 0.0, np.array(xs))], 0.01, times))
+    blocks = cli._pointwise_blocks([(2.5, 1.0, 0.0, np.array(xs))], 0.01, times)
+    text = b"".join(blocks).decode()
     prefix = f"{2.5:.11e},{1.0:.11e},{0.01:.11e},"
     reference = "lambda,beta,eta,t,e_chi\n" + "".join(
         f"{prefix}{t:.11e},{v:.11e}\n" for t, v in zip(times, xs))
@@ -122,7 +123,9 @@ def test_pointwise_blocks_of_a_sweep_with_wide_rows_equal_fmt_lines():
             (3, 0): -0.0, (3, 99): math.inf, (3, 100): -math.inf}
     for (row, i), value in wide.items():
         rows[row][3][i] = value
-    text = "".join(cli._pointwise_blocks(rows, cfg.eta, times))
+    # a prefix of another width between two of the usual one
+    rows[1] = (1e-120, *rows[1][1:])
+    text = b"".join(cli._pointwise_blocks(rows, cfg.eta, times)).decode()
     reference = "lambda,beta,eta,t,e_chi\n" + "".join(
         f"{lam:.11e},{beta:.11e},{cfg.eta:.11e},{t:.11e},{e:.11e}\n"
         for lam, beta, _, errors in rows for t, e in zip(times, errors))

@@ -4,7 +4,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from morsebath import kernels, time_grid
-from helpers import reference_gamma_sum
+from helpers import reference_exp_phase_sum, reference_gamma_sum, reference_offset_tables
 
 
 def reference_phase_sum(w, f, t):
@@ -87,6 +87,42 @@ def test_phase_sum_blocked_matches_direct(name, rng):
     f = rng.uniform(-5.0, 5.0, size=200)
     np.testing.assert_allclose(kernels.phase_sum(w, f, t), reference_phase_sum(w, f, t),
                                rtol=0.0, atol=1e-12)
+
+
+def test_tables_equal_complex_exp(rng):
+    # cos and sin written into the two planes give the values of np.exp(1j * f * x), at
+    # f = +-0 too (only the sign of an exact zero may differ, which == does not see)
+    f = np.concatenate([[0.0, -0.0], rng.uniform(-5.0, 5.0, 600), rng.uniform(-1e8, 1e8, 600),
+                        rng.normal(size=600) * 1e-9])
+    x = np.concatenate([[0.0, -0.0], rng.uniform(-20.0, 20.0, 40)])
+    (table,) = kernels.offset_tables(f, x)
+    np.testing.assert_array_equal(table[0], np.exp(1j * f[:, None] * x))
+
+
+@pytest.mark.parametrize("groups", [None, 40])
+@pytest.mark.parametrize("name", GRIDS)
+def test_phase_sum_equals_the_exp_kernel_bit_for_bit(name, groups, rng, one_blas_thread):
+    # offset tables, the whole grid and each slab, with and without shared tables, against
+    # the kernel that took every table with np.exp, over more than one chunk of terms
+    t = GRIDS[name]
+    per_group = (2 * kernels._CHUNK + 7) // (groups or 1)
+    terms = (groups or 1) * per_group
+    f = rng.uniform(-5.0, 5.0, size=terms)
+    slabs = kernels.row_slabs(t)
+    tables = list(kernels.offset_tables(f, slabs[0].offsets, groups=groups))
+    expected = list(reference_offset_tables(f, slabs[0].offsets, groups=groups))
+    assert len(tables) == len(expected) > 1
+    for got, want in zip(tables, expected):
+        np.testing.assert_array_equal(got, want)
+    for cols in [(), (4,)]:
+        w = rng.normal(size=(terms, *cols)) + 1j * rng.normal(size=(terms, *cols))
+        np.testing.assert_array_equal(kernels.phase_sum(w, f, t, groups=groups),
+                                      reference_exp_phase_sum(w, f, t, groups=groups))
+        for slab in slabs:
+            want = reference_exp_phase_sum(w, f, t, groups=groups, slab=slab)
+            for slab_tables in (tables, None):
+                np.testing.assert_array_equal(
+                    kernels.phase_sum(w, f, t, groups=groups, slab=slab, tables=slab_tables), want)
 
 
 @pytest.mark.parametrize("n", [2001, 11])
