@@ -36,26 +36,27 @@ without glibc), so a lambda reuses the pages its predecessor freed, not
 fresh ones; forked sweep workers inherit the setting, library callers
 never get it.
 
-``--threads`` sets the worker count (default: the CPUs the process may
-run on); more than one worker is used only where BLAS can be pinned,
-otherwise the work runs in the calling thread.  A sweep's task is one
-lambda with all of its betas.  Its lambdas are dealt into interleaved
-shares, one per worker and never more than there are lambdas; this
-process runs the first share and forked children the others, where the
-platform can fork and no other Python thread is alive.  A forked child
-inherits the imported interpreter, so it starts at no import cost, and
-it runs free of this process's GIL: at d <= 8 a lambda is mostly small
-numpy calls that hold it.  A child sends its rows back pickled through a
-pipe.  Rows are ordered lexicographically by (lambda, beta) whichever
-worker computed them.  ``dynamics`` keeps a pool of threads in this
-process: its work is large eigendecompositions, exponentials and matrix
-products that release the GIL, and its block factors would otherwise be
-pickled back.  It submits its Gaussian path, then the term build of each
-mode block of its exact path, then each block's phase sum, and
-multiplies the block factors in mode order.  A failure names the lambda
-and betas of its point; a sweep reports the smallest failing lambda at
-every worker count.  Quantities that can be undefined (no threshold
-crossing, no outflow, no time-dependent correlation) are recorded with
+``_workers`` gives every command its worker count: ``--threads``
+(default: the CPUs the process may run on) where BLAS can be pinned,
+otherwise one.  A sweep's task is one lambda with all of its betas.  Its
+lambdas are dealt into interleaved shares, one per worker and never
+more than there are lambdas; this process runs the first share and
+forked children the others, where the platform can fork and no other
+Python thread is alive.  A forked child inherits the imported
+interpreter, so it starts at no import cost, and it runs free of this
+process's GIL: at d <= 8 a lambda is mostly small numpy calls that hold
+it.  A child sends its rows, and its failure as the exception itself,
+back pickled through a pipe.  Rows are ordered lexicographically by
+(lambda, beta) whichever worker computed them.  ``dynamics`` runs on a
+pool of threads in this process, one thread for one worker: its work is
+large eigendecompositions, exponentials and matrix products that
+release the GIL, and its block factors would otherwise be pickled back.
+It submits its Gaussian path, then the term build of each mode block of
+its exact path, then each block's phase sum, and multiplies the block
+factors in mode order.  A failure names the lambda and betas of its
+point; a sweep reports the smallest failing lambda at every worker
+count.  Quantities that can be undefined (no threshold crossing, no
+outflow, no time-dependent correlation) are recorded with
 the sentinel value -1.
 """
 
@@ -75,7 +76,7 @@ import sys
 import threading
 import warnings
 from collections.abc import Iterable, Iterator
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -85,7 +86,7 @@ from .correlation import alpha, build_correlation, gamma_decay, gaussian_traces,
 from .dynamics import DEFAULT_RHO0, chi_traces, time_grid
 from .morse import bound_energies, bound_state_count, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
-from .oracle import dense_chi, overlap_element, quadrature_element
+from .oracle import MAX_DENSE_MODES, dense_chi, overlap_element, quadrature_element
 
 UNDEFINED = -1.0
 
@@ -267,7 +268,8 @@ def cmd_correlation(args: argparse.Namespace) -> int:
 def cmd_dynamics(args: argparse.Namespace) -> int:
     cfg, lam, beta, bath, times = _one_point(args)
     _check_outputs(args.out)
-    with _failure_names("dynamics point", lam, [beta]), _executor(args.threads) as pool:
+    with (_failure_names("dynamics point", lam, [beta]),
+          ThreadPoolExecutor(max_workers=_workers(args.threads)) as pool):
         gauss_future = pool.submit(gaussian_traces, bath, cfg.omega_s, times)
         chi, = chi_traces(bath, cfg.omega_s, times, map_blocks=pool.map)
         chi_gauss, = gauss_future.result()
@@ -363,34 +365,18 @@ def _keep_heap() -> bool:
     return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
 
 
-class _Inline(Executor):
-    """Executor that runs each task in the calling thread as it is submitted."""
-
-    def submit(self, fn, /, *args, **kwargs) -> Future:
-        future = Future()
-        future.set_result(fn(*args, **kwargs))
-        return future
-
-
 def _workers(threads: int | None) -> int:
-    """``--threads``, by default the CPUs this process may run on, where the platform says."""
+    """The worker count of every command: ``--threads``, by default the CPUs this process may use.
+
+    It is 1 where ``main`` cannot pin BLAS to one thread, so workers never
+    oversubscribe the cores and no output depends on their count.
+    """
+    if _openblas_threads() is None:
+        return 1
     if threads is not None:
         return threads
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-
-
-def _executor(threads: int | None) -> Executor:
-    """Thread pool of ``dynamics``, of `_workers` threads, or `_Inline` where the tasks run serially.
-
-    A pool is used only for more than one worker, and only where ``main``
-    can pin BLAS to one thread, so the workers do not oversubscribe the
-    cores.
-    """
-    workers = _workers(threads)
-    if workers > 1 and _openblas_threads() is not None:
-        return ThreadPoolExecutor(max_workers=workers)
-    return _Inline()
 
 
 def _share_rows(kind: str, cfg: ExperimentConfig, lams: list[float]) -> tuple[list, tuple | None]:
@@ -418,7 +404,7 @@ def _fork() -> int:
 
 
 def _forked_share(kind: str, cfg: ExperimentConfig, lams: list[float]):
-    """(pid, pipe) of a child that writes the pickled (rows, (lam, message) or None) of lams.
+    """(pid, pipe) of a child that writes the pickled `_share_rows` of lams.
 
     The child exits 0 only after the whole payload is written.  It leaves
     through ``os._exit`` and never returns into the caller's stack.
@@ -429,11 +415,8 @@ def _forked_share(kind: str, cfg: ExperimentConfig, lams: list[float]):
         if pid == 0:
             status = 1
             try:
-                rows, failure = _share_rows(kind, cfg, lams)
-                if failure is not None:
-                    failure = failure[0], str(failure[1])
                 with open(write, "wb") as pipe:
-                    pickle.dump((rows, failure), pipe, pickle.HIGHEST_PROTOCOL)
+                    pickle.dump(_share_rows(kind, cfg, lams), pipe, pickle.HIGHEST_PROTOCOL)
                 status = 0
             finally:
                 os._exit(status)
@@ -448,17 +431,18 @@ def _forked_share(kind: str, cfg: ExperimentConfig, lams: list[float]):
 def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
     """Rows of every (lambda, beta) of the sweep, its lambdas in shares over forked workers.
 
-    With w = min(`_workers`, lambda count) > 1, where BLAS can be pinned,
-    the platform can fork and no other Python thread is alive, the sorted
-    lambdas are dealt into w interleaved shares (cost grows with lambda);
-    w - 1 forked children run a share each while this process runs the
-    first.  Otherwise every lambda runs here.  A share stops at its first
-    failure, and the failure of the smallest failing lambda is raised, so
-    the error does not depend on w.  No child outlives the call.
+    With w = min(`_workers`, lambda count) > 1, where the platform can
+    fork and no other Python thread is alive, the sorted lambdas are dealt
+    into w interleaved shares (cost grows with lambda); w - 1 forked
+    children run a share each while this process runs the first.
+    Otherwise, as with one worker where BLAS cannot be pinned, every lambda
+    runs here.  A share stops at its first failure, and the failure of the
+    smallest failing lambda is raised, so the error does not depend on w.
+    No child outlives the call.
     """
     lams = sorted(cfg.lambdas)
     workers = min(_workers(threads), len(lams))
-    if _openblas_threads() is None or not hasattr(os, "fork") or threading.active_count() > 1:
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         workers = 1
     shares = [lams[i::workers] for i in range(workers)]
     children = []
@@ -481,7 +465,7 @@ def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
             share_rows, failure = pickle.loads(payload)
             rows += share_rows
             if failure is not None:
-                failures.append((failure[0], RuntimeError(failure[1])))
+                failures.append(failure)
     finally:
         for _, pid, pipe in children:
             pipe.close()
@@ -543,7 +527,7 @@ def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[byt
 
 
 def cmd_oracle_check(args: argparse.Namespace) -> int:
-    cfg, lam, _, bath, times = _one_point(args, max_modes=3)
+    cfg, lam, _, bath, times = _one_point(args, max_modes=MAX_DENSE_MODES)
     fact, = chi_traces(bath, cfg.omega_s, times)
     chi_dev = float(np.abs(fact - dense_chi(bath, cfg.omega_s, times)).max())
 
@@ -609,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--out", default=None, help="output CSV path (default stdout)")
         if with_threads:
             p.add_argument("--threads", type=_worker_count, default=None,
-                           help="worker count (default: available parallelism)")
+                           help="worker count (default: available parallelism; "
+                                "1 where BLAS cannot be pinned to one thread)")
         p.set_defaults(func=func)
     return parser
 

@@ -17,8 +17,9 @@ Lists are comma-separated, ranges are written ``start:stop:step``
 Required keys: ``eta``, ``lambda``, ``beta``.  Optional keys with
 defaults: ``k_modes`` (40), ``omega_c`` (1.0), ``omega_s`` (2.0),
 ``t_max`` (20.0), ``dt`` (0.01), ``threshold`` (0.1),
-``pointwise_out`` (unset).  Each key may appear once.  Every number
-must be finite.  Environment variables are never consulted.
+``pointwise_out`` (unset).  Each key may appear once, and each value
+once in ``lambda`` and in ``beta``.  Every number must be finite.
+Environment variables are never consulted.
 
 The initial impurity state is no setting: the observables take
 ``dynamics.DEFAULT_RHO0``.  The fields are plain values, so configs
@@ -70,6 +71,10 @@ class ExperimentConfig:
         for beta in self.betas:
             if not beta > 0.0:
                 raise ConfigError(f"field beta: entries must be positive, got {beta}")
+        for key, values in (("lambda", self.lambdas), ("beta", self.betas)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"field {key}: repeated value {value}")
         if not self.t_max > 0.0:
             raise ConfigError(f"field t_max: must be positive, got {self.t_max}")
         if not 0.0 < self.dt < self.t_max:

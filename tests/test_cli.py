@@ -8,11 +8,12 @@ import sys
 import threading
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
 
-from morsebath import cli, config, dynamics, kernels, observables
+from morsebath import cli, config, dynamics, kernels, observables, oracle
 from morsebath.cli import main
 from morsebath.config import ConfigError, parse_config_text
 
@@ -70,6 +71,19 @@ def test_config_errors_name_field_and_line():
         parse_config_text("eta = 2\nlambda = 2.5\n")
     with pytest.raises(ConfigError, match="dt"):
         parse_config_text("eta = 2\nlambda = 2.5\nbeta = 1\ndt = 30.0\n")
+    with pytest.raises(ConfigError, match=re.escape("field lambda: repeated value 2.6")):
+        parse_config_text("eta = 2\nlambda = 2.6,2.6\nbeta = 4\n")
+    with pytest.raises(ConfigError, match=re.escape("field beta: repeated value 4.0")):
+        parse_config_text("eta = 2\nlambda = 2.6\nbeta = 4,1,4\n")
+
+
+def test_repeated_lambda_exits_2_naming_the_file(tmp_path, capsys):
+    # computed lam = 2.6 twice and wrote four identical rows
+    cfg = write_config(tmp_path, "k_modes = 3\neta = 2\nlambda = 2.6,2.6\nbeta = 4,4\n")
+    out = tmp_path / "s.csv"
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}: field lambda: repeated value 2.6\n"
+    assert not out.exists()
 
 
 # a valid value of every config key
@@ -486,6 +500,43 @@ def test_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch, fo
     assert_no_child_left()
 
 
+def test_sweep_does_not_fork_while_another_thread_is_alive(tmp_path, forks):
+    cfg = write_config(tmp_path, FIVE_LAMBDAS)
+    serial = tmp_path / "serial.csv"
+    assert main(["sweep-dephasing", "--config", cfg, "--out", str(serial), "--threads", "1"]) == 0
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        out = tmp_path / "threaded.csv"
+        assert main(["sweep-dephasing", "--config", cfg, "--out", str(out),
+                     "--threads", "2"]) == 0
+    finally:
+        release.set()
+        waiting.join()
+    assert forks == []
+    assert out.read_bytes() == serial.read_bytes()
+
+
+def stub_fork(message):
+    """An os.fork that warns message as a DeprecationWarning and returns 4242; it forks nothing."""
+    def fork():
+        warnings.warn(message, DeprecationWarning, stacklevel=2)
+        return 4242
+    return fork
+
+
+@pytest.mark.filterwarnings("error")
+def test_fork_ignores_only_the_multithreaded_fork_warning(monkeypatch):
+    # the warning of Python >= 3.12, whose fork counts OpenBLAS's idle threads
+    monkeypatch.setattr(os, "fork", stub_fork("This process (pid=1) is multi-threaded, "
+                                              "use of fork() may lead to deadlocks in the child."))
+    assert cli._fork() == 4242
+    monkeypatch.setattr(os, "fork", stub_fork("fork() is deprecated"))
+    with pytest.raises(DeprecationWarning, match=re.escape("fork() is deprecated")):
+        cli._fork()
+
+
 def test_worker_count_never_exceeds_the_lambda_count(tmp_path, forks):
     text = BASE.replace("lambda = 2.5", "lambda = 1.6,2.5,3.4").replace("beta = 1.0", "beta = 1,4")
     cfg = write_config(tmp_path, text)
@@ -626,11 +677,11 @@ def test_dynamics_bytes_across_worker_counts(config, tmp_path, monkeypatch):
         block_threads.clear()
         assert main(["dynamics", "--config", cfg, "--out", str(out), "--threads", workers]) == 0
         outputs.add(out.read_bytes())
-        # pooled, no block runs in the calling thread; serial, every block does
-        serial = workers == "1" or blas is None
-        assert block_threads
-        assert all((ident == threading.get_ident()) == serial for ident in block_threads)
-    # without the BLAS setter the blocks run in the calling thread; BLAS is pinned here
+        # pooled, no block runs in the calling thread; at one worker every block runs on one thread
+        assert block_threads and threading.get_ident() not in block_threads
+        if workers == "1" or blas is None:
+            assert len(set(block_threads)) == 1
+    # without the BLAS setter every block runs on one thread; BLAS is pinned here
     # instead of in main, so that only the pool changes
     monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
     if blas is not None:
@@ -645,7 +696,8 @@ def test_dynamics_bytes_across_worker_counts(config, tmp_path, monkeypatch):
         if blas is not None:
             set_threads(saved)
     outputs.add(out.read_bytes())
-    assert block_threads and set(block_threads) == {threading.get_ident()}
+    assert block_threads and threading.get_ident() not in block_threads
+    assert len(set(block_threads)) == 1
     assert len(outputs) == 1
 
 
@@ -924,7 +976,7 @@ def test_oracle_check_passes(tmp_path, capsys):
 def test_oracle_check_rejects_large_k(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     assert main(["oracle-check", "--config", cfg]) == 2
-    assert "k_modes" in capsys.readouterr().err
+    assert f"k_modes <= {oracle.MAX_DENSE_MODES}" in capsys.readouterr().err
 
 
 def test_missing_config_file(capsys):
