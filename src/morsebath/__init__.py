@@ -18,7 +18,7 @@ from .correlation import (
     mean_field_shift,
     offset_ratio,
 )
-from .dynamics import DEFAULT_RHO0, SystemConfig, chi_traces, time_grid
+from .dynamics import DEFAULT_RHO0, chi_traces, time_grid
 from .morse import bound_energies, bound_state_count, ladder_matrix, x_matrix
 from .observables import blp_flows, dephasing_time, gaussian_error
 from .oracle import dense_chi, overlap_element, quadrature_element
@@ -27,10 +27,9 @@ from .specfun import digamma, log_gamma
 __version__ = "0.1.0"
 
 __all__ = [
-    "Bath", "CorrelationModel", "DEFAULT_RHO0", "SystemConfig",
-    "alpha", "bath_arrays", "blp_flows", "bound_energies", "bound_state_count",
-    "build_correlation", "chi_traces", "dense_chi", "dephasing_time", "digamma",
-    "gamma_decay", "gaussian_chi", "gaussian_error", "gaussian_traces", "ladder_matrix",
-    "log_gamma", "mean_field_shift", "offset_ratio", "overlap_element",
-    "quadrature_element", "spectral_density", "time_grid", "x_matrix",
+    "Bath", "CorrelationModel", "DEFAULT_RHO0", "alpha", "bath_arrays", "blp_flows",
+    "bound_energies", "bound_state_count", "build_correlation", "chi_traces", "dense_chi",
+    "dephasing_time", "digamma", "gamma_decay", "gaussian_chi", "gaussian_error",
+    "gaussian_traces", "ladder_matrix", "log_gamma", "mean_field_shift", "offset_ratio",
+    "overlap_element", "quadrature_element", "spectral_density", "time_grid", "x_matrix",
 ]

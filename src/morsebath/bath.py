@@ -13,10 +13,11 @@ Theta(0) = 0, so the k = K mode carries exactly zero coupling.
 
 ``bath_arrays(eta, omega_c, k_modes, lam, betas)`` holds the K modes of
 one lam as arrays, with the thermal data of any number of betas; the
-correlation, Gaussian and exact-chi code, the dense oracle and the CLI
-take this ``Bath``.  ``discretize(BathConfig)`` gives a read-only
-per-mode view of one beta; both are kept only for the benchmark's
-references under ``morsebench/``, which read one mode at a time.
+correlation, Gaussian and exact-chi code, the dense oracle, the CLI and
+the tests take this ``Bath``.  ``discretize(BathConfig)`` gives a
+read-only per-mode view of one beta.  Nothing in the package reads it:
+it exists only for the benchmark's references under ``morsebench/``,
+which read one mode at a time, and goes with ROADMAP item 8.
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ class BathMode:
     """One discretized environment mode at one beta: a view of a Bath row.
 
     b_matrix is the coupling operator g_k (b + b^dag) in the bound-state
-    basis and mean_b its thermal mean.  weights are ground-shifted
-    Boltzmann factors and partition is the correspondingly shifted
-    partition sum Z_k = sum_n exp(-beta (E_n - E_0)).
+    basis.  weights are ground-shifted Boltzmann factors and partition is
+    the correspondingly shifted partition sum Z_k = sum_n exp(-beta (E_n - E_0)).
+    Only ``morsebench/`` and ``dynamics.chi_series`` read it; it goes with
+    ROADMAP item 8.
     """
 
     omega: float
@@ -56,11 +58,6 @@ class BathMode:
     b_matrix: np.ndarray
     weights: np.ndarray
     partition: float
-    mean_b: float
-
-    @property
-    def count(self) -> int:
-        return self.h_diag.shape[0]
 
 
 def spectral_density(omega, eta: float, omega_c: float):
@@ -99,9 +96,9 @@ class Bath:
     All modes share lam and so the level count d.  omega and g are (K,);
     energies (K, d) and couplings (K, d, d) = g_k sqrt(2 lam) x hold
     H_k and B_k, which do not depend on beta.  weights (n_beta, K, d),
-    partition and mean_b (n_beta, K) are the thermal data of each beta,
-    as in BathMode; mean_b is computed from weights and couplings on its
-    first read, since only the Gaussian path and the bath table read it.
+    partition and mean_b (n_beta, K) are the thermal data of each beta;
+    mean_b is computed from weights and couplings on its first read,
+    since only the Gaussian path and the bath table read it.
     """
 
     omega: np.ndarray
@@ -117,18 +114,6 @@ class Bath:
         # vecdot runs one BLAS dot per (beta, mode) row, the strided diagonal
         # view included, so each mean has the rounding of that mode's own dot
         return np.vecdot(self.weights, np.diagonal(self.couplings, axis1=-2, axis2=-1))
-
-    @classmethod
-    def from_modes(cls, modes: list[BathMode]) -> Bath:
-        """One-beta bath of these modes."""
-        return cls(
-            omega=np.array([m.omega for m in modes]),
-            g=np.array([m.g for m in modes]),
-            energies=np.array([m.h_diag for m in modes]),
-            couplings=np.array([m.b_matrix for m in modes]),
-            weights=np.array([m.weights for m in modes])[None],
-            partition=np.array([[m.partition for m in modes]]),
-        )
 
 
 def bath_arrays(eta: float, omega_c: float, k_modes: int, lam: float, betas) -> Bath:
@@ -157,5 +142,5 @@ def discretize(config: BathConfig) -> list[BathMode]:
     bath = bath_arrays(config.eta, config.omega_c, config.k_modes, config.lam, [config.beta])
     return [BathMode(omega=float(bath.omega[k]), g=float(bath.g[k]), h_diag=bath.energies[k],
                      b_matrix=bath.couplings[k], weights=bath.weights[0, k],
-                     partition=float(bath.partition[0, k]), mean_b=float(bath.mean_b[0, k]))
+                     partition=float(bath.partition[0, k]))
             for k in range(config.k_modes)]

@@ -224,10 +224,13 @@ def _bath(cfg: ExperimentConfig, lam: float, betas: list[float]) -> Bath:
 def _one_point(args: argparse.Namespace, max_modes: int | None = None):
     """(cfg, lam, beta, bath, times) of a one-point config; more than max_modes modes fail."""
     cfg = parse_config(args.config)
-    lam, beta = cfg.single_point()
+    try:
+        lam, beta = cfg.single_point()
+    except ConfigError as exc:
+        raise ConfigError(f"{args.config}: {exc}") from None
     if max_modes is not None and cfg.k_modes > max_modes:
-        raise ConfigError(f"field k_modes: {args.command} needs k_modes <= {max_modes}, "
-                          f"got {cfg.k_modes}")
+        raise ConfigError(f"{args.config}: field k_modes: {args.command} needs "
+                          f"k_modes <= {max_modes}, got {cfg.k_modes}")
     return cfg, lam, beta, _bath(cfg, lam, [beta]), time_grid(cfg.t_max, cfg.dt)
 
 
@@ -490,6 +493,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = parse_config(args.config)
     pointwise_out = cfg.pointwise_out if kind == "gaussian-error" else None
     _check_outputs(args.out, pointwise_out)
+    # freed memory kept for the next lambda; forked sweep workers inherit it
+    _keep_heap()
     rows = _run_sweep(kind, cfg, args.threads)
     lams, betas, *values = zip(*rows)
     table = _csv(",".join(("lambda", "beta", "eta", *columns)),
@@ -602,8 +607,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # freed memory kept for the next lambda; forked sweep workers inherit it
-    _keep_heap()
     # BLAS pinned to one thread: no output depends on the BLAS thread count
     blas = _openblas_threads()
     if blas is not None:

@@ -45,8 +45,9 @@ the impurity splitting omega_s, and returns chi as a complex (n_beta, n')
 array on the first n' points of the caller's grid.  ``chi_series`` is
 the one-beta call on the per-mode view of ``bath.discretize``, given a
 ``SystemConfig``.  Nothing in the package calls it or builds a
-``SystemConfig``: both stay (``chi_series`` outside the package root)
-only for the benchmark's ``morsebench/host_noise.py``.
+``SystemConfig``, and the package root exports neither: both exist only
+for the benchmark's ``morsebench/host_noise.py`` and go with ROADMAP
+item 8.
 
 Basis convention: the impurity matrix is written in the (|+>, |->)
 eigenbasis of sigma_z, and the coherence multiplied by chi(t) (which
@@ -262,5 +263,10 @@ def chi_traces(bath: Bath, omega_s: float, times: np.ndarray, map_blocks=map,
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> np.ndarray:
-    """Exact decay factor (n,) of one beta's per-mode view: `chi_traces` of its Bath."""
-    return chi_traces(Bath.from_modes(modes), system.omega_s, times)[0]
+    """Exact decay factor (n,) of one beta's per-mode view: `chi_traces` of its modes stacked."""
+    bath = Bath(omega=np.array([m.omega for m in modes]), g=np.array([m.g for m in modes]),
+                energies=np.array([m.h_diag for m in modes]),
+                couplings=np.array([m.b_matrix for m in modes]),
+                weights=np.array([[m.weights for m in modes]]),
+                partition=np.array([[m.partition for m in modes]]))
+    return chi_traces(bath, system.omega_s, times)[0]

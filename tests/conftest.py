@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from morsebath import DEFAULT_RHO0, SystemConfig, time_grid
+from morsebath import time_grid
 
 
 @pytest.fixture
-def system():
-    return SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
+def omega_s():
+    """Impurity splitting of the tests that need one."""
+    return 2.0
 
 
 @pytest.fixture

@@ -6,17 +6,19 @@ import math
 import numpy as np
 
 from morsebath import bath_arrays, kernels
-from morsebath.bath import BathConfig, discretize
 from morsebath.morse import wavefunction_z
-
-
-def make_bath(lam, beta, eta=2.0, k_modes=40, omega_c=1.0):
-    return discretize(BathConfig(eta=eta, omega_c=omega_c, k_modes=k_modes,
-                                 lam=lam, beta=beta))
 
 
 def make_arrays(lam, betas, eta=2.0, k_modes=40, omega_c=1.0):
     return bath_arrays(eta, omega_c, k_modes, lam, betas)
+
+
+def mode_bath(bath, modes):
+    """Bath of the modes that the slice modes selects, with all their betas."""
+    return dataclasses.replace(
+        bath, omega=bath.omega[modes], g=bath.g[modes], energies=bath.energies[modes],
+        couplings=bath.couplings[modes], weights=bath.weights[:, modes],
+        partition=bath.partition[:, modes])
 
 
 def renormalized(bath):

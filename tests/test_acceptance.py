@@ -13,9 +13,7 @@ from scipy.integrate import quad
 
 from morsebath import (
     DEFAULT_RHO0,
-    Bath,
     CorrelationModel,
-    SystemConfig,
     blp_flows,
     bound_energies,
     build_correlation,
@@ -31,10 +29,9 @@ from morsebath import (
 )
 from morsebath.cli import _run_sweep
 from morsebath.config import ExperimentConfig
-from morsebath.dynamics import chi_series
-from helpers import make_arrays, make_bath
+from helpers import make_arrays
 
-SYSTEM = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
+OMEGA_S = 2.0
 
 
 def report(num, name, detail):
@@ -49,9 +46,9 @@ def test_criterion_01_oracle_equivalence():
         for lam in (2.5, 2.6):
             for beta in (1.0, 10.0):
                 for eta in (0.5, 2.0):
-                    modes = make_bath(lam=lam, beta=beta, eta=eta, k_modes=k_modes)
-                    fact = chi_series(modes, SYSTEM, times)
-                    dense = dense_chi(Bath.from_modes(modes), SYSTEM.omega_s, times)
+                    bath = make_arrays(lam=lam, betas=[beta], eta=eta, k_modes=k_modes)
+                    fact, = chi_traces(bath, OMEGA_S, times)
+                    dense = dense_chi(bath, OMEGA_S, times)
                     worst = max(worst, float(np.abs(fact - dense).max()))
     elapsed = time.perf_counter() - start
     assert worst < 1e-10
@@ -84,8 +81,8 @@ def test_criterion_03_harmonic_limit():
 
     times = time_grid(20.0, 0.01)
     bath = make_arrays(lam=400.0, betas=[4.0], eta=0.01, k_modes=40)
-    chi, = chi_traces(bath, SYSTEM.omega_s, times)
-    chi_gauss, = gaussian_traces(bath, SYSTEM.omega_s, times)
+    chi, = chi_traces(bath, OMEGA_S, times)
+    chi_gauss, = gaussian_traces(bath, OMEGA_S, times)
     chi_dev = float(np.abs(chi - chi_gauss).max())
     elapsed = time.perf_counter() - start
     assert chi_dev < 0.02
@@ -175,14 +172,14 @@ def test_criterion_06_spin_limit_freeze():
     start = time.perf_counter()
     times = time_grid(20.0, 0.01)
     # dense-oracle confirmation at K = 2 before trusting the full run
-    small = make_bath(lam=1.52, beta=1e4, eta=2.0, k_modes=2)
-    dense = dense_chi(Bath.from_modes(small), SYSTEM.omega_s, times)
-    fact = chi_series(small, SYSTEM, times)
+    small = make_arrays(lam=1.52, betas=[1e4], eta=2.0, k_modes=2)
+    dense = dense_chi(small, OMEGA_S, times)
+    fact, = chi_traces(small, OMEGA_S, times)
     assert np.abs(dense - fact).max() < 1e-10
     assert float(np.abs(dense).min()) > 0.9
 
-    modes = make_bath(lam=1.52, beta=1e4, eta=2.0, k_modes=40)
-    min_abs = float(np.abs(chi_series(modes, SYSTEM, times)).min())
+    bath = make_arrays(lam=1.52, betas=[1e4], eta=2.0, k_modes=40)
+    min_abs = float(np.abs(chi_traces(bath, OMEGA_S, times)[0]).min())
     elapsed = time.perf_counter() - start
     assert min_abs > 0.9
     assert elapsed < 60.0
@@ -195,8 +192,8 @@ def test_criterion_07_backflow_localization():
     times = time_grid(20.0, 0.01)
     flows = {}
     for lam in (2.5, 2.6):
-        modes = make_bath(lam=lam, beta=7.0, eta=0.01, k_modes=40)
-        flows[lam] = blp_flows(np.abs(chi_series(modes, SYSTEM, times)))
+        bath = make_arrays(lam=lam, betas=[7.0], eta=0.01, k_modes=40)
+        flows[lam] = blp_flows(np.abs(chi_traces(bath, OMEGA_S, times)[0]))
     elapsed = time.perf_counter() - start
     assert flows[2.5].n_minus < 1e-9
     assert flows[2.6].n_minus > 1e-6
@@ -213,7 +210,7 @@ def test_criterion_08_gaussian_has_no_backflow():
     for lam in (2.5, 2.6, 3.5, 3.6):
         for eta in (0.01, 2.0):
             bath = make_arrays(lam=lam, betas=[1.0, 10.0], eta=eta, k_modes=40)
-            for chi_gauss in gaussian_traces(bath, SYSTEM.omega_s, times):
+            for chi_gauss in gaussian_traces(bath, OMEGA_S, times):
                 worst = max(worst, blp_flows(np.abs(chi_gauss)).n_minus)
     elapsed = time.perf_counter() - start
     assert worst < 1e-12
@@ -228,8 +225,8 @@ def test_criterion_09_gaussian_error_temperature_ordering():
     averages = {}
     betas = [1.0, 7.0, 10.0]
     bath = make_arrays(lam=2.6, betas=betas, eta=0.01, k_modes=40)
-    for beta, chi, chi_gauss in zip(betas, chi_traces(bath, SYSTEM.omega_s, times),
-                                    gaussian_traces(bath, SYSTEM.omega_s, times)):
+    for beta, chi, chi_gauss in zip(betas, chi_traces(bath, OMEGA_S, times),
+                                    gaussian_traces(bath, OMEGA_S, times)):
         pointwise = np.abs(chi - chi_gauss) * abs(DEFAULT_RHO0[1, 0])
         averages[beta] = float(np.trapezoid(pointwise, times) / times[-1])
     elapsed = time.perf_counter() - start
@@ -257,10 +254,11 @@ def test_criterion_11_invariant_suite():
 
     # thermal-weight normalization and per-mode renormalization
     for beta in (1.0, 4.0, 7.0, 10.0):
-        for mode in make_bath(lam=2.6, beta=beta, eta=0.5, k_modes=40):
-            assert abs(mode.weights.sum() - 1.0) < 1e-12
-            b_tilde = mode.b_matrix - mode.mean_b * np.eye(mode.count)
-            assert abs(mode.weights @ np.diag(b_tilde)) < 1e-12
+        bath = make_arrays(lam=2.6, betas=[beta], eta=0.5, k_modes=40)
+        for k, weights in enumerate(bath.weights[0]):
+            assert abs(weights.sum() - 1.0) < 1e-12
+            b_tilde = bath.couplings[k] - bath.mean_b[0, k] * np.eye(bath.energies.shape[1])
+            assert abs(weights @ np.diag(b_tilde)) < 1e-12
             checks += 2
 
     # Hermiticity / symmetry of the closed forms
@@ -277,8 +275,8 @@ def test_criterion_11_invariant_suite():
 
     # |chi| <= 1, chi(0) = 1, telescoping flow identity
     times = time_grid(20.0, 0.01)
-    modes = make_bath(lam=2.6, beta=7.0, eta=2.0, k_modes=40)
-    chi = chi_series(modes, SYSTEM, times)
+    bath = make_arrays(lam=2.6, betas=[7.0], eta=2.0, k_modes=40)
+    chi, = chi_traces(bath, OMEGA_S, times)
     abs_chi = np.abs(chi)
     assert abs(chi[0] - 1.0) < 1e-12
     assert abs_chi.max() <= 1.0 + 1e-12

@@ -6,7 +6,6 @@ from scipy.integrate import quad
 
 from morsebath import (
     DEFAULT_RHO0,
-    SystemConfig,
     bath_arrays,
     bound_energies,
     chi_traces,
@@ -14,8 +13,8 @@ from morsebath import (
     time_grid,
 )
 from morsebath.bath import BathConfig, discretize
-from morsebath.dynamics import chi_series
-from helpers import make_bath
+from morsebath.dynamics import SystemConfig, chi_series
+from helpers import make_arrays
 
 
 def test_spectral_density_values():
@@ -36,44 +35,44 @@ def test_spectral_density_array():
 
 
 def test_discretize_frequencies_and_couplings():
-    modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=40)
-    assert modes[0].omega == pytest.approx(0.05)
-    assert modes[-1].omega == pytest.approx(2.0)
+    bath = make_arrays(lam=2.5, betas=[1.0], eta=2.0, k_modes=40)
+    assert bath.omega[0] == pytest.approx(0.05)
+    assert bath.omega[-1] == pytest.approx(2.0)
     # boundary mode carries exactly zero coupling
-    assert modes[-1].g == 0.0
+    assert bath.g[-1] == 0.0
     g39 = math.sqrt(2.0 / 40.0 * spectral_density(1.95, 2.0, 1.0))
-    assert modes[38].g == pytest.approx(g39, abs=1e-14)
+    assert bath.g[38] == pytest.approx(g39, abs=1e-14)
 
 
 def test_coupling_sum_matches_spectral_integral():
-    modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=40)
-    total = sum(m.g ** 2 for m in modes)
+    bath = make_arrays(lam=2.5, betas=[1.0], eta=2.0, k_modes=40)
+    total = sum(g ** 2 for g in bath.g)
     integral, _ = quad(lambda w: spectral_density(w, 2.0, 1.0), 0.0, 2.0)
     assert abs(total - integral) / integral < 0.03
 
 
 def test_thermal_weights_reference():
-    modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=2)
-    mode = modes[0]  # omega = 1
+    bath = make_arrays(lam=2.5, betas=[1.0], eta=2.0, k_modes=2)
+    weights = bath.weights[0, 0]  # omega = 1
     p0 = 1.0 / (1.0 + math.exp(-0.6))
-    np.testing.assert_allclose(mode.weights, [p0, 1.0 - p0], atol=1e-12)
+    np.testing.assert_allclose(weights, [p0, 1.0 - p0], atol=1e-12)
 
 
 def test_thermal_weights_zero_temperature_limit():
-    modes = make_bath(lam=2.5, beta=1e4, eta=2.0, k_modes=4)
-    for mode in modes:
-        np.testing.assert_allclose(mode.weights, [1.0, 0.0], atol=1e-12)
+    bath = make_arrays(lam=2.5, betas=[1e4], eta=2.0, k_modes=4)
+    for weights in bath.weights[0]:
+        np.testing.assert_allclose(weights, [1.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("beta", [1.0, 4.0, 7.0, 10.0])
 def test_thermal_normalization_and_renormalization(beta):
-    modes = make_bath(lam=2.6, beta=beta, eta=0.5, k_modes=10)
-    for mode in modes:
-        assert abs(mode.weights.sum() - 1.0) < 1e-12
+    bath = make_arrays(lam=2.6, betas=[beta], eta=0.5, k_modes=10)
+    for k, weights in enumerate(bath.weights[0]):
+        assert abs(weights.sum() - 1.0) < 1e-12
         # per-mode renormalization: thermal mean of b_tilde vanishes
-        b_tilde = mode.b_matrix - mode.mean_b * np.eye(mode.count)
-        assert abs(mode.weights @ np.diag(b_tilde)) < 1e-12
-        assert mode.partition > 0.0
+        b_tilde = bath.couplings[k] - bath.mean_b[0, k] * np.eye(bath.energies.shape[1])
+        assert abs(weights @ np.diag(b_tilde)) < 1e-12
+        assert bath.partition[0, k] > 0.0
 
 
 def test_thermal_data_at_second_beta():
@@ -110,7 +109,8 @@ def test_mean_b_is_computed_on_first_read_and_kept():
     (60.3, 10.0, 0.5, 3),
 ])
 def test_discretize_is_a_view_of_bath_arrays(lam, beta, eta, k_modes):
-    # the per-mode view that the dense oracle and the benchmark's references read
+    # the per-mode view that only the benchmark's references read; the dense oracle
+    # and the other tests take the Bath
     config = BathConfig(eta=eta, omega_c=1.0, k_modes=k_modes, lam=lam, beta=beta)
     modes = discretize(config)
     bath = bath_arrays(eta, 1.0, k_modes, lam, [beta])
@@ -140,7 +140,7 @@ def test_bath_energies_are_bound_energies(lam, k_modes, count):
 def test_lambda_without_bound_state_is_rejected():
     # lam + 1/2 within 1e-9 of 1: the count is 0
     with pytest.raises(ValueError, match="binds no state"):
-        make_bath(lam=0.5 + 1e-10, beta=1.0, k_modes=2)
+        make_arrays(lam=0.5 + 1e-10, betas=[1.0], k_modes=2)
 
 
 def test_bath_config_validation():
@@ -157,3 +157,13 @@ def test_bath_config_validation():
             bath_arrays(eta, omega_c, k_modes, lam, [beta])
         with pytest.raises(ValueError, match=message):
             discretize(BathConfig(eta, omega_c, k_modes, lam, beta))
+
+
+def test_system_config_validation():
+    # the argument of chi_series keeps its initial-state checks
+    with pytest.raises(ValueError):
+        SystemConfig(omega_s=2.0, rho0=np.array([[0.6, 0.2], [0.3, 0.4]]))
+    with pytest.raises(ValueError):
+        SystemConfig(omega_s=2.0, rho0=np.array([[0.9, 0.0], [0.0, 0.3]]))
+    with pytest.raises(ValueError):
+        SystemConfig(omega_s=2.0, rho0=np.array([[1.2, 0.0], [0.0, -0.2]]))

@@ -608,12 +608,23 @@ def test_gaussian_error_bytes_without_mallopt(tmp_path, monkeypatch):
     assert outputs[0] == outputs[1]
 
 
-def test_main_keeps_the_heap_once_before_the_command(monkeypatch, capsys):
+def test_a_sweep_keeps_the_heap_once_before_its_first_point(tmp_path, monkeypatch, capsys):
+    # the heap setting pays only across the lambdas of a sweep; at one dynamics point it
+    # raised the peak RSS
     events = []
     monkeypatch.setattr(cli, "_keep_heap", lambda: events.append("keep heap") or True)
-    monkeypatch.setattr(cli, "cmd_spectrum", lambda args: events.append("command") or 0)
-    assert main(["spectrum", "--lambda", "2.6"]) == 0
-    assert events == ["keep heap", "command"]
+    sweep_point = cli._sweep_point
+    monkeypatch.setattr(cli, "_sweep_point",
+                        lambda *args: events.append("point") or sweep_point(*args))
+    sweep = write_config(tmp_path, BASE.replace("lambda = 2.5", "lambda = 2.5,2.6"))
+    assert main(["sweep-dephasing", "--config", sweep, "--out", str(tmp_path / "s.csv"),
+                 "--threads", "1"]) == 0
+    assert events == ["keep heap", "point", "point"]
+    events.clear()
+    assert main(["spectrum", "--lambda", "2.6", "--out", str(tmp_path / "spectrum.csv")]) == 0
+    assert main(["dynamics", "--config", write_config(tmp_path, BASE, "point.cfg"),
+                 "--out", str(tmp_path / "dynamics.csv")]) == 0
+    assert events == []
 
 
 def test_openblas_lookup_runs_once_per_process(tmp_path, monkeypatch):
@@ -977,6 +988,32 @@ def test_oracle_check_rejects_large_k(tmp_path, capsys):
     cfg = write_config(tmp_path, BASE)
     assert main(["oracle-check", "--config", cfg]) == 2
     assert f"k_modes <= {oracle.MAX_DENSE_MODES}" in capsys.readouterr().err
+
+
+def test_oracle_check_k_modes_error_names_the_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE)
+    assert main(["oracle-check", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: field k_modes: oracle-check needs "
+                                       f"k_modes <= {oracle.MAX_DENSE_MODES}, got 8\n")
+
+
+def test_one_point_command_on_a_sweep_names_the_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, BASE.replace("lambda = 2.5", "lambda = 2.5,2.6"))
+    assert main(["dynamics", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (f"error: {cfg}: this subcommand needs exactly one "
+                                       "lambda and one beta (got 2 lambdas, 1 betas)\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this platform")
+def test_full_stdout_exits_2_naming_stdout(tmp_path):
+    # the write to a full stdout fails at its flush with an OSError that names no file
+    with open("/dev/full", "wb") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "morsebath.cli", "spectrum", "--lambda", "2.51"],
+            stdout=full, stderr=subprocess.PIPE, text=True, timeout=60, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ") and "'<stdout>'" in proc.stderr
 
 
 def test_missing_config_file(capsys):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from scipy.integrate import dblquad
 
 from morsebath import (
-    Bath,
     CorrelationModel,
     alpha,
     build_correlation,
@@ -20,7 +19,7 @@ from morsebath import (
     time_grid,
 )
 from morsebath import correlation, kernels
-from helpers import make_arrays, make_bath, reference_mean_b, reference_offset_c0
+from helpers import make_arrays, mode_bath, reference_mean_b, reference_offset_c0
 
 
 def single_term(w=1.0, delta=2.0, c0=0.0):
@@ -29,11 +28,10 @@ def single_term(w=1.0, delta=2.0, c0=0.0):
 
 
 def test_build_single_two_level_mode():
-    modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=2)[:1]
-    mode = modes[0]
-    model = build_correlation(Bath.from_modes(modes))
-    p = mode.weights
-    bt = mode.b_matrix - mode.mean_b * np.eye(mode.count)
+    bath = mode_bath(make_arrays(lam=2.5, betas=[1.0], eta=2.0, k_modes=2), slice(None, 1))
+    model = build_correlation(bath)
+    p = bath.weights[0, 0]
+    bt = bath.couplings[0] - bath.mean_b[0, 0] * np.eye(bath.energies.shape[1])
     expected_c0 = p[0] * bt[0, 0] ** 2 + p[1] * bt[1, 1] ** 2
     c0, = model.offset_c0
     assert c0 == pytest.approx(expected_c0, abs=1e-15)
@@ -169,8 +167,8 @@ def test_gaussian_chi_basics():
 def test_mean_field_shift():
     bath = make_arrays(lam=2.6, betas=[1.0, 4.0], eta=2.0, k_modes=5)
     for beta, shift in zip([1.0, 4.0], mean_field_shift(bath)):
-        modes = make_bath(lam=2.6, beta=beta, eta=2.0, k_modes=5)
-        assert shift == pytest.approx(2.0 * sum(m.mean_b for m in modes))
+        one_beta = make_arrays(lam=2.6, betas=[beta], eta=2.0, k_modes=5)
+        assert shift == pytest.approx(2.0 * sum(one_beta.mean_b[0]))
 
 
 def full_list_model(bath, weight_cutoff=correlation.NEGLIGIBLE_WEIGHT):

@@ -6,17 +6,16 @@ import pytest
 
 from morsebath import (
     DEFAULT_RHO0,
-    SystemConfig,
     chi_traces,
     mean_field_shift,
     time_grid,
 )
 from morsebath import dynamics, kernels
-from morsebath.dynamics import _block_eigh, chi_series
-from helpers import apply_map, make_arrays, make_bath, renormalized
+from morsebath.dynamics import _block_eigh
+from helpers import apply_map, make_arrays, mode_bath, renormalized
 
 # no impurity phase: chi of one mode is that mode's trace factor
-SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
+SILENT = 0.0
 
 
 @pytest.mark.parametrize("lam, betas, times", [
@@ -26,7 +25,7 @@ SILENT = SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0)
     (3.3, [1.0, 7.0], np.sort(np.random.default_rng(3).uniform(0.0, 20.0, 300))),
 ])
 @pytest.mark.parametrize("threshold", [0.5, 1e-3])
-def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, system, monkeypatch,
+def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, omega_s, monkeypatch,
                                              one_blas_thread):
     # chi_traces with a threshold gives the whole grid's prefix up to the end of the first
     # slab by which every beta has crossed, bit for bit: lam = 2.6 ends after the first
@@ -34,7 +33,7 @@ def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, syste
     # irregular grid are one slab each
     k_modes = 40 if lam < 10 else 3
     bath = make_arrays(lam, betas, k_modes=k_modes)
-    full = chi_traces(bath, system.omega_s, times)
+    full = chi_traces(bath, omega_s, times)
     calls = []
     phase_sum = kernels.phase_sum
 
@@ -43,7 +42,7 @@ def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, syste
         return phase_sum(weights, freqs, times, **kwargs)
 
     monkeypatch.setattr(kernels, "phase_sum", recording)
-    chi = chi_traces(bath, system.omega_s, times, threshold=threshold)
+    chi = chi_traces(bath, omega_s, times, threshold=threshold)
     ends = [slab.points.stop for slab in kernels.row_slabs(times)]
     crossed = [(np.abs(full[:, :end]) <= threshold).any(axis=1).all() for end in ends]
     end = ends[crossed.index(True)] if True in crossed else times.shape[0]
@@ -58,27 +57,27 @@ def test_chi_until_crossed_equals_chi_traces(lam, betas, times, threshold, syste
         assert sum(slab.starts.shape[0] for _, slab in calls) == blocks * n_rows
 
 
-def test_chi_until_crossed_stops_after_the_first_slab_only_when_every_beta_crossed(system):
+def test_chi_until_crossed_stops_after_the_first_slab_only_when_every_beta_crossed(omega_s):
     # chi_traces with a threshold; eta = 2: every beta falls to 0.1 within the first four
     # block rows; eta = 0.01: beta = 10 never does, so the whole grid is evaluated
     times = time_grid(20.0, 0.01)
     first = kernels.row_slabs(times)[0].points.stop
     for eta, end in ((2.0, first), (0.01, times.shape[0])):
         bath = make_arrays(2.6, [1.0, 4.0, 7.0, 10.0], eta=eta)
-        assert chi_traces(bath, system.omega_s, times, threshold=0.1).shape == (4, end)
+        assert chi_traces(bath, omega_s, times, threshold=0.1).shape == (4, end)
 
 
 @pytest.mark.parametrize("eta", [2.0, 0.01])
-def test_chi_traces_threshold_on_a_pool_equals_inline_and_whole_grid(eta, system,
+def test_chi_traces_threshold_on_a_pool_equals_inline_and_whole_grid(eta, omega_s,
                                                                      one_blas_thread):
     # d = 50 puts each mode in a block of its own, so the pool runs many term and slab
     # tasks; eta = 2 stops after the first slab, eta = 0.01 runs to the end of the grid
     bath = make_arrays(50.3, [1.0, 4.0], eta=eta, k_modes=5)
     times = time_grid(20.0, 0.01)
-    full = chi_traces(bath, system.omega_s, times)
-    inline = chi_traces(bath, system.omega_s, times, threshold=0.1)
+    full = chi_traces(bath, omega_s, times)
+    inline = chi_traces(bath, omega_s, times, threshold=0.1)
     with ThreadPoolExecutor(2) as pool:
-        pooled = chi_traces(bath, system.omega_s, times, map_blocks=pool.map, threshold=0.1)
+        pooled = chi_traces(bath, omega_s, times, map_blocks=pool.map, threshold=0.1)
     np.testing.assert_array_equal(pooled, inline)
     np.testing.assert_array_equal(pooled, full[:, :pooled.shape[1]])
     assert (pooled.shape[1] < times.shape[0]) == (eta == 2.0)
@@ -108,15 +107,6 @@ def test_time_grid():
         time_grid(1.0, -0.1)
 
 
-def test_system_config_validation():
-    with pytest.raises(ValueError):
-        SystemConfig(omega_s=2.0, rho0=np.array([[0.6, 0.2], [0.3, 0.4]]))
-    with pytest.raises(ValueError):
-        SystemConfig(omega_s=2.0, rho0=np.array([[0.9, 0.0], [0.0, 0.3]]))
-    with pytest.raises(ValueError):
-        SystemConfig(omega_s=2.0, rho0=np.array([[1.2, 0.0], [0.0, -0.2]]))
-
-
 def test_propagator_reconstruction():
     bath = make_arrays(lam=2.6, betas=[1.0], eta=2.0, k_modes=5)
     evals_plus, evecs_plus, evals_minus, evecs_minus = _block_eigh(bath.energies, bath.couplings)
@@ -128,55 +118,54 @@ def test_propagator_reconstruction():
 
 
 def test_mode_factor_basics(short_grid):
-    modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=4)
-    factor = chi_series(modes[:1], SILENT, short_grid)
+    bath = make_arrays(lam=2.5, betas=[1.0], eta=2.0, k_modes=4)
+    factor, = chi_traces(mode_bath(bath, slice(None, 1)), SILENT, short_grid)
     assert factor[0] == pytest.approx(1.0 + 0.0j, abs=1e-13)
     # zero-coupling boundary mode: H+ = H-, the factor stays at one
-    assert modes[-1].g == 0.0
-    np.testing.assert_allclose(chi_series(modes[-1:], SILENT, short_grid),
-                               np.ones_like(short_grid), atol=1e-12)
+    assert bath.g[-1] == 0.0
+    boundary, = chi_traces(mode_bath(bath, slice(-1, None)), SILENT, short_grid)
+    np.testing.assert_allclose(boundary, np.ones_like(short_grid), atol=1e-12)
 
 
 def test_mode_factor_single_state_phase(short_grid):
     # lam = 1.4: one bound state, factor = exp(2 i b00 t) with unit modulus
-    modes = make_bath(lam=1.4, beta=1.0, eta=2.0, k_modes=4)
-    mode = modes[1]
-    assert mode.count == 1
-    b00 = mode.b_matrix[0, 0]
-    factor = chi_series([mode], SILENT, short_grid)
+    bath = mode_bath(make_arrays(lam=1.4, betas=[1.0], eta=2.0, k_modes=4), slice(1, 2))
+    assert bath.energies.shape[1] == 1
+    b00 = bath.couplings[0, 0, 0]
+    factor, = chi_traces(bath, SILENT, short_grid)
     np.testing.assert_allclose(factor, np.exp(2j * b00 * short_grid), atol=1e-12)
     np.testing.assert_allclose(np.abs(factor), 1.0, atol=1e-13)
 
 
-def test_chi_series_decoupled(system, short_grid):
-    modes = make_bath(lam=2.5, beta=1.0, eta=0.0, k_modes=8)
-    chi = chi_series(modes, system, short_grid)
+def test_chi_series_decoupled(omega_s, short_grid):
+    bath = make_arrays(lam=2.5, betas=[1.0], eta=0.0, k_modes=8)
+    chi, = chi_traces(bath, omega_s, short_grid)
     assert chi.shape == short_grid.shape
     np.testing.assert_allclose(chi, np.exp(2j * short_grid), atol=1e-12)
     np.testing.assert_allclose(np.abs(chi), 1.0, atol=1e-12)
 
 
-def test_chi_series_invariants(system, full_grid):
-    modes = make_bath(lam=2.6, beta=7.0, eta=2.0, k_modes=40)
-    chi = chi_series(modes, system, full_grid)
+def test_chi_series_invariants(omega_s, full_grid):
+    bath = make_arrays(lam=2.6, betas=[7.0], eta=2.0, k_modes=40)
+    chi, = chi_traces(bath, omega_s, full_grid)
     assert abs(chi[0] - 1.0) < 1e-12
     assert np.abs(chi).max() <= 1.0 + 1e-12
 
 
-def test_chi_series_factorizes(system, short_grid):
-    modes = make_bath(lam=2.6, beta=4.0, eta=2.0, k_modes=10)
-    full = chi_series(modes, system, short_grid)
-    first = chi_series(modes[:5], SILENT, short_grid)
-    second = chi_series(modes[5:], SILENT, short_grid)
-    recombined = np.exp(1j * system.omega_s * short_grid) * first * second
+def test_chi_series_factorizes(omega_s, short_grid):
+    bath = make_arrays(lam=2.6, betas=[4.0], eta=2.0, k_modes=10)
+    full, = chi_traces(bath, omega_s, short_grid)
+    first, = chi_traces(mode_bath(bath, slice(None, 5)), SILENT, short_grid)
+    second, = chi_traces(mode_bath(bath, slice(5, None)), SILENT, short_grid)
+    recombined = np.exp(1j * omega_s * short_grid) * first * second
     assert np.abs(full - recombined).max() < 1e-13
 
 
-def test_mean_field_phase_identity(system, short_grid):
+def test_mean_field_phase_identity(omega_s, short_grid):
     # bare chi equals exp(2i <B> t) times the renormalized-operator chi
     bath = make_arrays(lam=2.6, betas=[1.0], eta=2.0, k_modes=10)
-    bare, = chi_traces(bath, system.omega_s, short_grid)
-    renorm, = chi_traces(renormalized(bath), system.omega_s, short_grid)
+    bare, = chi_traces(bath, omega_s, short_grid)
+    renorm, = chi_traces(renormalized(bath), omega_s, short_grid)
     shift, = mean_field_shift(bath)
     assert np.abs(bare - np.exp(1j * shift * short_grid) * renorm).max() < 1e-11
 

@@ -12,8 +12,7 @@ from morsebath import (
     gaussian_traces,
     time_grid,
 )
-from morsebath.dynamics import chi_series
-from helpers import apply_map, make_arrays, make_bath, trace_distance
+from helpers import apply_map, make_arrays, trace_distance
 
 
 def test_dephasing_time_exponential():
@@ -32,9 +31,9 @@ def test_dephasing_time_interpolation():
     assert tau == pytest.approx(0.9 / 0.95, abs=1e-12)
 
 
-def test_dephasing_time_threshold_monotone(system, full_grid):
-    modes = make_bath(lam=2.6, beta=4.0, eta=2.0, k_modes=20)
-    chi = chi_series(modes, system, full_grid)
+def test_dephasing_time_threshold_monotone(omega_s, full_grid):
+    bath = make_arrays(lam=2.6, betas=[4.0], eta=2.0, k_modes=20)
+    chi, = chi_traces(bath, omega_s, full_grid)
     t_loose = dephasing_time(full_grid, chi, threshold=0.2)
     t_tight = dephasing_time(full_grid, chi, threshold=0.1)
     assert t_loose is not None and t_tight is not None
@@ -110,9 +109,9 @@ def test_trace_distance_metric_properties(rng):
         assert trace_distance(a, b) >= 0.0
 
 
-def test_gaussian_error_zero_for_identical(system, short_grid):
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=10)
-    chi = chi_series(modes, system, short_grid)
+def test_gaussian_error_zero_for_identical(omega_s, short_grid):
+    bath = make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10)
+    chi, = chi_traces(bath, omega_s, short_grid)
     report = gaussian_error(short_grid, chi, chi, DEFAULT_RHO0)
     assert np.all(report.pointwise == 0.0)
     assert report.time_avg == 0.0
@@ -129,21 +128,21 @@ def test_gaussian_error_quarter_coherence():
     assert report.time_avg == pytest.approx((0.0 / 4 + 0.2 / 4 + 0.0 / 4) / 2.0, abs=1e-14)
 
 
-def test_gaussian_error_matches_explicit_route(system, short_grid):
+def test_gaussian_error_matches_explicit_route(omega_s, short_grid):
     bath = make_arrays(lam=2.6, betas=[7.0], eta=0.5, k_modes=10)
-    chi, = chi_traces(bath, system.omega_s, short_grid)
-    chi_gauss, = gaussian_traces(bath, system.omega_s, short_grid)
+    chi, = chi_traces(bath, omega_s, short_grid)
+    chi_gauss, = gaussian_traces(bath, omega_s, short_grid)
     report = gaussian_error(short_grid, chi, chi_gauss, DEFAULT_RHO0)
     explicit = [trace_distance(apply_map(DEFAULT_RHO0, c), apply_map(DEFAULT_RHO0, g))
                 for c, g in zip(chi, chi_gauss)]
     np.testing.assert_allclose(report.pointwise * 0.25, explicit, atol=1e-13)
 
 
-def test_gaussian_error_grid_mismatch(system):
-    modes = make_bath(lam=2.6, beta=4.0, eta=0.5, k_modes=5)
+def test_gaussian_error_grid_mismatch(omega_s):
+    bath = make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=5)
     times = time_grid(5.0, 0.01)
-    a = chi_series(modes, system, times)
-    b = chi_series(modes, system, time_grid(5.0, 0.05))
+    a, = chi_traces(bath, omega_s, times)
+    b, = chi_traces(bath, omega_s, time_grid(5.0, 0.05))
     with pytest.raises(ValueError, match="share one shape"):
         gaussian_error(times, a, b, DEFAULT_RHO0)
     with pytest.raises(ValueError, match="share one shape"):

@@ -2,56 +2,53 @@ import numpy as np
 import pytest
 
 from morsebath import (
-    DEFAULT_RHO0,
-    Bath,
-    SystemConfig,
+    chi_traces,
     dense_chi,
     overlap_element,
     quadrature_element,
     time_grid,
     x_matrix,
 )
-from morsebath.dynamics import chi_series
-from helpers import make_arrays, make_bath
+from helpers import make_arrays, mode_bath
 
 
-def test_dense_single_mode_matches_factor(system):
+def test_dense_single_mode_matches_factor(omega_s):
     # one coupled mode (taken from a K=2 bath so g > 0)
-    modes = make_bath(lam=2.5, beta=1.0, eta=2.0, k_modes=2)[:1]
+    bath = mode_bath(make_arrays(lam=2.5, betas=[1.0], eta=2.0, k_modes=2), slice(None, 1))
     ts = time_grid(20.0, 0.05)
-    dense = dense_chi(Bath.from_modes(modes), system.omega_s, ts)
-    factor = chi_series(modes, SystemConfig(omega_s=0.0, rho0=DEFAULT_RHO0), ts)
-    expected = np.exp(1j * system.omega_s * ts) * factor
+    dense = dense_chi(bath, omega_s, ts)
+    factor, = chi_traces(bath, 0.0, ts)
+    expected = np.exp(1j * omega_s * ts) * factor
     assert np.abs(dense - expected).max() < 1e-12
 
 
-def test_dense_two_modes_matches_chi_series(system):
-    modes = make_bath(lam=2.6, beta=1.0, eta=0.5, k_modes=2)
+def test_dense_two_modes_matches_chi_series(omega_s):
+    bath = make_arrays(lam=2.6, betas=[1.0], eta=0.5, k_modes=2)
     ts = time_grid(20.0, 0.01)
-    dense = dense_chi(Bath.from_modes(modes), system.omega_s, ts)
-    fact = chi_series(modes, system, ts)
+    dense = dense_chi(bath, omega_s, ts)
+    fact, = chi_traces(bath, omega_s, ts)
     assert np.abs(dense - fact).max() < 1e-10
 
 
-def test_dense_decoupled(system):
-    modes = make_bath(lam=2.5, beta=1.0, eta=0.0, k_modes=2)
+def test_dense_decoupled(omega_s):
+    bath = make_arrays(lam=2.5, betas=[1.0], eta=0.0, k_modes=2)
     ts = time_grid(5.0, 0.05)
-    dense = dense_chi(Bath.from_modes(modes), system.omega_s, ts)
+    dense = dense_chi(bath, omega_s, ts)
     np.testing.assert_allclose(dense, np.exp(2j * ts), atol=1e-12)
 
 
-def test_dense_guards(system, short_grid):
-    modes = make_bath(lam=2.5, beta=1.0, eta=0.5, k_modes=4)
+def test_dense_guards(omega_s, short_grid):
+    bath = make_arrays(lam=2.5, betas=[1.0], eta=0.5, k_modes=4)
     with pytest.raises(ValueError, match="K <= 3"):
-        dense_chi(Bath.from_modes(modes), system.omega_s, short_grid)
+        dense_chi(bath, omega_s, short_grid)
     # 3 modes with 17 bound states each: 4913 > 4096
-    big = make_bath(lam=17.1, beta=1.0, eta=0.5, k_modes=3)
+    big = make_arrays(lam=17.1, betas=[1.0], eta=0.5, k_modes=3)
     with pytest.raises(ValueError, match="4913 exceeds"):
-        dense_chi(Bath.from_modes(big), system.omega_s, short_grid)
+        dense_chi(big, omega_s, short_grid)
     # the product thermal state is that of one beta
     two_betas = make_arrays(lam=2.5, betas=[1.0, 4.0], eta=0.5, k_modes=2)
     with pytest.raises(ValueError, match="one beta, got 2 betas"):
-        dense_chi(two_betas, system.omega_s, short_grid)
+        dense_chi(two_betas, omega_s, short_grid)
 
 
 def test_quadrature_elements_lambda_2_5():

@@ -13,7 +13,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from morsebath import (
-    SystemConfig,
     bound_state_count,
     chi_traces,
     dense_chi,
@@ -22,10 +21,10 @@ from morsebath import (
     mean_field_shift,
     time_grid,
 )
-from morsebath.dynamics import DEFAULT_RHO0, _block_eigh, _phase_terms, chi_series
-from helpers import make_arrays, make_bath, renormalized
+from morsebath.dynamics import _block_eigh, _phase_terms
+from helpers import make_arrays, renormalized
 
-SYSTEM = SystemConfig(omega_s=2.0, rho0=DEFAULT_RHO0)
+OMEGA_S = 2.0
 TIMES = time_grid(5.0, 0.05)
 PROPERTY = settings(max_examples=30, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -38,14 +37,13 @@ etas = st.floats(min_value=0.0, max_value=2.0)
 
 def assert_rows_match_one_beta(lam, beta_list, eta, k_modes):
     bath = make_arrays(lam, beta_list, eta, k_modes)
-    exact = chi_traces(bath, SYSTEM.omega_s, TIMES)
-    gauss = gaussian_traces(bath, SYSTEM.omega_s, TIMES)
+    exact = chi_traces(bath, OMEGA_S, TIMES)
+    gauss = gaussian_traces(bath, OMEGA_S, TIMES)
     assert exact.shape == gauss.shape == (len(beta_list), TIMES.shape[0])
     for beta, e, g in zip(beta_list, exact, gauss):
-        modes = make_bath(lam, beta, eta, k_modes)
         one_beta = make_arrays(lam, [beta], eta, k_modes)
-        assert np.abs(e - chi_series(modes, SYSTEM, TIMES)).max() <= 1e-13
-        assert np.abs(g - gaussian_traces(one_beta, SYSTEM.omega_s, TIMES)[0]).max() <= 1e-13
+        assert np.abs(e - chi_traces(one_beta, OMEGA_S, TIMES)[0]).max() <= 1e-13
+        assert np.abs(g - gaussian_traces(one_beta, OMEGA_S, TIMES)[0]).max() <= 1e-13
 
 
 @PROPERTY
@@ -69,8 +67,8 @@ def test_per_lambda_rows_match_dense_oracle(lam, beta_list, eta, k_modes):
     if bound_state_count(lam) ** k_modes > 64:
         k_modes = 1
     bath = make_arrays(lam, beta_list, eta, k_modes)
-    for beta, chi in zip(beta_list, chi_traces(bath, SYSTEM.omega_s, TIMES)):
-        dense = dense_chi(make_arrays(lam, [beta], eta, k_modes), SYSTEM.omega_s, TIMES)
+    for beta, chi in zip(beta_list, chi_traces(bath, OMEGA_S, TIMES)):
+        dense = dense_chi(make_arrays(lam, [beta], eta, k_modes), OMEGA_S, TIMES)
         assert np.abs(chi - dense).max() <= 1e-10
 
 
@@ -79,14 +77,14 @@ def test_per_lambda_rows_match_dense_oracle(lam, beta_list, eta, k_modes):
        k_modes=st.integers(1, 40))
 def test_exact_chi_invariants(lam, beta, eta, k_modes):
     bath = make_arrays(lam, [beta], eta, k_modes)
-    bare, = chi_traces(bath, SYSTEM.omega_s, TIMES)
+    bare, = chi_traces(bath, OMEGA_S, TIMES)
     assert abs(bare[0] - 1.0) <= 1e-13
     assert np.abs(bare).max() <= 1.0 + 1e-12
     # each mode's factor at t = 0 is the sum of its weights W, the trace of rho_k
     w, _ = _phase_terms(_block_eigh(bath.energies, bath.couplings), bath.weights)
     assert np.abs(w.reshape(k_modes, -1).sum(axis=-1) - 1.0).max() <= 1e-13
     # B = <B> + (B - <B>): the mean part only rotates the coherence at 2 <B>
-    renorm, = chi_traces(renormalized(bath), SYSTEM.omega_s, TIMES)
+    renorm, = chi_traces(renormalized(bath), OMEGA_S, TIMES)
     shift, = mean_field_shift(bath)
     assert np.abs(bare - np.exp(1j * shift * TIMES) * renorm).max() <= 1e-11
 
@@ -101,10 +99,10 @@ def test_coupling_sign_flip_conjugates_chi(lam, beta_list, eta, k_modes):
     bath = make_arrays(lam, beta_list, eta, k_modes)
     flipped = dataclasses.replace(bath, couplings=-bath.couplings)
     assert np.array_equal(flipped.mean_b, -bath.mean_b)
-    bare = np.exp(-1j * SYSTEM.omega_s * TIMES)
+    bare = np.exp(-1j * OMEGA_S * TIMES)
     for traces in (chi_traces, gaussian_traces):
-        for a, b in zip(traces(bath, SYSTEM.omega_s, TIMES),
-                        traces(flipped, SYSTEM.omega_s, TIMES)):
+        for a, b in zip(traces(bath, OMEGA_S, TIMES),
+                        traces(flipped, OMEGA_S, TIMES)):
             assert np.abs(a * bare - np.conj(b * bare)).max() <= 1e-12
 
 

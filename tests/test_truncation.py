@@ -8,7 +8,6 @@ within the bound, plus the pruning tolerance and a rounding floor, of
 it.
 """
 
-import dataclasses
 import os
 
 import numpy as np
@@ -25,6 +24,7 @@ from morsebath.dynamics import (
     _kept_levels,
     _truncation_bound,
 )
+from helpers import mode_bath
 
 TIMES = np.linspace(0.0, 20.0, 41)
 
@@ -43,14 +43,6 @@ def floor(energies, t_max):
 
 
 CONFIGS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "configs")
-
-
-def mode_bath(bath, k):
-    """One-mode bath of mode k."""
-    return dataclasses.replace(
-        bath, omega=bath.omega[k:k + 1], g=bath.g[k:k + 1], energies=bath.energies[k:k + 1],
-        couplings=bath.couplings[k:k + 1], weights=bath.weights[:, k:k + 1],
-        partition=bath.partition[:, k:k + 1])
 
 
 def reference_factor(energies, coupling, weights, times):
@@ -72,7 +64,7 @@ def assert_factors_within_bound(bath, times):
     d = bath.energies.shape[1]
     t_max = float(times.max())
     for k in range(bath.energies.shape[0]):
-        one = mode_bath(bath, k)
+        one = mode_bath(bath, slice(k, k + 1))
         m, eig = _kept_levels(one.energies, one.couplings, one.weights, t_max)
         bound = _truncation_bound(eig, one.couplings, one.weights, t_max)[:, 0] if m < d else 0.0
         # omega_s = 0, no impurity phase: chi of a one-mode bath is that mode's trace factor
