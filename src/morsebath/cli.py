@@ -30,26 +30,13 @@ lambda.  ``sweep-dephasing`` passes its threshold and takes tau_d from
 the prefix of slabs that ``chi_traces`` returns, which has the bytes of
 the whole trace where BLAS is pinned.
 
-``main`` first has glibc's malloc keep freed blocks of up to 32 MiB in
-its heap (mallopt's mmap and trim thresholds, both or neither; nothing
-without glibc), so a lambda reuses the pages its predecessor freed, not
-fresh ones; forked sweep workers inherit the setting, library callers
-never get it.
-
-``_workers`` gives every command its worker count: ``--threads``
-(default: the CPUs the process may run on) where BLAS can be pinned,
-otherwise one.  A sweep's task is one lambda with all of its betas.  Its
-lambdas are dealt into interleaved shares, one per worker and never
-more than there are lambdas; this process runs the first share and
-forked children the others, where the platform can fork and no other
-Python thread is alive.  A forked child inherits the imported
-interpreter, so it starts at no import cost, and it runs free of this
-process's GIL: at d <= 8 a lambda is mostly small numpy calls that hold
-it.  A child sends its rows, and its failure as the exception itself,
-back pickled through a pipe.  Rows are ordered lexicographically by
-(lambda, beta) whichever worker computed them.  ``dynamics`` runs on a
-pool of threads in this process, one thread for one worker: its work is
-large eigendecompositions, exponentials and matrix products that
+``main`` runs every command inside ``runner.one_blas_thread``, and every
+command takes its worker count from ``runner.workers``.  A sweep's task
+is one lambda with all of its betas: ``cmd_sweep`` maps ``_sweep_point``
+over its lambdas with ``runner.map_lambdas``, which runs them on forked
+workers, and writes the rows in (lambda, beta) order.  ``dynamics`` runs
+on a pool of threads in this process, one thread for one worker: its
+work is large eigendecompositions, exponentials and matrix products that
 release the GIL, and its block factors would otherwise be pickled back.
 It submits its Gaussian path, then the term build of each mode block of
 its exact path, then each block's phase sum, and multiplies the block
@@ -64,22 +51,17 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import ctypes
 import errno
 import functools
 import gc
-import glob
 import os
-import pickle
-import signal
 import sys
-import threading
-import warnings
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from . import runner
 from .bath import Bath, bath_arrays
 from .config import ConfigError, ExperimentConfig, parse_config
 from .correlation import alpha, build_correlation, gamma_decay, gaussian_traces, offset_ratio
@@ -272,7 +254,7 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     cfg, lam, beta, bath, times = _one_point(args)
     _check_outputs(args.out)
     with (_failure_names("dynamics point", lam, [beta]),
-          ThreadPoolExecutor(max_workers=_workers(args.threads)) as pool):
+          ThreadPoolExecutor(max_workers=runner.workers(args.threads)) as pool):
         gauss_future = pool.submit(gaussian_traces, bath, cfg.omega_s, times)
         chi, = chi_traces(bath, cfg.omega_s, times, map_blocks=pool.map)
         chi_gauss, = gauss_future.result()
@@ -325,161 +307,7 @@ def _sweep_point(kind: str, cfg: ExperimentConfig, lam: float) -> list:
         return _lambda_rows(kind, cfg, lam, betas)
 
 
-@functools.cache
-def _openblas_threads():
-    """(get, set) thread-count functions of numpy's bundled OpenBLAS, or None; looked up once."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in glob.glob(os.path.join(libs, "libscipy_openblas*")):
-        try:
-            # the library numpy already loaded: dlopen returns the same handle
-            lib = ctypes.CDLL(path)
-            get = lib.scipy_openblas_get_num_threads64_
-            set_ = lib.scipy_openblas_set_num_threads64_
-        except (OSError, AttributeError):
-            continue
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        return get, set_
-    return None
-
-
-# mallopt parameters of glibc's malloc.h
-_M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
-
-
-def _keep_heap() -> bool:
-    """Have glibc's malloc keep freed blocks of up to 32 MiB; True if both settings took.
-
-    By default glibc serves the multi-MB numpy temporaries of each lambda
-    with mmap and unmaps them on free, so the next lambda faults in fresh
-    pages.  Here blocks under 32 MiB come from the heap, and freed memory
-    at its top is kept up to 1 GiB.  Either setting alone turns off glibc's
-    dynamic mmap threshold and costs more than it saves, so the trim
-    threshold is set only after the mmap threshold took (glibc's mallopt
-    never refuses a trim threshold): both or neither.  Without a mallopt
-    (a C library other than glibc) this does nothing.
-    """
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, AttributeError, TypeError):  # TypeError: no process handle (Windows)
-        return False
-    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
-    return mallopt(_M_MMAP_THRESHOLD, 32 << 20) == 1 and mallopt(_M_TRIM_THRESHOLD, 1 << 30) == 1
-
-
-def _workers(threads: int | None) -> int:
-    """The worker count of every command: ``--threads``, by default the CPUs this process may use.
-
-    It is 1 where ``main`` cannot pin BLAS to one thread, so workers never
-    oversubscribe the cores and no output depends on their count.
-    """
-    if _openblas_threads() is None:
-        return 1
-    if threads is not None:
-        return threads
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-def _share_rows(kind: str, cfg: ExperimentConfig, lams: list[float]) -> tuple[list, tuple | None]:
-    """(rows, None) of the lambdas in order, or (rows so far, (lam, exception)) at the first failure."""
-    rows = []
-    for lam in lams:
-        try:
-            # looked up at each call, so a wrapper set on the module applies
-            rows += _sweep_point(kind, cfg, lam)
-        except Exception as exc:
-            return rows, (lam, exc)
-    return rows, None
-
-
-def _fork() -> int:
-    """``os.fork()``, without Python's warning about OpenBLAS's threads."""
-    with warnings.catch_warnings():
-        # Python >= 3.12 warns on fork when the OS reports more than one thread.  A
-        # sweep forks only while no other Python thread is alive, so those are
-        # OpenBLAS's idle workers, and OpenBLAS makes fork safe with its own
-        # atfork handler
-        warnings.filterwarnings("ignore", message=r"This process .* is multi-threaded, use of fork",
-                                category=DeprecationWarning)
-        return os.fork()
-
-
-def _forked_share(kind: str, cfg: ExperimentConfig, lams: list[float]):
-    """(pid, pipe) of a child that writes the pickled `_share_rows` of lams.
-
-    The child exits 0 only after the whole payload is written.  It leaves
-    through ``os._exit`` and never returns into the caller's stack.
-    """
-    read, write = os.pipe()
-    try:
-        pid = _fork()
-        if pid == 0:
-            status = 1
-            try:
-                with open(write, "wb") as pipe:
-                    pickle.dump(_share_rows(kind, cfg, lams), pipe, pickle.HIGHEST_PROTOCOL)
-                status = 0
-            finally:
-                os._exit(status)
-    except BaseException:
-        os.close(read)
-        raise
-    finally:
-        os.close(write)
-    return pid, open(read, "rb")
-
-
-def _run_sweep(kind: str, cfg: ExperimentConfig, threads: int | None) -> list:
-    """Rows of every (lambda, beta) of the sweep, its lambdas in shares over forked workers.
-
-    With w = min(`_workers`, lambda count) > 1, where the platform can
-    fork and no other Python thread is alive, the sorted lambdas are dealt
-    into w interleaved shares (cost grows with lambda); w - 1 forked
-    children run a share each while this process runs the first.
-    Otherwise, as with one worker where BLAS cannot be pinned, every lambda
-    runs here.  A share stops at its first failure, and the failure of the
-    smallest failing lambda is raised, so the error does not depend on w.
-    No child outlives the call.
-    """
-    lams = sorted(cfg.lambdas)
-    workers = min(_workers(threads), len(lams))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        workers = 1
-    shares = [lams[i::workers] for i in range(workers)]
-    children = []
-    try:
-        for share in shares[1:]:
-            children.append((share[0], *_forked_share(kind, cfg, share)))
-        rows, failure = _share_rows(kind, cfg, shares[0])
-        failures = [] if failure is None else [failure]
-        while children:
-            first, pid, pipe = children[0]
-            with pipe:
-                payload = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            children.pop(0)
-            if status != 0:
-                failures.append((first, RuntimeError(
-                    f"sweep worker of lambda = {first:.12g} ended without its rows "
-                    f"(wait status {status})")))
-                continue
-            share_rows, failure = pickle.loads(payload)
-            rows += share_rows
-            if failure is not None:
-                failures.append(failure)
-    finally:
-        for _, pid, pipe in children:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    return sorted(rows, key=lambda row: (row[0], row[1]))
-
-
-# sweep command -> (kind of `_run_sweep`, CSV columns after lambda,beta,eta)
+# sweep command -> (kind of `_lambda_rows`, CSV columns after lambda,beta,eta)
 _SWEEPS = {
     "sweep-dephasing": ("dephasing", ("tau_d",)),
     "sweep-backflow": ("backflow", ("n_minus", "n_plus", "ratio")),
@@ -494,8 +322,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pointwise_out = cfg.pointwise_out if kind == "gaussian-error" else None
     _check_outputs(args.out, pointwise_out)
     # freed memory kept for the next lambda; forked sweep workers inherit it
-    _keep_heap()
-    rows = _run_sweep(kind, cfg, args.threads)
+    runner.keep_heap()
+    points = runner.map_lambdas(functools.partial(_sweep_point, kind, cfg), cfg.lambdas,
+                                runner.workers(args.threads))
+    rows = [row for point in points for row in point]
     lams, betas, *values = zip(*rows)
     table = _csv(",".join(("lambda", "beta", "eta", *columns)),
                  lams, betas, [cfg.eta] * len(rows), *values[:len(columns)])
@@ -608,20 +438,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # BLAS pinned to one thread: no output depends on the BLAS thread count
-    blas = _openblas_threads()
-    if blas is not None:
-        get_threads, set_threads = blas
-        caller_threads = get_threads()
-        set_threads(1)
-    try:
-        return args.func(args)
-    except (ValueError, ZeroDivisionError, IndexError, RuntimeError, OSError,
-            MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    finally:
-        if blas is not None:
-            set_threads(caller_threads)
+    with runner.one_blas_thread():
+        try:
+            return args.func(args)
+        except (ValueError, ZeroDivisionError, IndexError, RuntimeError, OSError,
+                MemoryError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 def console_main() -> int:

@@ -1,8 +1,9 @@
 """Experiment configuration files: flat ``key = value`` text.
 
 Lines are ``key = value`` with ``#`` comments and blank lines ignored.
-Lists are comma-separated, ranges are written ``start:stop:step``
-(inclusive of the stop within half a step).  Example::
+Lists are comma-separated, ranges are written ``start:stop:step``: the
+points start + i * step up to the stop, and a point at most 1e-9 of a
+step past it, so rounding cannot drop a stop on the grid.  Example::
 
     # full-scale dephasing sweep
     k_modes = 40

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from morsebath import time_grid
+from morsebath import runner, time_grid
 
 
 @pytest.fixture
@@ -33,13 +33,7 @@ def one_blas_thread():
     its row count, so only on one thread does a product row keep its
     bits whatever the number of rows.
     """
-    from morsebath import cli
-
-    blas = cli._openblas_threads()
-    if blas is None:
+    if runner.openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter here")
-    get_threads, set_threads = blas
-    saved = get_threads()
-    set_threads(1)
-    yield
-    set_threads(saved)
+    with runner.one_blas_thread():
+        yield

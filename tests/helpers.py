@@ -1,16 +1,24 @@
 """Shared builders for the test suite, and references that only tests use."""
 
 import dataclasses
+import functools
 import math
 
 import numpy as np
 
-from morsebath import bath_arrays, kernels
+from morsebath import bath_arrays, cli, kernels, runner
 from morsebath.morse import wavefunction_z
 
 
 def make_arrays(lam, betas, eta=2.0, k_modes=40, omega_c=1.0):
     return bath_arrays(eta, omega_c, k_modes, lam, betas)
+
+
+def sweep_rows(kind, cfg, threads):
+    """Rows of every (lambda, beta) of a sweep: ``cli._sweep_point`` mapped over its lambdas."""
+    points = runner.map_lambdas(functools.partial(cli._sweep_point, kind, cfg), cfg.lambdas,
+                                runner.workers(threads))
+    return [row for point in points for row in point]
 
 
 def mode_bath(bath, modes):

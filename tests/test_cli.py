@@ -13,9 +13,10 @@ import warnings
 import numpy as np
 import pytest
 
-from morsebath import cli, config, dynamics, kernels, observables, oracle
+from morsebath import cli, config, dynamics, kernels, observables, oracle, runner
 from morsebath.cli import main
 from morsebath.config import ConfigError, parse_config_text
+from helpers import sweep_rows
 
 SCI = re.compile(r"^-?\d\.\d{11}e[+-]\d{2,3}$")
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -58,6 +59,13 @@ def test_config_parsing_defaults_and_ranges():
     assert cfg.t_max == 20.0 and cfg.dt == 0.01
     np.testing.assert_allclose(cfg.lambdas, [1.6, 1.7, 1.8, 1.9, 2.0])
     assert cfg.betas == (1.0, 4.0)
+    # 1.999999 lies 1e-6 short of the grid point 2.0, far less than half a step, and
+    # ends the range at 1.9; 0.1 + 3 * 0.2 rounds past the stop 0.7 by far less than
+    # 1e-9 of a step, and is kept
+    short = parse_config_text("eta = 2\nlambda = 1:1.999999:0.1\nbeta = 1\n").lambdas
+    assert len(short) == 10 and short[-1] == 1.0 + 9 * 0.1
+    past = parse_config_text("eta = 2\nlambda = 2.5\nbeta = 0.1:0.7:0.2\n").betas
+    assert len(past) == 4 and past[-1] == 0.7000000000000001 > 0.7
 
 
 def test_config_errors_name_field_and_line():
@@ -321,7 +329,7 @@ def test_sweep_pool_bytes_with_blas_env_unset(tmp_path):
 def test_dynamics_bytes_do_not_depend_on_blas_threads(tmp_path, beta):
     # at d = 400 the eigendecompositions round differently with 2 BLAS threads than with 1;
     # at beta = 0.1 the three coupled modes keep all 400 levels, at beta = 1 every mode keeps fewer
-    if cli._openblas_threads() is None:
+    if runner.openblas_threads() is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter here")
     cfg = write_config(tmp_path, f"k_modes = 4\neta = 2.0\nlambda = 399.8\nbeta = {beta}\n")
     outputs = []
@@ -336,7 +344,7 @@ def test_dynamics_bytes_do_not_depend_on_blas_threads(tmp_path, beta):
 @pytest.fixture
 def blas_threads():
     """Getter of numpy's OpenBLAS thread count, set to 2 for the test and restored after."""
-    blas = cli._openblas_threads()
+    blas = runner.openblas_threads()
     if blas is None:
         pytest.skip("numpy's bundled OpenBLAS exports no thread-count setter here")
     get_threads, set_threads = blas
@@ -392,7 +400,7 @@ def assert_no_child_left():
 @pytest.fixture
 def forks(monkeypatch):
     """The calls of os.fork made during the test, counted in the calling process."""
-    if cli._openblas_threads() is None:
+    if runner.openblas_threads() is None:
         pytest.skip("sweeps fork only where numpy's bundled OpenBLAS can be pinned")
     calls = []
     fork = os.fork
@@ -494,7 +502,7 @@ def test_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch, fo
     monkeypatch.setattr(cli, "_lambda_rows", stuck)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        cli._run_sweep("dephasing", parse_config_text(text), 2)
+        sweep_rows("dephasing", parse_config_text(text), 2)
     assert time.perf_counter() - start < 30
     assert len(forks) == 1
     assert_no_child_left()
@@ -531,10 +539,10 @@ def test_fork_ignores_only_the_multithreaded_fork_warning(monkeypatch):
     # the warning of Python >= 3.12, whose fork counts OpenBLAS's idle threads
     monkeypatch.setattr(os, "fork", stub_fork("This process (pid=1) is multi-threaded, "
                                               "use of fork() may lead to deadlocks in the child."))
-    assert cli._fork() == 4242
+    assert runner._fork() == 4242
     monkeypatch.setattr(os, "fork", stub_fork("fork() is deprecated"))
     with pytest.raises(DeprecationWarning, match=re.escape("fork() is deprecated")):
-        cli._fork()
+        runner._fork()
 
 
 def test_worker_count_never_exceeds_the_lambda_count(tmp_path, forks):
@@ -566,8 +574,8 @@ def fake_mallopt(monkeypatch, results=None):
         return results[len(calls) - 1]
 
     libc = types.SimpleNamespace() if results is None else types.SimpleNamespace(mallopt=mallopt)
-    cdll = cli.ctypes.CDLL
-    monkeypatch.setattr(cli.ctypes, "CDLL",
+    cdll = runner.ctypes.CDLL
+    monkeypatch.setattr(runner.ctypes, "CDLL",
                         lambda name, *args, **kwargs: libc if name is None else
                         cdll(name, *args, **kwargs))
     return calls
@@ -584,14 +592,14 @@ BOTH_SETTINGS = [(-3, 32 << 20), (-1, 1 << 30)]
 ], ids=["both", "mmap-refused", "trim-refused"])
 def test_keep_heap_sets_both_thresholds_in_one_call(results, took, calls, monkeypatch):
     made = fake_mallopt(monkeypatch, results)
-    assert cli._keep_heap() is took
+    assert runner.keep_heap() is took
     assert made == calls
 
 
 def test_keep_heap_takes_on_glibc():
     if platform.libc_ver()[0] != "glibc":
         pytest.skip("not a glibc process")
-    assert cli._keep_heap() is True
+    assert runner.keep_heap() is True
 
 
 def test_gaussian_error_bytes_without_mallopt(tmp_path, monkeypatch):
@@ -600,7 +608,7 @@ def test_gaussian_error_bytes_without_mallopt(tmp_path, monkeypatch):
     for side in ("glibc", "no-mallopt"):
         if side == "no-mallopt":
             fake_mallopt(monkeypatch)
-            assert cli._keep_heap() is False
+            assert runner.keep_heap() is False
         cfg = write_config(tmp_path, text + f"pointwise_out = {tmp_path / side}.pw\n", side)
         out = tmp_path / f"{side}.csv"
         assert main(["gaussian-error", "--config", cfg, "--out", str(out), "--threads", "1"]) == 0
@@ -612,7 +620,7 @@ def test_a_sweep_keeps_the_heap_once_before_its_first_point(tmp_path, monkeypatc
     # the heap setting pays only across the lambdas of a sweep; at one dynamics point it
     # raised the peak RSS
     events = []
-    monkeypatch.setattr(cli, "_keep_heap", lambda: events.append("keep heap") or True)
+    monkeypatch.setattr(runner, "keep_heap", lambda: events.append("keep heap") or True)
     sweep_point = cli._sweep_point
     monkeypatch.setattr(cli, "_sweep_point",
                         lambda *args: events.append("point") or sweep_point(*args))
@@ -631,9 +639,10 @@ def test_openblas_lookup_runs_once_per_process(tmp_path, monkeypatch):
     text = BASE.replace("lambda = 2.5", "lambda = 2.5,2.6").replace("beta = 1.0", "beta = 1,4")
     cfg = write_config(tmp_path, text)
     patterns = []
-    glob = cli.glob.glob
-    monkeypatch.setattr(cli.glob, "glob", lambda pattern: patterns.append(pattern) or glob(pattern))
-    cli._openblas_threads.cache_clear()
+    glob = runner.glob.glob
+    monkeypatch.setattr(runner.glob, "glob",
+                        lambda pattern: patterns.append(pattern) or glob(pattern))
+    runner.openblas_threads.cache_clear()
     for _ in range(2):
         assert main(["sweep-dephasing", "--config", cfg, "--out", str(tmp_path / "s.csv"),
                      "--threads", "2"]) == 0
@@ -654,7 +663,7 @@ def test_sweep_runs_serially_without_blas_setter(tmp_path, monkeypatch):
         return lambda_rows(*args)
 
     monkeypatch.setattr(cli, "_lambda_rows", recording)
-    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(runner, "openblas_threads", lambda: None)
     assert main(["sweep-dephasing", "--config", cfg, "--out", str(serial), "--threads", "2"]) == 0
     assert threads == [threading.get_ident()] * 3
     assert serial.read_bytes() == pooled.read_bytes()
@@ -681,7 +690,7 @@ def test_dynamics_bytes_across_worker_counts(config, tmp_path, monkeypatch):
     # a block's tasks: its term build, then its phase sum
     for name in ("_block_terms", "_slab_factors"):
         monkeypatch.setattr(dynamics, name, recording(getattr(dynamics, name)))
-    blas = cli._openblas_threads()
+    blas = runner.openblas_threads()
     outputs = set()
     for workers in ("1", "2", "3"):
         out = tmp_path / f"workers{workers}.csv"
@@ -692,20 +701,13 @@ def test_dynamics_bytes_across_worker_counts(config, tmp_path, monkeypatch):
         assert block_threads and threading.get_ident() not in block_threads
         if workers == "1" or blas is None:
             assert len(set(block_threads)) == 1
-    # without the BLAS setter every block runs on one thread; BLAS is pinned here
-    # instead of in main, so that only the pool changes
-    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
-    if blas is not None:
-        get_threads, set_threads = blas
-        saved = get_threads()
-        set_threads(1)
+    # without the BLAS setter every block runs on one thread; BLAS is pinned here,
+    # before the setter is hidden from main, so that only the pool changes
     block_threads.clear()
-    try:
+    with runner.one_blas_thread():
+        monkeypatch.setattr(runner, "openblas_threads", lambda: None)
         out = tmp_path / "serial.csv"
         assert main(["dynamics", "--config", cfg, "--out", str(out), "--threads", "2"]) == 0
-    finally:
-        if blas is not None:
-            set_threads(saved)
     outputs.add(out.read_bytes())
     assert block_threads and threading.get_ident() not in block_threads
     assert len(set(block_threads)) == 1
@@ -840,9 +842,9 @@ def test_sweep_dephasing_stops_at_the_first_slab_where_blas_cannot_be_pinned(mon
         slabs.append(kwargs.get("slab"))
         return phase_sum(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "_openblas_threads", lambda: None)
+    monkeypatch.setattr(runner, "openblas_threads", lambda: None)
     monkeypatch.setattr(kernels, "phase_sum", recording)
-    rows = cli._run_sweep("dephasing", parse_config_text(text), 1)
+    rows = sweep_rows("dephasing", parse_config_text(text), 1)
     assert slabs and all(slab is not None and slab.points == first.points for slab in slabs)
     np.testing.assert_allclose([tau for *_, tau in rows], taus, rtol=1e-12, atol=0.0)
 
@@ -906,7 +908,7 @@ def test_gaussian_error_csv_with_pointwise(tmp_path):
     text = BASE.replace("lambda = 2.5", "lambda = 2.5,3.1").replace("beta = 1.0", "beta = 1,7")
     pointwise = tmp_path / "pointwise.csv"
     cfg = write_config(tmp_path, text + f"pointwise_out = {pointwise}\n")
-    points = cli._run_sweep("gaussian-error", parse_config_text(text), 1)
+    points = sweep_rows("gaussian-error", parse_config_text(text), 1)
     values = np.concatenate([point[3] for point in points])
     assert (values == 0.0).any() and ((values > 0.0) & (values < 1e-15)).any()
     times = dynamics.time_grid(5.0, 0.05)

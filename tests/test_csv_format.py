@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from morsebath import cli, time_grid
 from morsebath.config import parse_config_text
+from helpers import sweep_rows
 
 PROPERTY = settings(max_examples=200, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -118,7 +119,7 @@ def test_pointwise_blocks_of_a_sweep_with_wide_rows_equal_fmt_lines():
             "omega_s = 2.0\nt_max = 5.0\ndt = 0.05\n")
     cfg = parse_config_text(text)
     times = time_grid(cfg.t_max, cfg.dt)
-    rows = cli._run_sweep("gaussian-error", cfg, 1)
+    rows = sweep_rows("gaussian-error", cfg, 1)
     wide = {(0, 0): math.nan, (0, 7): -1e-3, (1, 50): 1e-120, (2, 100): 1e99,
             (3, 0): -0.0, (3, 99): math.inf, (3, 100): -math.inf}
     for (row, i), value in wide.items():

@@ -3,7 +3,9 @@
 The observables take plain arrays and the config holds plain values, so
 neither imports anything of the package; the exact engine needs only the
 kernels and the bath arrays; the dense oracle is independent of the
-engine it checks.  The per-mode view of the bath exists only for the
+engine it checks.  The process policy (the BLAS pin, the heap setting,
+the worker count and forking) lives in ``runner`` alone, which imports
+nothing of the package.  The per-mode view of the bath exists only for the
 benchmark's references, so only the two modules that define it name it.
 """
 
@@ -77,6 +79,14 @@ def test_config_imports_no_package_module():
 
 def test_observables_import_no_package_module():
     assert package_imports("observables") == set()
+
+
+def test_runner_imports_no_package_module():
+    assert package_imports("runner") == set()
+
+
+def test_cli_leaves_the_process_runtime_to_runner():
+    assert not {"ctypes", "glob", "pickle", "signal", "threading", "warnings"} & names("cli")
 
 
 def test_dynamics_imports_only_kernels_and_bath():
