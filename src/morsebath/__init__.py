@@ -13,9 +13,7 @@ from .correlation import (
     alpha,
     build_correlation,
     gamma_decay,
-    gaussian_chi,
     gaussian_traces,
-    mean_field_shift,
     offset_ratio,
 )
 from .dynamics import DEFAULT_RHO0, chi_traces, time_grid
@@ -29,7 +27,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Bath", "CorrelationModel", "DEFAULT_RHO0", "alpha", "bath_arrays", "blp_flows",
     "bound_energies", "bound_state_count", "build_correlation", "chi_traces", "dense_chi",
-    "dephasing_time", "digamma", "gamma_decay", "gaussian_chi", "gaussian_error",
-    "gaussian_traces", "ladder_matrix", "log_gamma", "mean_field_shift", "offset_ratio",
-    "overlap_element", "quadrature_element", "spectral_density", "time_grid", "x_matrix",
+    "dephasing_time", "digamma", "gamma_decay", "gaussian_error", "gaussian_traces",
+    "ladder_matrix", "log_gamma", "offset_ratio", "overlap_element", "quadrature_element",
+    "spectral_density", "time_grid", "x_matrix",
 ]

@@ -128,6 +128,9 @@ def bath_arrays(eta: float, omega_c: float, k_modes: int, lam: float, betas) -> 
         raise ValueError(f"omega_c must be positive, got {omega_c}")
     if k_modes < 1:
         raise ValueError(f"k_modes must be >= 1, got {k_modes}")
+    # the couplings (K d^2 float64s) cannot fit; np.arange would give K = 2**63 - 1 no modes
+    if k_modes >= 2**60:
+        raise ValueError(f"k_modes must be < 2**60, got {k_modes}")
     omega = 2.0 * omega_c * np.arange(1, k_modes + 1) / k_modes
     energies = bound_energies(omega, lam)
     g = np.sqrt(2.0 * omega_c / k_modes * spectral_density(omega, eta, omega_c))

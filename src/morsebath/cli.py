@@ -18,13 +18,13 @@ and each line one record of its prefix, the two values and separators.
 Every output is written as bytes: each table and each pointwise block
 is a bytes object, and stdout is written through its binary buffer.
 An output file that cannot be written ends the command with an error
-naming its path: a missing directory, a directory as the path or two
-outputs naming one file before any work, and any other failure before
-or while writing, which then leaves none of the files it created.
+naming it: an empty path, a missing directory, a directory as the path
+or two outputs naming one file before any work, and any other failure
+before or while writing, which then leaves none of the files it created.
 
 Every command builds its ``Bath`` of one lambda and its betas with
 ``_bath`` and writes its tables with ``_csv``.  The three sweeps are
-``cmd_sweep``, whose table ``_SWEEPS`` gives each its kind and CSV
+``cmd_sweep``, whose table ``_SWEEPS`` gives each command its CSV
 columns; each computes chi with one ``dynamics.chi_traces`` call per
 lambda.  ``sweep-dephasing`` passes its threshold and takes tau_d from
 the prefix of slabs that ``chi_traces`` returns, which has the bytes of
@@ -268,25 +268,25 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
     return 0
 
 
-def _lambda_rows(kind: str, cfg: ExperimentConfig, lam: float, betas: list[float]) -> list:
-    """Sweep rows of every beta at one lambda, in the order of betas."""
+def _lambda_rows(command: str, cfg: ExperimentConfig, lam: float, betas: list[float]) -> list:
+    """Rows of the sweep command for every beta at one lambda, in the order of betas."""
     bath = _bath(cfg, lam, betas)
     times = time_grid(cfg.t_max, cfg.dt)
     chi = chi_traces(bath, cfg.omega_s, times,
-                     threshold=cfg.threshold if kind == "dephasing" else None)
-    if kind == "dephasing":
+                     threshold=cfg.threshold if command == "sweep-dephasing" else None)
+    if command == "sweep-dephasing":
         taus = [dephasing_time(times[:chi.shape[1]], row, threshold=cfg.threshold)
                 for row in chi]
         return [(lam, beta, UNDEFINED if tau is None else tau) for beta, tau in zip(betas, taus)]
-    if kind == "backflow":
+    if command == "sweep-backflow":
         flows = [blp_flows(np.abs(row)) for row in chi]
         return [(lam, beta, f.n_minus, f.n_plus, UNDEFINED if f.ratio is None else f.ratio)
                 for beta, f in zip(betas, flows)]
-    if kind == "gaussian-error":
+    if command == "gaussian-error":
         chi_gauss = gaussian_traces(bath, cfg.omega_s, times)
         reports = [gaussian_error(times, e, g, DEFAULT_RHO0) for e, g in zip(chi, chi_gauss)]
         return [(lam, beta, r.time_avg, r.pointwise) for beta, r in zip(betas, reports)]
-    raise ValueError(f"unknown sweep kind {kind!r}")
+    raise ValueError(f"unknown sweep command {command!r}")
 
 
 @contextlib.contextmanager
@@ -300,30 +300,30 @@ def _failure_names(what: str, lam: float, betas: list[float]) -> Iterator[None]:
                            f"{type(exc).__name__}: {exc}") from exc
 
 
-def _sweep_point(kind: str, cfg: ExperimentConfig, lam: float) -> list:
+def _sweep_point(command: str, cfg: ExperimentConfig, lam: float) -> list:
     """Rows of every beta at one lambda; a failure names the lambda and betas."""
     betas = sorted(cfg.betas)
     with _failure_names("sweep point", lam, betas):
-        return _lambda_rows(kind, cfg, lam, betas)
+        return _lambda_rows(command, cfg, lam, betas)
 
 
-# sweep command -> (kind of `_lambda_rows`, CSV columns after lambda,beta,eta)
+# sweep command -> CSV columns after lambda,beta,eta
 _SWEEPS = {
-    "sweep-dephasing": ("dephasing", ("tau_d",)),
-    "sweep-backflow": ("backflow", ("n_minus", "n_plus", "ratio")),
-    "gaussian-error": ("gaussian-error", ("time_avg_error",)),
+    "sweep-dephasing": ("tau_d",),
+    "sweep-backflow": ("n_minus", "n_plus", "ratio"),
+    "gaussian-error": ("time_avg_error",),
 }
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """One row per (lambda, beta) of the sweep; gaussian-error also writes pointwise_out if set."""
-    kind, columns = _SWEEPS[args.command]
+    columns = _SWEEPS[args.command]
     cfg = parse_config(args.config)
-    pointwise_out = cfg.pointwise_out if kind == "gaussian-error" else None
+    pointwise_out = cfg.pointwise_out if args.command == "gaussian-error" else None
     _check_outputs(args.out, pointwise_out)
     # freed memory kept for the next lambda; forked sweep workers inherit it
     runner.keep_heap()
-    points = runner.map_lambdas(functools.partial(_sweep_point, kind, cfg), cfg.lambdas,
+    points = runner.map_lambdas(functools.partial(_sweep_point, args.command, cfg), cfg.lambdas,
                                 runner.workers(args.threads))
     rows = [row for point in points for row in point]
     lams, betas, *values = zip(*rows)
@@ -395,6 +395,13 @@ def _finite(raw: str) -> float:
     return value
 
 
+def _output_path(raw: str) -> str:
+    """Value of --out: a path that is not empty."""
+    if not raw:
+        raise argparse.ArgumentTypeError("need a path, got ''")
+    return raw
+
+
 def _worker_count(raw: str) -> int:
     """Value of --threads: an integer >= 1."""
     if not raw.strip().isdigit() or int(raw) < 1:
@@ -412,7 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
     spectrum_p.add_argument("--lambda", dest="lam", type=_finite, required=True,
                             help="anharmonicity parameter (> 0.5)")
     spectrum_p.add_argument("--omega", type=_finite, default=1.0, help="harmonic frequency")
-    spectrum_p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+    spectrum_p.add_argument("--out", type=_output_path, default=None,
+                            help="output CSV path (default stdout)")
     spectrum_p.set_defaults(func=cmd_spectrum)
 
     for name, func, with_threads in (
@@ -425,7 +433,8 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="configuration file")
         if name != "oracle-check":
-            p.add_argument("--out", default=None, help="output CSV path (default stdout)")
+            p.add_argument("--out", type=_output_path, default=None,
+                           help="output CSV path (default stdout)")
         if with_threads:
             p.add_argument("--threads", type=_worker_count, default=None,
                            help="worker count (default: available parallelism; "

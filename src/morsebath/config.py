@@ -19,8 +19,8 @@ Required keys: ``eta``, ``lambda``, ``beta``.  Optional keys with
 defaults: ``k_modes`` (40), ``omega_c`` (1.0), ``omega_s`` (2.0),
 ``t_max`` (20.0), ``dt`` (0.01), ``threshold`` (0.1),
 ``pointwise_out`` (unset).  Each key may appear once, and each value
-once in ``lambda`` and in ``beta``.  Every number must be finite.
-Environment variables are never consulted.
+once in ``lambda`` and in ``beta``.  Every number must be finite, and
+``pointwise_out`` not empty.  Environment variables are never consulted.
 
 The initial impurity state is no setting: the observables take
 ``dynamics.DEFAULT_RHO0``.  The fields are plain values, so configs
@@ -53,8 +53,9 @@ class ExperimentConfig:
     pointwise_out: str | None = None
 
     def __post_init__(self) -> None:
+        # an int is finite, and np.isfinite cannot take one of 2**64 or more
         for key, (name, parse) in _KEYS.items():
-            if parse is not str and not np.isfinite(getattr(self, name)).all():
+            if parse not in (int, str) and not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"field {key}: every value must be finite")
         if self.k_modes < 1:
             raise ConfigError(f"field k_modes: must be >= 1, got {self.k_modes}")
@@ -82,6 +83,8 @@ class ExperimentConfig:
             raise ConfigError(f"field dt: need 0 < dt < t_max, got dt={self.dt}, t_max={self.t_max}")
         if not 0.0 < self.threshold < 1.0:
             raise ConfigError(f"field threshold: must lie in (0, 1), got {self.threshold}")
+        if self.pointwise_out == "":
+            raise ConfigError("field pointwise_out: need a path, got ''")
 
     def single_point(self) -> tuple[float, float]:
         """The unique (lambda, beta) pair; error if the config is a sweep."""

@@ -14,10 +14,10 @@ of the Gaussian surrogate is the real part of the double time integral,
     Gamma(t) = 4 Re int_0^t ds int_0^s du alpha(s - u)
              = 2 C0 t^2 + sum_j 4 w_j (1 - cos(Delta_j t)) / Delta_j^2.
 
-The model is built from a ``Bath`` and holds every beta of it; alpha,
-Gamma and chi_G take a time array and return (n_beta, n).
-``gaussian_traces`` is chi_G of a ``Bath`` at omega_s from one model
-build: the Gaussian counterpart of ``dynamics.chi_traces``.
+The model is built from a ``Bath`` and holds every beta of it; alpha and
+Gamma take a time array and return (n_beta, n).  ``gaussian_traces`` is
+chi_G (n_beta, n) of a ``Bath`` at omega_s from one model build: the
+Gaussian counterpart of ``dynamics.chi_traces``.
 """
 
 from __future__ import annotations
@@ -145,27 +145,13 @@ def gamma_decay(model: CorrelationModel, times: np.ndarray) -> np.ndarray:
     return kernels.gamma_sum(model.weights, model.deltas, model.offset_c0, times)
 
 
-def mean_field_shift(bath: Bath) -> np.ndarray:
-    """Phase velocity 2 <B> of the mean-field part of the coupling, one per beta.
-
-    The coherence picked out by the dynamical map rotates at
-    omega_s + 2 <B>_beta once the coupling is split into mean plus
-    fluctuation; the Gaussian surrogate carries that shift explicitly.
-    The means are summed over the modes in order.
-    """
-    return 2.0 * np.cumsum(bath.mean_b, axis=-1)[:, -1]
-
-
-def gaussian_chi(model: CorrelationModel, omega_s: float, mean_shift: np.ndarray,
-                 times: np.ndarray) -> np.ndarray:
-    """Gaussian (second-order) surrogate decay factor of each beta, (n_beta, n).
-
-    chi_G(t) = exp(i (omega_s + mean_shift) t - Gamma(t)), one mean_shift per beta.
-    """
-    phase = np.multiply.outer(omega_s + mean_shift, times)
-    return np.exp(1j * phase - gamma_decay(model, times))
-
-
 def gaussian_traces(bath: Bath, omega_s: float, times: np.ndarray) -> np.ndarray:
-    """Gaussian surrogate chi_G (n_beta, n) of every beta of one lam, from one model build."""
-    return gaussian_chi(build_correlation(bath), omega_s, mean_field_shift(bath), times)
+    """Gaussian surrogate chi_G (n_beta, n) of every beta: exp(i (omega_s + 2 <B>) t - Gamma(t)).
+
+    Split into mean plus fluctuation, the coupling's mean <B> (summed over
+    the modes in order) rotates the coherence at the mean-field shift 2 <B>.
+    """
+    model = build_correlation(bath)
+    shift = 2.0 * np.cumsum(bath.mean_b, axis=-1)[:, -1]
+    phase = np.multiply.outer(omega_s + shift, times)
+    return np.exp(1j * phase - gamma_decay(model, times))

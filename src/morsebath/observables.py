@@ -36,8 +36,7 @@ class ErrorReport:
     time_avg: float
 
 
-def dephasing_time(times: np.ndarray, chi: np.ndarray,
-                   threshold: float = 0.1) -> float | None:
+def dephasing_time(times: np.ndarray, chi: np.ndarray, threshold: float) -> float | None:
     """First time the relative coherence drops to ``threshold``.
 
     The coherence magnitude is |rho01(t)| = |chi(t)| |rho01(0)| for any

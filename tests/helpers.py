@@ -14,9 +14,9 @@ def make_arrays(lam, betas, eta=2.0, k_modes=40, omega_c=1.0):
     return bath_arrays(eta, omega_c, k_modes, lam, betas)
 
 
-def sweep_rows(kind, cfg, threads):
-    """Rows of every (lambda, beta) of a sweep: ``cli._sweep_point`` mapped over its lambdas."""
-    points = runner.map_lambdas(functools.partial(cli._sweep_point, kind, cfg), cfg.lambdas,
+def sweep_rows(command, cfg, threads):
+    """Rows of every (lambda, beta) of a sweep command: ``cli._sweep_point`` over its lambdas."""
+    points = runner.map_lambdas(functools.partial(cli._sweep_point, command, cfg), cfg.lambdas,
                                 runner.workers(threads))
     return [row for point in points for row in point]
 

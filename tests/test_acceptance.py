@@ -145,7 +145,7 @@ def test_criterion_05_dephasing_trends():
     lambdas = tuple(1.6 + 0.1 * i for i in range(60))
     cfg = ExperimentConfig(eta=2.0, lambdas=lambdas, betas=(1.0, 4.0, 7.0, 10.0),
                            k_modes=40, t_max=20.0, dt=0.01)
-    rows = sweep_rows("dephasing", cfg, threads=None)
+    rows = sweep_rows("sweep-dephasing", cfg, threads=None)
     assert len(rows) == 240
     tau = {(round(lam, 6), beta): value for lam, beta, value in rows}
     assert all(value > 0.0 for value in tau.values())

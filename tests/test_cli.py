@@ -94,6 +94,21 @@ def test_repeated_lambda_exits_2_naming_the_file(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k_modes, message", [
+    ("100000000000000000000000", "k_modes must be < 2**60, got 100000000000000000000000"),
+    ("9223372036854775807", "k_modes must be < 2**60, got 9223372036854775807"),
+    ("-100000000000000000000000", "field k_modes: must be >= 1, got -100000000000000000000000"),
+], ids=["1e23", "2**63-1", "-1e23"])
+def test_k_modes_past_int64_exits_2_with_an_error_line(k_modes, message, tmp_path, capsys):
+    # 10**23 crashed the finite check with a TypeError traceback (exit 1), and 2**63 - 1
+    # gave np.arange no points, so `bath` wrote a table of no modes (exit 0)
+    cfg = write_config(tmp_path, BASE.replace("k_modes = 8", f"k_modes = {k_modes}"))
+    assert main(["bath", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
 # a valid value of every config key
 KEY_VALUES = {"eta": "2", "lambda": "2.5", "beta": "1,4", "k_modes": "8", "omega_c": "1",
               "omega_s": "2", "t_max": "5", "dt": "0.05", "threshold": "0.2",
@@ -369,11 +384,11 @@ def test_sweep_pool_pins_blas_and_restores_caller_count(tmp_path, monkeypatch, b
     def seen():
         return sorted(int(path.read_text()) for path in records.iterdir())
 
-    def recording(kind, cfg, lam, betas):
+    def recording(command, cfg, lam, betas):
         record(lam)
-        return lambda_rows(kind, cfg, lam, betas)
+        return lambda_rows(command, cfg, lam, betas)
 
-    def failing(kind, cfg, lam, betas):
+    def failing(command, cfg, lam, betas):
         record(lam)
         raise FloatingPointError("overflow in a layer")
 
@@ -440,6 +455,17 @@ def test_sweep_bytes_across_forked_worker_counts(command, tmp_path, forks):
     assert (pointwise is None) == (command != "gaussian-error")
 
 
+def test_sweep_rows_are_keyed_by_the_command():
+    cfg = parse_config_text(BASE)
+    for command, columns in cli._SWEEPS.items():
+        row, = cli._lambda_rows(command, cfg, 2.5, [1.0])
+        assert row[:2] == (2.5, 1.0)
+        # gaussian-error's rows also carry the pointwise error
+        assert len(row) == 2 + len(columns) + (command == "gaussian-error")
+    with pytest.raises(ValueError, match="unknown sweep command 'dephasing'"):
+        cli._lambda_rows("dephasing", cfg, 2.5, [1.0])
+
+
 @pytest.mark.parametrize("failing", [{3.4, 4.2}, {4.2, 7.4}, {2.5}])
 def test_sweep_failure_names_the_smallest_failing_lambda_at_every_worker_count(
         failing, tmp_path, monkeypatch, capsys, forks):
@@ -449,10 +475,10 @@ def test_sweep_failure_names_the_smallest_failing_lambda_at_every_worker_count(
     out = tmp_path / "s.csv"
     lambda_rows = cli._lambda_rows
 
-    def broken(kind, cfg, lam, betas):
+    def broken(command, cfg, lam, betas):
         if lam in failing:
             raise FloatingPointError(f"overflow at {lam}")
-        return lambda_rows(kind, cfg, lam, betas)
+        return lambda_rows(command, cfg, lam, betas)
 
     monkeypatch.setattr(cli, "_lambda_rows", broken)
     smallest = min(failing)
@@ -475,11 +501,11 @@ def test_sweep_worker_killed_by_a_signal_exits_2_naming_its_lambda(tmp_path, mon
     caller = os.getpid()
     lambda_rows = cli._lambda_rows
 
-    def killed(kind, cfg, lam, betas):
+    def killed(command, cfg, lam, betas):
         if lam == 2.5:  # the child's share is [2.5]
             assert os.getpid() != caller
             os.kill(os.getpid(), signal.SIGKILL)
-        return lambda_rows(kind, cfg, lam, betas)
+        return lambda_rows(command, cfg, lam, betas)
 
     monkeypatch.setattr(cli, "_lambda_rows", killed)
     assert main(["sweep-dephasing", "--config", cfg, "--out", str(out), "--threads", "2"]) == 2
@@ -494,7 +520,7 @@ def test_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch, fo
     text = BASE.replace("lambda = 2.5", "lambda = 1.6,2.5").replace("beta = 1.0", "beta = 1,4")
     caller = os.getpid()
 
-    def stuck(kind, cfg, lam, betas):
+    def stuck(command, cfg, lam, betas):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         time.sleep(60)
@@ -502,7 +528,7 @@ def test_interrupted_sweep_kills_and_reaps_its_workers(tmp_path, monkeypatch, fo
     monkeypatch.setattr(cli, "_lambda_rows", stuck)
     start = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
-        sweep_rows("dephasing", parse_config_text(text), 2)
+        sweep_rows("sweep-dephasing", parse_config_text(text), 2)
     assert time.perf_counter() - start < 30
     assert len(forks) == 1
     assert_no_child_left()
@@ -844,7 +870,7 @@ def test_sweep_dephasing_stops_at_the_first_slab_where_blas_cannot_be_pinned(mon
 
     monkeypatch.setattr(runner, "openblas_threads", lambda: None)
     monkeypatch.setattr(kernels, "phase_sum", recording)
-    rows = sweep_rows("dephasing", parse_config_text(text), 1)
+    rows = sweep_rows("sweep-dephasing", parse_config_text(text), 1)
     assert slabs and all(slab is not None and slab.points == first.points for slab in slabs)
     np.testing.assert_allclose([tau for *_, tau in rows], taus, rtol=1e-12, atol=0.0)
 
@@ -974,6 +1000,27 @@ def test_outputs_that_cannot_be_files_of_their_own_exit_2_before_any_work(
     assert main(["gaussian-error", "--config", cfg, "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and repr(named) in err
+    assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
+
+
+@pytest.mark.parametrize("output", ["--out", "pointwise_out"])
+def test_empty_output_path_exits_2_before_the_first_lambda(output, tmp_path, capsys, monkeypatch):
+    # an empty path passed the output check: every lambda ran, and only the write
+    # failed, with "No such file or directory: ''"
+    text = BASE.replace("lambda = 2.5", "lambda = 2.5,2.6")
+    out = "" if output == "--out" else str(tmp_path / "gauss.csv")
+    cfg = write_config(tmp_path, text + ("pointwise_out =\n" if output == "pointwise_out" else ""))
+    computed = []
+    lambda_rows = cli._lambda_rows
+
+    def recording(command, cfg, lam, betas):
+        computed.append(lam)
+        return lambda_rows(command, cfg, lam, betas)
+
+    monkeypatch.setattr(cli, "_lambda_rows", recording)
+    assert exit_code(["gaussian-error", "--config", cfg, "--out", out, "--threads", "1"]) == 2
+    assert computed == []
+    assert output in capsys.readouterr().err
     assert sorted(os.listdir(tmp_path)) == ["run.cfg"]
 
 

@@ -12,9 +12,7 @@ from morsebath import (
     build_correlation,
     chi_traces,
     gamma_decay,
-    gaussian_chi,
     gaussian_traces,
-    mean_field_shift,
     offset_ratio,
     time_grid,
 )
@@ -155,20 +153,12 @@ def test_gamma_harmonic_limit_matches_coth_sum():
 def test_gaussian_chi_basics():
     bath = make_arrays(lam=2.6, betas=[4.0], eta=0.5, k_modes=10)
     model = build_correlation(bath)
-    shift = mean_field_shift(bath)
-    (chi0,), = gaussian_chi(model, 2.0, shift, np.zeros(1))
+    (chi0,), = gaussian_traces(bath, 2.0, np.zeros(1))
     assert chi0 == pytest.approx(1.0 + 0.0j, abs=1e-14)
     ts = np.linspace(0.0, 20.0, 101)
-    chi = gaussian_chi(model, 2.0, shift, ts)
+    chi = gaussian_traces(bath, 2.0, ts)
     assert np.all(np.abs(chi) <= 1.0 + 1e-12)
     np.testing.assert_allclose(np.abs(chi), np.exp(-gamma_decay(model, ts)), atol=1e-13)
-
-
-def test_mean_field_shift():
-    bath = make_arrays(lam=2.6, betas=[1.0, 4.0], eta=2.0, k_modes=5)
-    for beta, shift in zip([1.0, 4.0], mean_field_shift(bath)):
-        one_beta = make_arrays(lam=2.6, betas=[beta], eta=2.0, k_modes=5)
-        assert shift == pytest.approx(2.0 * sum(one_beta.mean_b[0]))
 
 
 def full_list_model(bath, weight_cutoff=correlation.NEGLIGIBLE_WEIGHT):

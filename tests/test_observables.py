@@ -17,17 +17,17 @@ from helpers import apply_map, make_arrays, trace_distance
 
 def test_dephasing_time_exponential():
     ts = time_grid(5.0, 0.01)
-    tau = dephasing_time(ts, np.exp(-ts))
+    tau = dephasing_time(ts, np.exp(-ts), 0.1)
     assert tau == pytest.approx(math.log(10.0), abs=0.01)
 
 
 def test_dephasing_time_no_crossing():
     ts = time_grid(5.0, 0.01)
-    assert dephasing_time(ts, np.exp(1j * ts)) is None
+    assert dephasing_time(ts, np.exp(1j * ts), 0.1) is None
 
 
 def test_dephasing_time_interpolation():
-    tau = dephasing_time(np.array([0.0, 1.0]), np.array([1.0, 0.05]))
+    tau = dephasing_time(np.array([0.0, 1.0]), np.array([1.0, 0.05]), 0.1)
     assert tau == pytest.approx(0.9 / 0.95, abs=1e-12)
 
 
@@ -44,12 +44,15 @@ def test_dephasing_time_errors(full_grid):
     chi = np.exp(-full_grid)
     with pytest.raises(ValueError):
         dephasing_time(full_grid, chi, threshold=1.5)
+    # the threshold's one default, 0.1, is ExperimentConfig.threshold's
+    with pytest.raises(TypeError):
+        dephasing_time(full_grid, chi)
 
 
 def test_dephasing_time_shape_mismatch(full_grid):
     # a chi row shorter than its grid (a threshold prefix not sliced by the caller)
     with pytest.raises(ValueError, match="share one shape"):
-        dephasing_time(full_grid, np.exp(-full_grid[:-1]))
+        dephasing_time(full_grid, np.exp(-full_grid[:-1]), 0.1)
 
 
 def test_blp_flows_example():

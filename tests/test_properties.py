@@ -18,7 +18,6 @@ from morsebath import (
     dense_chi,
     gaussian_traces,
     kernels,
-    mean_field_shift,
     time_grid,
 )
 from morsebath.dynamics import _block_eigh, _phase_terms
@@ -85,7 +84,7 @@ def test_exact_chi_invariants(lam, beta, eta, k_modes):
     assert np.abs(w.reshape(k_modes, -1).sum(axis=-1) - 1.0).max() <= 1e-13
     # B = <B> + (B - <B>): the mean part only rotates the coherence at 2 <B>
     renorm, = chi_traces(renormalized(bath), OMEGA_S, TIMES)
-    shift, = mean_field_shift(bath)
+    shift = 2.0 * bath.mean_b[0].sum()
     assert np.abs(bare - np.exp(1j * shift * TIMES) * renorm).max() <= 1e-11
 
 
