@@ -17,7 +17,7 @@ correlation, Gaussian and exact-chi code, the dense oracle, the CLI and
 the tests take this ``Bath``.  ``discretize(BathConfig)`` gives a
 read-only per-mode view of one beta.  Nothing in the package reads it:
 it exists only for the benchmark's references under ``morsebench/``,
-which read one mode at a time, and goes with ROADMAP item 8.
+which read one mode at a time, and goes with ROADMAP item 5.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class BathMode:
     basis.  weights are ground-shifted Boltzmann factors and partition is
     the correspondingly shifted partition sum Z_k = sum_n exp(-beta (E_n - E_0)).
     Only ``morsebench/`` and ``dynamics.chi_series`` read it; it goes with
-    ROADMAP item 8.
+    ROADMAP item 5.
     """
 
     omega: float

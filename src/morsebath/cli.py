@@ -6,12 +6,15 @@ identical across runs of the same configuration, and across BLAS thread
 counts where numpy's bundled OpenBLAS can be pinned: every subcommand
 then computes with it on one thread.  Floats are written in scientific
 notation with 12 significant digits, as ``f"{x:.11e}"`` writes them.
-The 480k-row pointwise file of gaussian-error is built a column at a
-time: a value's digits are its float64 product with a power of ten,
-rounded, which gives those bytes whenever the product lies more than
-1e-3 (over twice its rounding error) from a rounding boundary; a value
-within that margin, and one that is negative, not finite or outside
-[1e-99, 1e99) (except +0.0), is written with ``f"{x:.11e}"`` itself.
+Every table, and the 480k-row pointwise file of gaussian-error, is
+built a column at a time (``_fmt_column``): a value's digits are its
+float64 product with a power of ten, rounded, which gives those bytes
+whenever the product lies more than 1e-3 (over twice its rounding
+error) from a rounding boundary.  A value within that margin is written
+with ``f"{x:.11e}"`` itself, and so is the line of a value whose
+magnitude is not finite or lies outside [1e-99, 1e99) (except 0).  A
+table writes a negative value as "-" and its magnitude; the pointwise
+file writes the line of a negative value or -0.0 with ``f"{x:.11e}"``.
 Each value's 17 bytes are one record of five whole fields, "d.dd",
 three digit triples and "e+dd", each gathered from a table in one pass,
 and each line one record of its prefix, the two values and separators.
@@ -135,11 +138,44 @@ def _fmt_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _csv(header: str, *columns: Iterable) -> bytes:
     """A CSV table as bytes: the header line, then one line per row of the columns.
 
-    A column of integers is written as integers, any other with ``_fmt``.
+    A column of integers is written as integers (``str``), any other with
+    ``_fmt``.  Each row is one record of whole fields, each followed by a
+    comma or the newline: an integer column gives its ``str`` padded with
+    NUL to the column's widest, and a float column a sign byte ("-" or
+    NUL) and the ``_fmt_column`` bytes of its magnitude.  The NULs are
+    deleted from the table at the end.  A row holding a value that
+    ``_fmt_column`` leaves wide is written with ``_fmt`` on its own line.
     """
-    fields = [map(str, column) if np.asarray(column).dtype.kind in "iu" else map(_fmt, column)
-              for column in columns]
-    return "".join([header + "\n", *(",".join(row) + "\n" for row in zip(*fields))]).encode()
+    arrays = [np.asarray(column) for column in columns]
+    n = min((a.shape[0] for a in arrays), default=0)
+    if n == 0:
+        return (header + "\n").encode()
+    fields, values, wide = [], [], np.zeros(n, dtype=bool)
+    for i, a in enumerate(arrays):
+        end = (f"end{i}", "S1")
+        if a.dtype.kind in "iu":
+            digits = a[:n].astype("S")
+            fields += [(f"int{i}", digits.dtype), end]
+            values.append((f"int{i}", digits))
+            continue
+        x = a[:n].astype(np.float64)
+        chars, column_wide = _fmt_column(np.abs(x))
+        wide |= column_wide
+        fields += [(f"sign{i}", "S1"), (f"float{i}", f"V{_SCI_WIDTH}"), end]
+        values += [(f"sign{i}", np.where(np.signbit(x), b"-", b"\0")),
+                   (f"float{i}", chars.view(f"V{_SCI_WIDTH}")[:, 0])]
+    lines = np.empty(n, dtype=fields)
+    for name, value in values:
+        lines[name] = value
+    for i in range(len(arrays)):
+        lines[f"end{i}"] = b"\n" if i == len(arrays) - 1 else b","
+    pieces, start = [(header + "\n").encode()], 0
+    for i in np.flatnonzero(wide):
+        row = (str(a[i]) if a.dtype.kind in "iu" else _fmt(a[i]) for a in arrays)
+        pieces += [lines[start:i], (",".join(row) + "\n").encode()]
+        start = i + 1
+    pieces.append(lines[start:])
+    return b"".join(pieces).translate(None, b"\0")
 
 
 def _check_outputs(*paths: str | None) -> None:
@@ -332,6 +368,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pointwise = [] if pointwise_out is None else [
         (pointwise_out, _pointwise_blocks(rows, cfg.eta, time_grid(cfg.t_max, cfg.dt)))]
     _write_outputs((args.out, [table]), *pointwise)
+    if args.command == "sweep-dephasing":
+        # a tau_d in the first step, 0 < tau_d <= t_1 = dt, is interpolated from
+        # t = 0: the grid does not resolve that crossing, and a smaller dt moves it
+        for lam, beta, tau in rows:
+            if 0.0 < tau <= cfg.dt:
+                print(f"warning: lambda = {lam:.12g}, beta = {beta:.12g}: tau_d = {_fmt(tau)} "
+                      f"falls in the first time step (t_1 = {_fmt(cfg.dt)}) and is "
+                      "interpolated from t = 0; check it at a smaller dt", file=sys.stderr)
     return 0
 
 

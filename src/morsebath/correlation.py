@@ -53,21 +53,25 @@ class CorrelationModel:
     deltas: np.ndarray
 
 
-def _pair_weights(bath: Bath, rows_listed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _pair_weights(bath: Bath, rows_listed: np.ndarray,
+                  off: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weights (n_beta, T) of the pairs n != p with n < rows_listed[k] of each mode k.
 
     Pairs run mode-major and row-major within a mode, so mode k lists
-    the first rows_listed[k] (d - 1) pairs of its row-major list.
-    Returns the weights and the (K + 1,) offsets of each mode's run.
+    the first rows_listed[k] (d - 1) pairs of its row-major list: the
+    first rows of its B under the (d, d) off-diagonal mask off, each
+    row's weight p_n repeated over its d - 1 pairs.  Returns the weights
+    and the (K + 1,) offsets of each mode's run.
     """
     p = bath.weights
     d = p.shape[-1]
-    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
     starts = np.concatenate([[0], np.cumsum(rows_listed * (d - 1))])
     w = np.empty((p.shape[0], starts[-1]))
     for k, (a, b) in enumerate(zip(starts[:-1], starts[1:])):
-        b2 = bath.couplings[k, rows[:b - a], cols[:b - a]]
-        w[:, a:b] = p[:, k, rows[:b - a]] * (b2 * b2)
+        n = rows_listed[k]
+        b2 = bath.couplings[k, :n][off[:n]]
+        b2 *= b2
+        np.multiply(np.repeat(p[:, k, :n], d - 1, axis=-1), b2, out=w[:, a:b])
     return w, starts
 
 
@@ -110,19 +114,21 @@ def build_correlation(bath: Bath) -> CorrelationModel:
     # budget in all, so the listed terms keep a positive budget
     left = np.take_along_axis(tail, rows_listed[None, :, None], axis=-1)[..., 0]
     left_sum = left.sum(axis=-1)
-    w, starts = _pair_weights(bath, rows_listed)
+    off = ~np.eye(d, dtype=bool)
+    w, starts = _pair_weights(bath, rows_listed, off)
     keep = kernels.kept_terms(w, NEGLIGIBLE_WEIGHT * (w.sum(axis=-1) + left_sum) - left_sum)
-    if np.any(left.max(axis=-1) > np.where(keep, w, np.inf).min(axis=-1, initial=np.inf)):
-        w, starts = _pair_weights(bath, np.full(n_modes, d))
+    # the terms some beta keeps; the smallest kept one of each beta lies among them
+    kept = np.flatnonzero(keep.any(axis=0))
+    smallest = np.where(keep[:, kept], w[:, kept], np.inf).min(axis=-1, initial=np.inf)
+    if np.any(left.max(axis=-1) > smallest):
+        w, starts = _pair_weights(bath, np.full(n_modes, d), off)
         keep = kernels.kept_terms(w, NEGLIGIBLE_WEIGHT * w.sum(axis=-1))
-    union = keep.any(axis=0)
-    w = w[:, union]
-    w[~keep[:, union]] = 0.0
+        kept = np.flatnonzero(keep.any(axis=0))
+    w = np.where(keep[:, kept], w[:, kept], 0.0)
     # gaps of the kept terms only: term i is pair i - starts[k] of the mode k whose run holds it
-    kept = np.flatnonzero(union)
     mode = np.searchsorted(starts, kept, side="right") - 1
     pair = kept - starts[mode]
-    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
+    rows, cols = np.nonzero(off)
     deltas = bath.energies[mode, rows[pair]] - bath.energies[mode, cols[pair]]
     return CorrelationModel(offset_c0=c0, weights=np.ascontiguousarray(w.T), deltas=deltas)
 

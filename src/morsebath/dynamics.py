@@ -47,7 +47,7 @@ the one-beta call on the per-mode view of ``bath.discretize``, given a
 ``SystemConfig``.  Nothing in the package calls it or builds a
 ``SystemConfig``, and the package root exports neither: both exist only
 for the benchmark's ``morsebench/host_noise.py`` and go with ROADMAP
-item 8.
+item 5.
 
 Basis convention: the impurity matrix is written in the (|+>, |->)
 eigenbasis of sigma_z, and the coherence multiplied by chi(t) (which
@@ -138,6 +138,20 @@ def _truncation_bound(eig: tuple[np.ndarray, ...], couplings: np.ndarray,
     return bound
 
 
+def _truncation_floor(couplings: np.ndarray, weights: np.ndarray, m: int,
+                      t_max: float) -> np.ndarray:
+    """Eigh-free floor (n_beta, g) of `_truncation_bound` on the first m levels of a block.
+
+    sum_{n>=m} p_n + t_max sum_{n<m} p_n ||B[m:, n]||.  For orthogonal U,
+    sum_j |U[n, j]| ||B[m:, :m] u_j|| >= ||B[m:, :m] sum_j U[n, j] u_j||
+    = ||B[m:, n]||, so each sign's leak in the bound is at least the
+    floor's.  The floor counts one sign only, which leaves a factor 2 for
+    rounding: a floor above a value puts the bound above it too.
+    """
+    leak = np.einsum("bgn,gn->bg", weights[..., :m], np.linalg.norm(couplings[:, m:, :m], axis=-2))
+    return weights[..., m:].sum(axis=-1) + t_max * leak
+
+
 def _kept_levels(energies: np.ndarray, couplings: np.ndarray, weights: np.ndarray,
                  t_max: float) -> tuple[int, tuple[np.ndarray, ...]]:
     """Kept level count m of a mode block and its `_block_eigh` on those levels.
@@ -147,14 +161,19 @@ def _kept_levels(energies: np.ndarray, couplings: np.ndarray, weights: np.ndarra
     (at least 8 levels) until `_truncation_bound` is at most that too.
     Past three quarters of d the block keeps all d levels: there the cut
     saves little eigh time and may take several tries.
+
+    A try whose `_truncation_floor` already exceeds NEGLIGIBLE_TERM_MASS
+    is skipped without its eigh.  A skipped try would have failed, so m
+    and its eigh are those of trying every m.
     """
     d = energies.shape[-1]
     tail = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
     m = int(np.count_nonzero(tail > NEGLIGIBLE_TERM_MASS, axis=-1).max())
     while 4 * m <= 3 * d:
-        eig = _block_eigh(energies[:, :m], couplings[:, :m, :m])
-        if _truncation_bound(eig, couplings, weights, t_max).max() <= NEGLIGIBLE_TERM_MASS:
-            return m, eig
+        if _truncation_floor(couplings, weights, m, t_max).max() <= NEGLIGIBLE_TERM_MASS:
+            eig = _block_eigh(energies[:, :m], couplings[:, :m, :m])
+            if _truncation_bound(eig, couplings, weights, t_max).max() <= NEGLIGIBLE_TERM_MASS:
+                return m, eig
         m += max(8, m // 4)
     return d, _block_eigh(energies, couplings)
 

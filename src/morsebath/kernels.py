@@ -69,27 +69,46 @@ def kept_terms(magnitudes: np.ndarray, tol) -> np.ndarray:
     first, which keeps exactly the set a stable argsort would.  Exact
     zeros are always dropped and never sorted.  A row with tol <= 0
     keeps everything.
+
+    The passes are few: columns that are zero in every row are gathered
+    out only when there are some; a single row finds its cut by
+    ``searchsorted`` on the running sum, which is monotone for
+    non-negative terms; and ties are ranked only in the rows where they
+    straddle the cut.
     """
     mags = np.asarray(magnitudes, dtype=np.float64)
     rows = mags.reshape(math.prod(mags.shape[:-1]), mags.shape[-1])
     tols = np.broadcast_to(np.asarray(tol, dtype=np.float64), mags.shape[:-1]).reshape(-1, 1)
     prune = tols > 0.0
-    keep = np.broadcast_to(~prune, rows.shape).copy()
     # zeros sort first and add nothing to the running sum, so leaving out
     # the columns that are zero in every row moves no cut
     live = rows.any(axis=0)
     if not live.any():
-        return keep.reshape(mags.shape)
-    sub = rows[:, live]
+        return np.broadcast_to(~prune, rows.shape).reshape(mags.shape).copy()
+    sub = rows if live.all() else rows[:, live]
     ordered = np.sort(sub, axis=-1)
-    n_drop = np.count_nonzero(np.cumsum(ordered, axis=-1) <= tols, axis=-1, keepdims=True)
+    running = np.cumsum(ordered, axis=-1)
+    if running.shape[0] == 1:
+        n_drop = np.searchsorted(running[0], tols[0], side="right")[None]
+    else:
+        n_drop = np.count_nonzero(running <= tols, axis=-1, keepdims=True)
+    del running
     n_drop[~prune] = 0
     cut = np.take_along_axis(ordered, np.maximum(n_drop - 1, 0), axis=-1)
     del ordered
     cut[n_drop == 0] = -np.inf
-    tie = sub == cut
-    tie_drops = n_drop - np.count_nonzero(sub < cut, axis=-1, keepdims=True)
-    keep[:, live] = (sub > cut) | (tie & (np.cumsum(tie, axis=-1) > tie_drops))
+    kept = sub > cut
+    # a row keeps n - n_drop terms; fewer above the cut means ties at the cut
+    # that are kept, the last ones by index
+    straddle = np.count_nonzero(kept, axis=-1) < sub.shape[-1] - n_drop[:, 0]
+    for i in np.flatnonzero(straddle):
+        tie = sub[i] == cut[i]
+        tie_drops = n_drop[i] - np.count_nonzero(sub[i] < cut[i])
+        kept[i] |= tie & (np.cumsum(tie) > tie_drops)
+    if sub is rows:
+        return kept.reshape(mags.shape)
+    keep = np.broadcast_to(~prune, rows.shape).copy()
+    keep[:, live] = kept
     return keep.reshape(mags.shape)
 
 

@@ -303,6 +303,35 @@ def test_sweep_dephasing_rows_and_determinism(tmp_path):
     assert pairs == sorted(pairs)
 
 
+def test_tau_d_in_the_first_time_step_is_named_on_stderr(tmp_path, capsys):
+    # just above lam = 5/2 the crossing falls inside the first step at dt = 0.01 (at
+    # dt = 1e-3 it lies at 0.00228): the line names that point only, the CSV is as before
+    text = ("k_modes = 40\nomega_c = 1.0\neta = 2.0\nlambda = 2.501,2.6\nbeta = 1\n"
+            "omega_s = 2.0\nt_max = 20.0\ndt = 0.01\n")
+    out = tmp_path / "tau.csv"
+    argv = ["sweep-dephasing", "--config", write_config(tmp_path, text), "--out", str(out),
+            "--threads", "1"]
+    assert main(argv) == 0
+    rows = read_rows(out)
+    assert rows[1] == ["2.50100000000e+00", "1.00000000000e+00", "2.00000000000e+00",
+                       "9.00000039930e-03"]
+    assert float(rows[2][3]) > 0.1
+    assert capsys.readouterr().err.splitlines() == [
+        "warning: lambda = 2.501, beta = 1: tau_d = 9.00000039930e-03 falls in the first "
+        "time step (t_1 = 1.00000000000e-02) and is interpolated from t = 0; check it at a "
+        "smaller dt"]
+
+
+def test_first_step_guard_is_silent_on_the_fig3_config(tmp_path, capsys):
+    out = tmp_path / "fig3.csv"
+    argv = ["sweep-dephasing", "--config", os.path.join(ROOT, "configs", "fig3_dephasing.cfg"),
+            "--out", str(out), "--threads", "1"]
+    assert main(argv) == 0
+    taus = [float(row[3]) for row in read_rows(out)[1:]]
+    assert len(taus) == 240 and min(taus) > 0.1
+    assert capsys.readouterr().err == ""
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     text = BASE.replace("lambda = 2.5", "lambda = 2.5,2.6").replace("beta = 1.0", "beta = 1,4")
     cfg = write_config(tmp_path, text)

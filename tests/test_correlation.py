@@ -177,14 +177,29 @@ def full_list_model(bath, weight_cutoff=correlation.NEGLIGIBLE_WEIGHT):
     return w.T, bath.energies[mode, rows[pair]] - bath.energies[mode, cols[pair]]
 
 
+def test_pair_weights_equal_the_index_gather():
+    # each mode's first rows under the off-diagonal mask, each row weight repeated over
+    # its d - 1 pairs: the products of gathering every pair by its (row, col) index
+    bath = make_arrays(lam=7.4, betas=[1.0, 4.0, 10.0], eta=0.01, k_modes=5)
+    d = bath.energies.shape[1]
+    rows, cols = np.nonzero(~np.eye(d, dtype=bool))
+    listed = np.array([0, 1, d // 2, d - 1, d])
+    w, starts = correlation._pair_weights(bath, listed, ~np.eye(d, dtype=bool))
+    np.testing.assert_array_equal(starts, np.concatenate([[0], np.cumsum(listed * (d - 1))]))
+    for k, n in enumerate(listed):
+        b2 = bath.couplings[k, rows[:n * (d - 1)], cols[:n * (d - 1)]]
+        expected = bath.weights[:, k, rows[:n * (d - 1)]] * (b2 * b2)
+        assert np.array_equal(w[:, starts[k]:starts[k + 1]], expected), k
+
+
 def rows_listed(monkeypatch):
     """Record the per-mode row counts of every term listing build_correlation makes."""
     calls = []
     pair_weights = correlation._pair_weights
 
-    def spy(bath, listed):
+    def spy(bath, listed, *rest):
         calls.append(listed.copy())
-        return pair_weights(bath, listed)
+        return pair_weights(bath, listed, *rest)
 
     monkeypatch.setattr(correlation, "_pair_weights", spy)
     return calls

@@ -131,3 +131,39 @@ def test_pointwise_blocks_of_a_sweep_with_wide_rows_equal_fmt_lines():
         f"{lam:.11e},{beta:.11e},{cfg.eta:.11e},{t:.11e},{e:.11e}\n"
         for lam, beta, _, errors in rows for t, e in zip(times, errors))
     assert text == reference
+
+
+def fstring_csv(header, *columns):
+    """``cli._csv`` as it was: ``str`` of each integer, ``f"{x:.11e}"`` of any other value."""
+    fields = [map(str, column) if np.asarray(column).dtype.kind in "iu"
+              else map(lambda v: f"{v:.11e}", column) for column in columns]
+    return "".join([header + "\n", *(",".join(row) + "\n" for row in zip(*fields))]).encode()
+
+
+@PROPERTY
+@given(values, st.integers(0, 2**32 - 1))
+def test_csv_equals_the_fstring_writer(xs, seed):
+    # float columns with their negatives, integer columns of any width and sign, a list
+    # of Python floats and one of Python ints, in every order
+    rng = np.random.default_rng(seed)
+    x = np.array(xs)
+    n = len(xs)
+    columns = [x, -x, list(xs), np.arange(n), rng.integers(-10**15, 10**15, n), [7] * n,
+               rng.normal(size=n) * 10.0 ** rng.integers(-120, 120, n)]
+    order = rng.permutation(len(columns))[:int(rng.integers(1, len(columns) + 1))]
+    table = [columns[i] for i in order]
+    assert cli._csv("a,b", *table) == fstring_csv("a,b", *table)
+
+
+def test_csv_equals_the_fstring_writer_on_values_outside_the_fixed_width_class():
+    outside = [-1.5, -0.0, 0.0, math.nan, math.inf, -math.inf, 1e-100, 9.99999999999e98, 1e99,
+               -1e-100, -9.99999999999e98, -1e99, 5e-324, -2.5e-7]
+    x = np.array(EDGES + outside)
+    n = x.size
+    columns = [np.arange(n), x, -x, [-3] * n, np.abs(x), list(range(n, 0, -1)), x[::-1]]
+    assert cli._csv("h", *columns) == fstring_csv("h", *columns)
+    for k in range(len(columns) + 1):  # every prefix of the columns, and none
+        assert cli._csv("h", *columns[:k]) == fstring_csv("h", *columns[:k])
+    # no rows, and columns of unequal length: the rows of the shortest
+    assert cli._csv("h", [], np.arange(3)) == fstring_csv("h", [], np.arange(3)) == b"h\n"
+    assert cli._csv("h", x[:5], np.arange(3)) == fstring_csv("h", x[:5], np.arange(3))

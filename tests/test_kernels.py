@@ -228,6 +228,30 @@ def test_kept_terms_matches_stable_argsort(rng):
         np.testing.assert_array_equal(kernels.kept_terms(mags, tol), stable_kept(mags, tol))
 
 
+@pytest.mark.parametrize("size", [1_000, 10_000, 100_000])
+def test_kept_terms_single_rows_with_ties_at_the_cut(size, rng):
+    # one row, no zeros (no column is gathered out), the cut found on the running sum;
+    # a run of equal terms is planted across the cut and the tolerance set inside it,
+    # at its ends and on a running-sum value exactly
+    for _ in range(6):
+        mags = rng.exponential(size=size) * 10.0 ** rng.uniform(-16, 0) + 1e-300
+        ordered = np.sort(mags)
+        value = ordered[int(rng.integers(size // 10, size - size // 10))]
+        mags[rng.choice(size, size=int(rng.integers(2, size // 20)), replace=False)] = value
+        ordered = np.sort(mags)
+        running = np.cumsum(ordered)
+        first, last = (np.searchsorted(ordered, value, side=side) for side in ("left", "right"))
+        for tol in (running[(first + last) // 2], running[first], running[last - 1],
+                    running[(first + last) // 2] * (1.0 + 1e-9), np.nextafter(running[first], 0.0),
+                    running[int(rng.integers(0, size))]):
+            tol = float(tol)
+            np.testing.assert_array_equal(kernels.kept_terms(mags, tol), stable_kept(mags, tol))
+        # the same rows, two at a time, take the running-sum count and the per-row tie pass
+        tols = [float(running[(first + last) // 2]), float(running[last - 1])]
+        np.testing.assert_array_equal(kernels.kept_terms(np.stack([mags, mags[::-1]]), np.array(tols)),
+                                      [stable_kept(mags, tols[0]), stable_kept(mags[::-1], tols[1])])
+
+
 def test_kept_terms_rows_and_edge_cases(rng):
     mags = np.abs(rng.normal(size=(3, 4, 25)))
     mags[0, 1, :10] = 0.0

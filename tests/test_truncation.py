@@ -21,8 +21,10 @@ from morsebath.config import parse_config
 from morsebath.dynamics import (
     _BLOCK_ELEMENTS,
     NEGLIGIBLE_TERM_MASS,
+    _block_eigh,
     _kept_levels,
     _truncation_bound,
+    _truncation_floor,
 )
 from helpers import mode_bath
 
@@ -78,14 +80,86 @@ def assert_factors_within_bound(bath, times):
         assert np.all(bound <= NEGLIGIBLE_TERM_MASS)
 
 
+TRUNCATED_BATHS = dict(lam=st.floats(min_value=46.0, max_value=150.0),
+                       beta=st.floats(min_value=0.5, max_value=20.0),
+                       eta=st.floats(min_value=0.0, max_value=0.05), k_modes=st.integers(1, 4))
+
+
 @settings(max_examples=25, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
-@given(lam=st.floats(min_value=46.0, max_value=150.0),
-       beta=st.floats(min_value=0.5, max_value=20.0),
-       eta=st.floats(min_value=0.0, max_value=0.05), k_modes=st.integers(1, 4))
+@given(**TRUNCATED_BATHS)
 def test_truncated_factors_stay_within_bound(lam, beta, eta, k_modes):
     bath = bath_arrays(eta, 1.0, k_modes, lam, [beta])
     assert_factors_within_bound(bath, TIMES)
+
+
+def kept_levels_trying_every_m(energies, couplings, weights, t_max):
+    """`_kept_levels` as it was before it skipped tries: an eigh for every m it tries."""
+    d = energies.shape[-1]
+    tail = np.cumsum(weights[..., ::-1], axis=-1)[..., ::-1]
+    m = int(np.count_nonzero(tail > NEGLIGIBLE_TERM_MASS, axis=-1).max())
+    while 4 * m <= 3 * d:
+        eig = _block_eigh(energies[:, :m], couplings[:, :m, :m])
+        if _truncation_bound(eig, couplings, weights, t_max).max() <= NEGLIGIBLE_TERM_MASS:
+            return m, eig
+        m += max(8, m // 4)
+    return d, _block_eigh(energies, couplings)
+
+
+def assert_kept_levels_as_trying_every_m(bath, t_max):
+    n_modes, d = bath.energies.shape
+    size = max(1, _BLOCK_ELEMENTS // (d * d))
+    for start in range(0, n_modes, size):
+        s = slice(start, start + size)
+        args = bath.energies[s], bath.couplings[s], bath.weights[:, s], t_max
+        m, eig = _kept_levels(*args)
+        m_ref, eig_ref = kept_levels_trying_every_m(*args)
+        assert m == m_ref, (start, m, m_ref)
+        assert len(eig) == len(eig_ref) == 4
+        for got, ref in zip(eig, eig_ref):
+            assert np.array_equal(got, ref), start
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(**TRUNCATED_BATHS)
+def test_kept_levels_equal_trying_every_m(lam, beta, eta, k_modes):
+    # the eigh-free floor only skips tries that fail: same m, same eigh bits
+    assert_kept_levels_as_trying_every_m(bath_arrays(eta, 1.0, k_modes, lam, [beta]), 20.0)
+
+
+@pytest.mark.parametrize("eta, lam, beta", [(1e-4, 46.3, 1.0), (0.01, 80.2, 10.0),
+                                             (0.05, 20.7, 0.5), (0.5, 46.3, 4.0), (0.0, 30.2, 1.0)])
+def test_truncation_floor_counts_each_sign_of_the_bound_at_most_once(eta, lam, beta):
+    # at every m: the floor's leak, counted for both signs, is still at most the bound's
+    # (equal at m = 1, where U = 1), so a floor counting one sign is half the bound's leak
+    bath = bath_arrays(eta, 1.0, 2, lam, [beta, 20.0])
+    d = bath.energies.shape[1]
+    for m in range(1, d):
+        eig = _block_eigh(bath.energies[:, :m], bath.couplings[:, :m, :m])
+        bound = _truncation_bound(eig, bath.couplings, bath.weights, 20.0)
+        tail = bath.weights[..., m:].sum(axis=-1)
+        floor = _truncation_floor(bath.couplings, bath.weights, m, 20.0)
+        assert np.all(tail + 2.0 * (floor - tail) <= bound * (1.0 + 1e-12)), m
+
+
+@pytest.mark.parametrize("beta, most_calls", [(4.0, 47), (1.0, 40)])
+def test_kept_levels_skip_the_tries_they_can_rule_out(beta, most_calls, monkeypatch):
+    # trying every m makes 86 `_block_eigh` calls at beta = 4 and 76 at beta = 1, 46 and
+    # 36 of them tries that fail; the floor rules out all but 7 and 0 of those
+    bath = bath_arrays(0.01, 1.0, 40, 399.8, [beta])
+    calls = []
+
+    def counted(energies, couplings):
+        calls.append(energies.shape)
+        return _block_eigh(energies, couplings)
+
+    monkeypatch.setattr(dynamics, "_block_eigh", counted)
+    for k in range(40):
+        dynamics._block_terms(bath, 20.0, slice(k, k + 1))
+    assert 40 <= len(calls) <= most_calls
+    monkeypatch.undo()
+    assert_kept_levels_as_trying_every_m(bath, 20.0)
 
 
 def test_truncated_factors_at_harmonic_point(monkeypatch):
