@@ -148,8 +148,6 @@ def _csv(header: str, *columns: Iterable) -> bytes:
     """
     arrays = [np.asarray(column) for column in columns]
     n = min((a.shape[0] for a in arrays), default=0)
-    if n == 0:
-        return (header + "\n").encode()
     fields, values, wide = [], [], np.zeros(n, dtype=bool)
     for i, a in enumerate(arrays):
         end = (f"end{i}", "S1")
@@ -295,12 +293,13 @@ def cmd_dynamics(args: argparse.Namespace) -> int:
         chi, = chi_traces(bath, cfg.omega_s, times, map_blocks=pool.map)
         chi_gauss, = gauss_future.result()
     # the scalar abs: numpy's array abs differs from it in the last bit on some values
+    abs_chi = np.array([abs(c) for c in chi])
     _write_outputs((args.out, [_csv(
         "t,re_chi,im_chi,abs_chi,re_chi_gauss,im_chi_gauss,abs_chi_gauss",
-        times, chi.real, chi.imag, [abs(c) for c in chi],
+        times, chi.real, chi.imag, abs_chi,
         chi_gauss.real, chi_gauss.imag, [abs(g) for g in chi_gauss])]))
-    # invertibility proxy, reported for every run
-    print(f"min |chi| = {_fmt(float(np.abs(chi).min()))}", file=sys.stderr)
+    # invertibility proxy, reported for every run: the least value of the abs_chi column
+    print(f"min |chi| = {_fmt(float(abs_chi.min()))}", file=sys.stderr)
     return 0
 
 
@@ -448,7 +447,7 @@ def _output_path(raw: str) -> str:
 
 def _worker_count(raw: str) -> int:
     """Value of --threads: an integer >= 1."""
-    if not raw.strip().isdigit() or int(raw) < 1:
+    if not raw.strip().isdecimal() or int(raw) < 1:
         raise argparse.ArgumentTypeError(f"need an integer >= 1, got {raw!r}")
     return int(raw)
 

@@ -83,16 +83,15 @@ def x_matrix(lam: float) -> np.ndarray:
             - digamma(u + 1.0)
             + digamma(2.0 * big_n - n + 1.0)
         )
-    if d > 1:
-        # lga[j] = ln(j! Gamma(2N-j+1)), lnn[j] = ln(N-j)
-        lga = np.array([log_gamma(j + 1.0) + log_gamma(2.0 * big_n - j + 1.0) for j in range(d)])
-        lnn = np.log(big_n - np.arange(d))
-        rows, cols = np.triu_indices(d, k=1)
-        sign = np.where((cols - rows) % 2 == 1, 1.0, -1.0)
-        pref = 2.0 * sign / ((2.0 * big_n - rows - cols) * (cols - rows))
-        val = pref * np.exp(0.5 * (lga[cols] - lga[rows] + lnn[rows] + lnn[cols]))
-        x[rows, cols] = val
-        x[cols, rows] = val
+    # lga[j] = ln(j! Gamma(2N-j+1)), lnn[j] = ln(N-j); at d = 1 there is no pair m > n
+    lga = np.array([log_gamma(j + 1.0) + log_gamma(2.0 * big_n - j + 1.0) for j in range(d)])
+    lnn = np.log(big_n - np.arange(d))
+    rows, cols = np.triu_indices(d, k=1)
+    sign = np.where((cols - rows) % 2 == 1, 1.0, -1.0)
+    pref = 2.0 * sign / ((2.0 * big_n - rows - cols) * (cols - rows))
+    val = pref * np.exp(0.5 * (lga[cols] - lga[rows] + lnn[rows] + lnn[cols]))
+    x[rows, cols] = val
+    x[cols, rows] = val
     return x
 
 

@@ -59,9 +59,8 @@ def dephasing_time(times: np.ndarray, chi: np.ndarray, threshold: float) -> floa
         return float(times[0])
     r_prev, r_next = ratio[i - 1], ratio[i]
     t_prev, t_next = times[i - 1], times[i]
-    if r_prev == r_next:
-        return float(t_next)
-    return float(t_prev + (t_next - t_prev) * (r_prev - threshold) / (r_prev - r_next))
+    # the fraction first: it is at most 1, so tau stays within [t_prev, t_next]
+    return float(t_prev + (t_next - t_prev) * ((r_prev - threshold) / (r_prev - r_next)))
 
 
 def blp_flows(abs_chi: np.ndarray) -> FlowReport:

@@ -86,7 +86,9 @@ def _quadrature(lam: float, n: int, m: int, with_x: bool) -> float:
         def integrand(z: float) -> float:
             return wavefunction_z(lam, n, z) * wavefunction_z(lam, m, z) / z
 
-    value, abserr = quad(integrand, 0.0, z_max, epsabs=1e-12, epsrel=1e-11, limit=400)
+    # full_output: scipy returns its message instead of warning; QUAD_ABS_TOL alone decides
+    value, abserr, *_ = quad(integrand, 0.0, z_max, epsabs=1e-12, epsrel=1e-11, limit=400,
+                             full_output=1)
     if abserr > QUAD_ABS_TOL:
         raise RuntimeError(
             f"quadrature did not converge for lam={lam}, (n, m)=({n}, {m}): "

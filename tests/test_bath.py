@@ -158,12 +158,3 @@ def test_bath_config_validation():
         with pytest.raises(ValueError, match=message):
             discretize(BathConfig(eta, omega_c, k_modes, lam, beta))
 
-
-def test_system_config_validation():
-    # the argument of chi_series keeps its initial-state checks
-    with pytest.raises(ValueError):
-        SystemConfig(omega_s=2.0, rho0=np.array([[0.6, 0.2], [0.3, 0.4]]))
-    with pytest.raises(ValueError):
-        SystemConfig(omega_s=2.0, rho0=np.array([[0.9, 0.0], [0.0, 0.3]]))
-    with pytest.raises(ValueError):
-        SystemConfig(omega_s=2.0, rho0=np.array([[1.2, 0.0], [0.0, -0.2]]))

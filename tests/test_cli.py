@@ -172,7 +172,9 @@ def test_non_finite_config_values_exit_2_naming_the_field(field, value, tmp_path
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["0", "-2"])
+# superscript digits pass str.isdigit but not int: argparse then named the private
+# _worker_count in place of this message
+@pytest.mark.parametrize("value", ["0", "-2", "\u00b2", "\u00b9"])
 def test_threads_below_one_exit_2_at_parse_time(value, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli, "parse_config", lambda *args: pytest.fail("command ran"))
     cfg = write_config(tmp_path, BASE)
@@ -180,7 +182,42 @@ def test_threads_below_one_exit_2_at_parse_time(value, tmp_path, monkeypatch, ca
         with pytest.raises(SystemExit) as exit_info:
             main([command, "--config", cfg, "--threads", value])
         assert exit_info.value.code == 2
-        assert "--threads: need an integer >= 1" in capsys.readouterr().err
+        assert f"--threads: need an integer >= 1, got {value!r}" in capsys.readouterr().err
+
+
+def test_threads_of_other_decimal_digits_parse():
+    args = cli.build_parser().parse_args(["dynamics", "--config", "run.cfg", "--threads", "\u0663"])
+    assert args.threads == 3
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("omega_c", "0", "field omega_c: must be positive, got 0.0"),
+    ("eta", "-0.5", "field eta: must be >= 0, got -0.5"),
+    ("beta", "0", "field beta: entries must be positive, got 0.0"),
+    ("t_max", "-1", "field t_max: must be positive, got -1.0"),
+    ("threshold", "0", "field threshold: must lie in (0, 1), got 0.0"),
+    ("threshold", "1", "field threshold: must lie in (0, 1), got 1.0"),
+    ("lambda", "2.5:3", "line {line}: field lambda: range must be start:stop:step"),
+    ("lambda", "2.5:3:0", "line {line}: field lambda: need step > 0 and stop >= start"),
+    ("beta", "4:1:1", "line {line}: field beta: need step > 0 and stop >= start"),
+    (None, "k_modes 8", "line {line}: expected 'key = value', got 'k_modes 8'"),
+])
+def test_config_errors_exit_2_naming_the_field(field, value, message, tmp_path, capsys):
+    lines = [line for line in BASE.splitlines() if field is None or not line.startswith(f"{field} =")]
+    lines.append(value if field is None else f"{field} = {value}")
+    cfg = write_config(tmp_path, "\n".join(lines) + "\n")
+    assert main(["bath", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {cfg}: {message.format(line=len(lines))}\n"
+
+
+def test_empty_lambda_or_beta_list_is_rejected():
+    # no config text gives an empty list: a direct construction does
+    with pytest.raises(ConfigError, match="field lambda: empty grid"):
+        config.ExperimentConfig(eta=1.0, lambdas=(), betas=(1.0,))
+    with pytest.raises(ConfigError, match="field beta: empty list"):
+        config.ExperimentConfig(eta=1.0, lambdas=(2.5,), betas=())
 
 
 def test_spectrum_output(capsys):
@@ -221,9 +258,10 @@ def test_spectrum_rejects_bad_omega(omega, capsys):
 @pytest.mark.parametrize("argv, flag", [
     (["--lambda", "inf"], "--lambda"),  # ended in an OverflowError traceback
     (["--lambda", "nan"], "--lambda"),
+    (["--lambda", "abc"], "--lambda"),
     (["--lambda", "2.5", "--omega", "inf"], "--omega"),  # exited 0 with -inf energies
     (["--lambda", "2.5", "--omega=-inf"], "--omega"),
-], ids=["lambda-inf", "lambda-nan", "omega-inf", "omega-minus-inf"])
+], ids=["lambda-inf", "lambda-nan", "lambda-abc", "omega-inf", "omega-minus-inf"])
 def test_spectrum_rejects_non_finite_flags_at_parse_time(argv, flag, capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["spectrum", *argv])
@@ -276,8 +314,9 @@ def test_dynamics_csv_and_invertibility_report(tmp_path, capsys):
     out = tmp_path / "dyn.csv"
     assert main(["dynamics", "--config", cfg, "--out", str(out)]) == 0
     err = capsys.readouterr().err
-    assert "min |chi|" in err
     rows = read_rows(out)
+    # the invertibility proxy is the least value of the abs_chi column
+    assert err == f"min |chi| = {min((row[3] for row in rows[1:]), key=float)}\n"
     assert rows[0] == ["t", "re_chi", "im_chi", "abs_chi",
                        "re_chi_gauss", "im_chi_gauss", "abs_chi_gauss"]
     assert len(rows) == 102

@@ -169,6 +169,13 @@ def test_mean_field_phase_identity(omega_s, short_grid):
     assert np.abs(bare - np.exp(1j * shift * short_grid) * renorm).max() < 1e-11
 
 
+def test_default_rho0_is_a_state_with_coherence_one_quarter():
+    assert np.array_equal(DEFAULT_RHO0, DEFAULT_RHO0.conj().T)
+    assert DEFAULT_RHO0.trace() == 1.0
+    assert np.linalg.eigvalsh(DEFAULT_RHO0).min() >= 0.0
+    assert DEFAULT_RHO0[1, 0] == 0.25
+
+
 def test_apply_map():
     rho = apply_map(DEFAULT_RHO0, 1.0)
     np.testing.assert_allclose(rho, DEFAULT_RHO0, atol=0.0)

@@ -98,6 +98,10 @@ def test_energy_and_x_shapes():
     assert bound_energies(1.0, 2.51).shape == (3,)
     assert x_matrix(2.51).shape == (3, 3)
     assert bound_energies([1.0, 2.0], 2.51).shape == (2, 3)
+    # lam = 1 binds one state: no pair m > n, and the diagonal ln 2 - psi(1)
+    assert bound_energies(1.0, 1.0).shape == (1,)
+    assert x_matrix(1.0).shape == (1, 1)
+    assert x_matrix(1.0)[0, 0] == pytest.approx(math.log(2.0) - digamma(1.0), abs=1e-12)
 
 
 def test_bound_energies_rejects_any_non_positive_omega():

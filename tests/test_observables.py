@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morsebath import (
     DEFAULT_RHO0,
@@ -29,6 +31,28 @@ def test_dephasing_time_no_crossing():
 def test_dephasing_time_interpolation():
     tau = dephasing_time(np.array([0.0, 1.0]), np.array([1.0, 0.05]), 0.1)
     assert tau == pytest.approx(0.9 / 0.95, abs=1e-12)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       dt=st.sampled_from([0.01, 0.05, 1.0]), data=st.data())
+def test_dephasing_time_lies_in_the_step_of_the_first_crossing(threshold, dt, data):
+    # at the first i with |chi_i| <= threshold, |chi_(i-1)| > threshold: the two never
+    # tie, and the interpolation lands in [t_(i-1), t_i], on t_i for a sample on the threshold
+    first = data.draw(st.floats(threshold, 2.0, exclude_min=True))
+    rest = data.draw(st.lists(st.one_of(st.just(threshold), st.just(0.0), st.floats(0.0, 2.0)),
+                              max_size=40))
+    row = np.array([first, *rest])
+    times = np.arange(row.size) * dt
+    tau = dephasing_time(times, row, threshold)
+    below = np.flatnonzero(row <= threshold)
+    if below.size == 0:
+        assert tau is None
+        return
+    i = below[0]
+    assert times[i - 1] <= tau <= times[i]
+    if row[i] == threshold:
+        assert tau == times[i]
 
 
 def test_dephasing_time_threshold_monotone(omega_s, full_grid):
@@ -80,6 +104,11 @@ def test_blp_flows_telescoping(rng):
         x = np.exp(-x) * (1.0 + 0.3 * np.sin(rng.uniform(0, 6) * np.arange(200)))
         report = blp_flows(x)
         assert x[-1] - x[0] == pytest.approx(report.n_minus - report.n_plus, abs=1e-10)
+
+
+def test_blp_flows_needs_two_samples():
+    with pytest.raises(ValueError, match="at least two samples"):
+        blp_flows(np.array([0.5]))
 
 
 def test_blp_flows_plateau_tolerance():

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,16 @@ def test_quadrature_elements_lambda_2_5():
     assert quadrature_element(2.5, 0, 1) == pytest.approx(0.471404520791, abs=1e-8)
     assert quadrature_element(2.5, 1, 0) == pytest.approx(
         quadrature_element(2.5, 0, 1), abs=1e-12)
+
+
+def test_quadrature_short_of_its_tolerance_raises_naming_the_element():
+    # at lam = 20.3 (d = 20) quad stops short on (0, 17); scipy's IntegrationWarning came
+    # first, and under an error filter it was raised in place of this RuntimeError
+    with pytest.raises(RuntimeError, match=re.escape("lam=20.3, (n, m)=(0, 17)")):
+        quadrature_element(20.3, 0, 17)
+    x = x_matrix(14.3)
+    for m in range(x.shape[0]):
+        assert quadrature_element(14.3, 0, m) == pytest.approx(x[0, m], abs=1e-8)
 
 
 def test_quadrature_index_guard():
