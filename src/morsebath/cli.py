@@ -10,9 +10,9 @@ Every table, and the 480k-row pointwise file of gaussian-error, is
 built a column at a time (``_fmt_column``): a value's digits are its
 float64 product with a power of ten, rounded, which gives those bytes
 whenever the product lies more than 1e-3 (over twice its rounding
-error) from a rounding boundary.  A value within that margin is written
-with ``f"{x:.11e}"`` itself, and so is the line of a value whose
-magnitude is not finite or lies outside [1e-99, 1e99) (except 0).  A
+error) from a rounding boundary.  The line of a value within that
+margin is written with ``f"{x:.11e}"``, and so is the line of a value
+whose magnitude is not finite or lies outside [1e-99, 1e99) (except 0).  A
 table writes a negative value as "-" and its magnitude; the pointwise
 file writes the line of a negative value or -0.0 with ``f"{x:.11e}"``.
 Each value's 17 bytes are one record of five whole fields, "d.dd",
@@ -101,13 +101,13 @@ _ROUNDING_MARGIN = 1e-3
 def _fmt_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The bytes of ``_fmt(v)`` for each v of ``x``, as the rows of an (n, _SCI_WIDTH) uint8 array.
 
-    Also returns the mask of the rows left unwritten: those of a v outside the
-    fixed-width class (+0.0, or 1e-99 <= v < 1e99), that is, negative, -0.0,
-    nan, inf or of a three-digit exponent; the caller writes them with ``_fmt``.
-    The 12 digits of the others are round(y) for y = v * 10**(11 - e) in
-    float64, e the decimal exponent; a y within _ROUNDING_MARGIN of a
-    half-integer, of 1e11 or of 1e12, where that rounding could differ from
-    the exact one, is written with ``_fmt`` in its row.
+    Also returns the mask of the undecided rows, whose bytes are not
+    ``_fmt``'s and whose lines the caller writes with ``_fmt``: a v outside
+    the fixed-width class (+0.0, or 1e-99 <= v < 1e99), that is negative,
+    -0.0, nan, inf or of a three-digit exponent, and a v whose y = v *
+    10**(11 - e) in float64, e the decimal exponent, lies within
+    _ROUNDING_MARGIN of a half-integer, of 1e11 or of 1e12, where round(y)
+    could differ from the exact 12 digits.
     """
     x = np.asarray(x, dtype=np.float64)
     positive = (x >= 1e-99) & (x < 1e99)
@@ -129,10 +129,7 @@ def _fmt_column(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     record["d9"] = _DIGITS[low % 1000]
     # clipped: an exponent of -100 or 100 occurs only in an undecided row
     record["exp"] = np.take(_EXPS, exponent - _EXP_LOW, mode="clip")
-    chars = record.view(np.uint8).reshape(x.size, _SCI_WIDTH)
-    for i in np.flatnonzero(undecided):
-        chars[i] = np.frombuffer(_fmt(x[i]).encode(), dtype=np.uint8)
-    return chars, wide
+    return record.view(np.uint8).reshape(x.size, _SCI_WIDTH), wide | undecided
 
 
 def _csv(header: str, *columns: Iterable) -> bytes:
@@ -144,11 +141,11 @@ def _csv(header: str, *columns: Iterable) -> bytes:
     NUL to the column's widest, and a float column a sign byte ("-" or
     NUL) and the ``_fmt_column`` bytes of its magnitude.  The NULs are
     deleted from the table at the end.  A row holding a value that
-    ``_fmt_column`` leaves wide is written with ``_fmt`` on its own line.
+    ``_fmt_column`` leaves undecided is written with ``_fmt`` on its own line.
     """
     arrays = [np.asarray(column) for column in columns]
     n = min((a.shape[0] for a in arrays), default=0)
-    fields, values, wide = [], [], np.zeros(n, dtype=bool)
+    fields, values, undecided = [], [], np.zeros(n, dtype=bool)
     for i, a in enumerate(arrays):
         end = (f"end{i}", "S1")
         if a.dtype.kind in "iu":
@@ -157,8 +154,8 @@ def _csv(header: str, *columns: Iterable) -> bytes:
             values.append((f"int{i}", digits))
             continue
         x = a[:n].astype(np.float64)
-        chars, column_wide = _fmt_column(np.abs(x))
-        wide |= column_wide
+        chars, column_undecided = _fmt_column(np.abs(x))
+        undecided |= column_undecided
         fields += [(f"sign{i}", "S1"), (f"float{i}", f"V{_SCI_WIDTH}"), end]
         values += [(f"sign{i}", np.where(np.signbit(x), b"-", b"\0")),
                    (f"float{i}", chars.view(f"V{_SCI_WIDTH}")[:, 0])]
@@ -168,7 +165,7 @@ def _csv(header: str, *columns: Iterable) -> bytes:
     for i in range(len(arrays)):
         lines[f"end{i}"] = b"\n" if i == len(arrays) - 1 else b","
     pieces, start = [(header + "\n").encode()], 0
-    for i in np.flatnonzero(wide):
+    for i in np.flatnonzero(undecided):
         row = (str(a[i]) if a.dtype.kind in "iu" else _fmt(a[i]) for a in arrays)
         pieces += [lines[start:i], (",".join(row) + "\n").encode()]
         start = i + 1
@@ -381,7 +378,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[bytes]:
     """The pointwise file: its header, then the lines of one (lambda, beta) at a time."""
     yield b"lambda,beta,eta,t,e_chi\n"
-    t_chars, t_wide = _fmt_column(times)
+    t_chars, t_undecided = _fmt_column(times)
     field = f"V{_SCI_WIDTH}"
     lines = None
     for lam, beta, _, pointwise in rows:
@@ -394,10 +391,10 @@ def _pointwise_blocks(rows: list, eta: float, times: np.ndarray) -> Iterator[byt
             lines["comma"] = np.void(b",")
             lines["end"] = np.void(b"\n")
         lines["prefix"] = np.void(prefix.encode())
-        e_chars, e_wide = _fmt_column(pointwise)
+        e_chars, e_undecided = _fmt_column(pointwise)
         lines["e_chi"] = e_chars.view(field)[:, 0]
         pieces, start = [], 0
-        for i in np.flatnonzero(t_wide | e_wide):
+        for i in np.flatnonzero(t_undecided | e_undecided):
             pieces += [lines[start:i], f"{prefix}{_fmt(times[i])},{_fmt(pointwise[i])}\n".encode()]
             start = i + 1
         pieces.append(lines[start:])

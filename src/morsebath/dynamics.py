@@ -167,7 +167,7 @@ def _kept_levels(energies: np.ndarray, couplings: np.ndarray, weights: np.ndarra
 
 
 def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Terms-first (g T, n_beta) weights and (g T,) frequencies of a block of g modes.
+    """Terms-first (g T, n_beta) weights and (g, T) frequencies of a block of g modes.
 
     eig is the block's `_block_eigh` on its m kept levels and weights
     their (n_beta, g, m) thermal weights.  Mode k's trace factor at each
@@ -189,11 +189,11 @@ def _phase_terms(eig: tuple[np.ndarray, ...], weights: np.ndarray) -> tuple[np.n
     order = np.argsort(~union, axis=-1, kind="stable")[:, :union.sum(axis=-1).max()]
     w = np.take_along_axis(np.where(keep, w, 0.0), order[None], axis=-1)
     freqs = np.take_along_axis(freqs, order, axis=-1)
-    return w.transpose(1, 2, 0).reshape(-1, n_beta), freqs.ravel()
+    return w.transpose(1, 2, 0).reshape(-1, n_beta), freqs
 
 
-def _block_terms(bath: Bath, t_max: float, modes: slice) -> tuple[np.ndarray, np.ndarray, int]:
-    """Phase terms of a block of g modes of the bath: (g T, n_beta) weights, (g T,) freqs and g.
+def _block_terms(bath: Bath, t_max: float, modes: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Phase terms of a block of g modes of the bath: (g T, n_beta) weights and (g, T) freqs.
 
     The block keeps its first m levels (`_kept_levels`), takes one
     stacked eigh per sign on them and builds the terms of all its modes
@@ -201,8 +201,7 @@ def _block_terms(bath: Bath, t_max: float, modes: slice) -> tuple[np.ndarray, np
     """
     weights = bath.weights[:, modes]
     m, eig = _kept_levels(bath.energies[modes], bath.couplings[modes], weights, t_max)
-    w, freqs = _phase_terms(eig, weights[..., :m])
-    return w, freqs, weights.shape[1]
+    return _phase_terms(eig, weights[..., :m])
 
 
 def _mode_blocks(bath: Bath) -> list[slice]:
@@ -222,10 +221,9 @@ def _mode_product(phase: np.ndarray, n_beta: int, block_factors) -> np.ndarray:
 
 
 def _slab_factors(times: np.ndarray, slab: kernels.Slab | None,
-                  terms: tuple[np.ndarray, np.ndarray, int], tables: list | None) -> np.ndarray:
+                  terms: tuple[np.ndarray, np.ndarray], tables: list | None) -> np.ndarray:
     """Factors (g, n_beta, points) of a block's g modes on a slab (None: the whole grid)."""
-    w, freqs, g = terms
-    return kernels.phase_sum(w, freqs, times, groups=g, slab=slab, tables=tables)
+    return kernels.phase_sum(*terms, times, slab=slab, tables=tables)
 
 
 def chi_traces(bath: Bath, omega_s: float, times: np.ndarray, map_blocks=map,
@@ -252,7 +250,7 @@ def chi_traces(bath: Bath, omega_s: float, times: np.ndarray, map_blocks=map,
     terms = list(map_blocks(functools.partial(_block_terms, bath, t_max), _mode_blocks(bath)))
     slabs = [None] if threshold is None else kernels.row_slabs(times)
     tables = [None] * len(terms) if len(slabs) == 1 else [
-        list(kernels.offset_tables(freqs, slabs[0].offsets, groups=g)) for _, freqs, g in terms]
+        list(kernels.offset_tables(freqs, slabs[0].offsets)) for _, freqs in terms]
     n_beta = bath.weights.shape[0]
     parts, crossed = [], np.zeros(n_beta, dtype=bool)
     for slab in slabs:
@@ -266,7 +264,7 @@ def chi_traces(bath: Bath, omega_s: float, times: np.ndarray, map_blocks=map,
         crossed |= (np.abs(parts[-1]) <= threshold).any(axis=1)
         if crossed.all():
             break
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return np.concatenate(parts, axis=1)
 
 
 def chi_series(modes: list[BathMode], system: SystemConfig, times: np.ndarray) -> np.ndarray:

@@ -1,12 +1,12 @@
 """Weighted phase sums over a time grid: the hot loop of chi(t) and Gamma(t).
 
-    phase_sum(weights, freqs, times, groups=None) -> complex128[..., n]
-    gamma_sum(weights, deltas, offset, times)     -> float64[..., n]
+    phase_sum(weights, freqs, times)          -> complex128[..., n]
+    gamma_sum(weights, deltas, offset, times) -> float64[..., n]
 
 Weights come terms first: (T,) for one set of weights, or (T, c) for c
 sets that share the frequencies (one per inverse temperature).  The
 result is (n,) or (c, n); each extra column costs matrix-product rows,
-not exponentials.
+not exponentials.  With (g, T) freqs, ``phase_sum`` gives g sums, (g, c, n).
 
 Every grid the CLI builds is uniform, t_j = t0 + j dt.  Writing
 j = b B + s with B = ceil(sqrt(n)) splits each exponential,
@@ -71,10 +71,8 @@ def kept_terms(magnitudes: np.ndarray, tol) -> np.ndarray:
     keeps everything.
 
     The passes are few: columns that are zero in every row are gathered
-    out only when there are some; a single row finds its cut by
-    ``searchsorted`` on the running sum, which is monotone for
-    non-negative terms; and ties are ranked only in the rows where they
-    straddle the cut.
+    out only when there are some, and ties are ranked only in the rows
+    where they straddle the cut.
     """
     mags = np.asarray(magnitudes, dtype=np.float64)
     rows = mags.reshape(math.prod(mags.shape[:-1]), mags.shape[-1])
@@ -88,10 +86,7 @@ def kept_terms(magnitudes: np.ndarray, tol) -> np.ndarray:
     sub = rows if live.all() else rows[:, live]
     ordered = np.sort(sub, axis=-1)
     running = np.cumsum(ordered, axis=-1)
-    if running.shape[0] == 1:
-        n_drop = np.searchsorted(running[0], tols[0], side="right")[None]
-    else:
-        n_drop = np.count_nonzero(running <= tols, axis=-1, keepdims=True)
+    n_drop = np.count_nonzero(running <= tols, axis=-1, keepdims=True)
     del running
     n_drop[~prune] = 0
     cut = np.take_along_axis(ordered, np.maximum(n_drop - 1, 0), axis=-1)
@@ -180,8 +175,7 @@ def row_slabs(times: np.ndarray) -> list[Slab]:
             for b0, b1 in zip(edges, edges[1:])]
 
 
-def offset_tables(freqs: np.ndarray, offsets: np.ndarray,
-                  groups: int | None = None) -> Iterator[np.ndarray]:
+def offset_tables(freqs: np.ndarray, offsets: np.ndarray) -> Iterator[np.ndarray]:
     """exp(i f s dt) of each chunk of terms ``phase_sum`` takes, (g, chunk, B), in chunk order.
 
     ``offsets`` are those of the grid's split, as every ``Slab`` of it
@@ -189,7 +183,8 @@ def offset_tables(freqs: np.ndarray, offsets: np.ndarray,
     list and passes it to each.  Here and in the start tables each
     exponential is taken in place (``_unit_phases``).
     """
-    f = np.ascontiguousarray(freqs, dtype=np.float64).reshape(groups or 1, -1, 1)
+    f = np.ascontiguousarray(freqs, dtype=np.float64)
+    f = f.reshape(math.prod(f.shape[:-1]), f.shape[-1], 1)
     for k in _chunks(f.shape[1], f.shape[0]):
         yield _unit_phases(f[:, k], offsets)
 
@@ -209,14 +204,14 @@ def _unit_phases(f: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
-              groups: int | None = None, slab: Slab | None = None,
-              tables: list[np.ndarray] | None = None) -> np.ndarray:
+              slab: Slab | None = None, tables: list[np.ndarray] | None = None) -> np.ndarray:
     """out[..., j] = sum_i weights[i, ...] * exp(1j * freqs[i] * times[j]).
 
-    With ``groups = g`` the T terms are g consecutive runs of T / g terms,
-    each summed on its own, and the result gains a leading axis of
-    length g: one call serves the modes of a block, whose factors are
-    multiplied, not added, afterwards.
+    With (g, T) ``freqs`` the g T weights are g consecutive runs of T
+    terms, each summed on its own, and the result gains a leading axis
+    of length g: one call serves the modes of a block, whose factors are
+    multiplied, not added, afterwards.  The weights stay terms first,
+    (g T, ...), whatever g is.
 
     With a ``slab`` of the grid's split (see ``row_slabs``) only its
     block rows are evaluated, and the last axis holds their grid points.
@@ -231,17 +226,17 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
-    g = 1 if groups is None else groups
+    g = math.prod(freqs.shape[:-1])
+    f = freqs.reshape(g, freqs.shape[-1], 1)
     cols = weights.shape[1:]
     c = math.prod(cols)
-    w = weights.reshape(g, weights.shape[0] // g, c)
-    f = freqs.reshape(g, -1, 1)
+    w = weights.reshape(f.shape[:2] + (c,))
     if slab is None:
         (starts, offsets), n = _uniform_split(times), times.shape[0]
     else:
         starts, offsets, points = slab
         n = points.stop - points.start
-    rights = offset_tables(freqs, offsets, groups) if tables is None else iter(tables)
+    rights = offset_tables(freqs, offsets) if tables is None else iter(tables)
 
     def factors():
         left = None
@@ -255,7 +250,7 @@ def phase_sum(weights: np.ndarray, freqs: np.ndarray, times: np.ndarray,
             yield left.reshape(g, m, c * starts.shape[0]), next(rights)
 
     out = _blocked_sum(factors(), (g, c), n)
-    return out.reshape(((g,) if groups is not None else ()) + cols + (n,))
+    return out.reshape(freqs.shape[:-1] + cols + (n,))
 
 
 def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
@@ -302,8 +297,7 @@ def gamma_sum(weights: np.ndarray, deltas: np.ndarray, offset,
     out = np.zeros((w.shape[1], times.shape[0]))
     out += 2.0 * np.asarray(offset, dtype=np.float64).reshape(-1, 1) * t2
     small = np.abs(deltas) < ZERO_FREQ_TOL
-    if np.any(small):
-        out += 2.0 * w[small].sum(axis=0)[:, None] * t2
+    out += 2.0 * w[small].sum(axis=0)[:, None] * t2
     d = deltas[~small]
     coef = 4.0 * w[~small] / (d * d)[:, None]
     starts, offsets = _uniform_split(times)

@@ -132,14 +132,15 @@ def reference_offset_c0(bath):
                       for pb, btb in zip(bath.weights, bt_diag)], axis=-1)[:, -1]
 
 
-def reference_offset_tables(freqs, offsets, groups=None):
+def reference_offset_tables(freqs, offsets):
     """``kernels.offset_tables`` as it was, each table np.exp of 1j * f * s dt."""
-    f = np.ascontiguousarray(freqs, dtype=np.float64).reshape(groups or 1, -1, 1)
+    f = np.ascontiguousarray(freqs, dtype=np.float64)
+    f = f.reshape(math.prod(f.shape[:-1]), f.shape[-1], 1)
     for k in kernels._chunks(f.shape[1], f.shape[0]):
         yield np.exp(1j * f[:, k] * offsets)
 
 
-def reference_exp_phase_sum(weights, freqs, times, groups=None, slab=None):
+def reference_exp_phase_sum(weights, freqs, times, slab=None):
     """``kernels.phase_sum`` as it was, its start and offset tables taken with np.exp.
 
     The kernel now writes cos and sin into the two planes of each table;
@@ -148,17 +149,17 @@ def reference_exp_phase_sum(weights, freqs, times, groups=None, slab=None):
     weights = np.ascontiguousarray(weights, dtype=np.complex128)
     freqs = np.ascontiguousarray(freqs, dtype=np.float64)
     times = np.ascontiguousarray(times, dtype=np.float64)
-    g = 1 if groups is None else groups
+    g = math.prod(freqs.shape[:-1])
+    f = freqs.reshape(g, freqs.shape[-1], 1)
     cols = weights.shape[1:]
     c = math.prod(cols)
-    w = weights.reshape(g, weights.shape[0] // g, c)
-    f = freqs.reshape(g, -1, 1)
+    w = weights.reshape(f.shape[:2] + (c,))
     if slab is None:
         (starts, offsets), n = kernels._uniform_split(times), times.shape[0]
     else:
         starts, offsets, points = slab
         n = points.stop - points.start
-    rights = reference_offset_tables(freqs, offsets, groups)
+    rights = reference_offset_tables(freqs, offsets)
 
     def factors():
         for k in kernels._chunks(w.shape[1], g):
@@ -166,4 +167,4 @@ def reference_exp_phase_sum(weights, freqs, times, groups=None, slab=None):
             yield left.reshape(g, left.shape[1], c * starts.shape[0]), next(rights)
 
     out = kernels._blocked_sum(factors(), (g, c), n)
-    return out.reshape(((g,) if groups is not None else ()) + cols + (n,))
+    return out.reshape(freqs.shape[:-1] + cols + (n,))

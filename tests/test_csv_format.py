@@ -1,10 +1,12 @@
 """Property tests of the column formatter behind the pointwise file.
 
 `cli._fmt_column` must give the bytes of ``f"{x:.11e}"`` for every value
-of its fixed-width class and leave every other value to ``_fmt``.  The
-draws aim at the places where its float64 rounding could go wrong:
-decimal ties and their neighbours, powers of ten and their neighbours,
-and the edges of the class.
+of its fixed-width class that it does not leave undecided, and leave
+every other value undecided; the writers (``_csv`` and
+``_pointwise_blocks``) must then write every line as ``f"{x:.11e}"``
+writes it.  The draws aim at the places where its float64 rounding could
+go wrong: decimal ties and their neighbours, powers of ten and their
+neighbours, and the edges of the class.
 """
 
 import math
@@ -55,15 +57,31 @@ def fixed_width(v):
     return (v == 0.0 and math.copysign(1.0, v) > 0) or 1e-99 <= v < 1e99
 
 
+def assert_decided_rows_equal_fmt(xs, chars, undecided):
+    assert chars.shape == (len(xs), 17)
+    for v, row, is_undecided in zip(xs, chars, undecided):
+        assert is_undecided or fixed_width(v), v
+        if not is_undecided:
+            assert row.tobytes().decode("ascii") == f"{v:.11e}", v
+
+
+def assert_writers_give_fmt_lines(xs):
+    # the undecided values reach both writers, which write their lines with _fmt
+    xs = np.asarray(xs, dtype=np.float64)
+    assert cli._csv("x", xs).decode() == "x\n" + "".join(f"{v:.11e}\n" for v in xs)
+    times = xs[::-1].copy()
+    text = b"".join(cli._pointwise_blocks([(2.5, 1.0, 0.0, xs)], 0.01, times)).decode()
+    prefix = f"{2.5:.11e},{1.0:.11e},{0.01:.11e},"
+    assert text == "lambda,beta,eta,t,e_chi\n" + "".join(
+        f"{prefix}{t:.11e},{v:.11e}\n" for t, v in zip(times, xs))
+
+
 @PROPERTY
 @given(values)
 def test_fmt_column_equals_fmt_on_its_class(xs):
-    chars, wide = cli._fmt_column(np.array(xs))
-    assert chars.shape == (len(xs), 17)
-    for v, row, is_wide in zip(xs, chars, wide):
-        assert is_wide == (not fixed_width(v)), v
-        if not is_wide:
-            assert row.tobytes().decode("ascii") == f"{v:.11e}", v
+    chars, undecided = cli._fmt_column(np.array(xs))
+    assert_decided_rows_equal_fmt(xs, chars, undecided)
+    assert_writers_give_fmt_lines(xs)
 
 
 @settings(PROPERTY, max_examples=30)
@@ -75,9 +93,10 @@ def test_fmt_column_on_random_decimal_ties(seed):
     ties = np.array([float(f"{digits}5e{exp - 12}") for digits, exp in
                      zip(rng.integers(10**11, 10**12, 1000), rng.integers(-99, 99, 1000))])
     xs = np.concatenate([ties, np.nextafter(ties, math.inf), np.nextafter(ties, -math.inf)])
-    chars, wide = cli._fmt_column(xs)
-    assert not wide.any()
-    assert chars.view("S17").ravel().tolist() == [f"{v:.11e}".encode() for v in xs]
+    chars, undecided = cli._fmt_column(xs)
+    # a tie and its neighbours lie within the rounding margin, so _fmt writes them
+    assert undecided.all()
+    assert_writers_give_fmt_lines(xs)
 
 
 @PROPERTY
@@ -103,15 +122,19 @@ EDGES = [
 
 
 def test_fmt_column_at_the_edges_of_its_fields():
-    chars, wide = cli._fmt_column(np.array(EDGES))
-    for v, row, is_wide in zip(EDGES, chars, wide):
-        assert is_wide == (not fixed_width(v)), v
-        if not is_wide:
-            assert row.tobytes().decode("ascii") == f"{v:.11e}", v
-    zeros = {math.copysign(1.0, v): bool(w) for v, w in zip(EDGES, wide) if v == 0.0}
+    chars, undecided = cli._fmt_column(np.array(EDGES))
+    assert_decided_rows_equal_fmt(EDGES, chars, undecided)
+    assert_writers_give_fmt_lines(EDGES)
+    # in the class, undecided are the values whose y is 1e11 or next to 1e12 (the powers
+    # of ten and the double below 1e99) and those whose y lies within the margin of a tie
+    in_class = [v for v, u in zip(EDGES, undecided) if u and fixed_width(v)]
+    assert in_class == [1e-99, float(np.nextafter(1e99, 0.0)), 1.0e98, 1e-98,
+                        *EDGES[EDGES.index(1.234567890125e-3):EDGES.index(1.00000000000049e-7)],
+                        0.1, 1.0, 10.0]
+    zeros = {math.copysign(1.0, v): bool(u) for v, u in zip(EDGES, undecided) if v == 0.0}
     assert zeros == {1.0: False, -1.0: True}
-    chars, wide = cli._fmt_column(np.empty(0))
-    assert chars.shape == (0, 17) and chars.dtype == np.uint8 and wide.shape == (0,)
+    chars, undecided = cli._fmt_column(np.empty(0))
+    assert chars.shape == (0, 17) and chars.dtype == np.uint8 and undecided.shape == (0,)
 
 
 def test_pointwise_blocks_of_a_sweep_with_wide_rows_equal_fmt_lines():

@@ -82,6 +82,29 @@ def test_chi_traces_threshold_on_a_pool_equals_inline_and_whole_grid(eta, omega_
     assert (pooled.shape[1] < times.shape[0]) == (eta == 2.0)
 
 
+@pytest.mark.parametrize("lam, k_modes, betas, eta, threshold, calls, block", [
+    (50.3, 8, [4.0], 2.0, None, 8, 1),  # d = 50: eight blocks of one mode
+    (2.6, 40, [1.0, 4.0, 7.0, 10.0], 0.01, 0.1, 2, 40),  # one block of 40 modes, two slabs
+])
+def test_phase_sum_weights_count_one_row_per_term(lam, k_modes, betas, eta, threshold, calls,
+                                                  block, omega_s, monkeypatch):
+    # the benchmark's tracer counts len(weights) as a call's terms: the weights stay terms
+    # first, one row per frequency, whatever the block's mode count
+    bath = make_arrays(lam, betas, eta=eta, k_modes=k_modes)
+    seen = []
+    phase_sum = kernels.phase_sum
+
+    def counting(weights, freqs, times, **kwargs):
+        seen.append((len(weights), np.size(freqs), freqs.shape[:-1]))
+        return phase_sum(weights, freqs, times, **kwargs)
+
+    monkeypatch.setattr(kernels, "phase_sum", counting)
+    chi_traces(bath, omega_s, time_grid(20.0, 0.01), threshold=threshold)
+    assert len(seen) == calls
+    assert all(terms == size > 0 for terms, size, _ in seen)
+    assert {runs for _, _, runs in seen} == {(block,)}
+
+
 def test_mode_product_multiplies_in_mode_order():
     # each mode a multiplication of its own onto the product so far, in mode order and
     # across blocks, as the whole-grid and slab paths both compute chi

@@ -103,26 +103,28 @@ def test_tables_equal_complex_exp(rng):
 @pytest.mark.parametrize("name", GRIDS)
 def test_phase_sum_equals_the_exp_kernel_bit_for_bit(name, groups, rng, one_blas_thread):
     # offset tables, the whole grid and each slab, with and without shared tables, against
-    # the kernel that took every table with np.exp, over more than one chunk of terms
+    # the kernel that took every table with np.exp, over more than one chunk of terms;
+    # (groups, T) freqs sum each run of T apart, (T,) freqs add no axis
     t = GRIDS[name]
     per_group = (2 * kernels._CHUNK + 7) // (groups or 1)
     terms = (groups or 1) * per_group
-    f = rng.uniform(-5.0, 5.0, size=terms)
+    f = rng.uniform(-5.0, 5.0, size=(per_group,) if groups is None else (groups, per_group))
     slabs = kernels.row_slabs(t)
-    tables = list(kernels.offset_tables(f, slabs[0].offsets, groups=groups))
-    expected = list(reference_offset_tables(f, slabs[0].offsets, groups=groups))
+    tables = list(kernels.offset_tables(f, slabs[0].offsets))
+    expected = list(reference_offset_tables(f, slabs[0].offsets))
     assert len(tables) == len(expected) > 1
     for got, want in zip(tables, expected):
         np.testing.assert_array_equal(got, want)
     for cols in [(), (4,)]:
         w = rng.normal(size=(terms, *cols)) + 1j * rng.normal(size=(terms, *cols))
-        np.testing.assert_array_equal(kernels.phase_sum(w, f, t, groups=groups),
-                                      reference_exp_phase_sum(w, f, t, groups=groups))
+        got = kernels.phase_sum(w, f, t)
+        assert got.shape == f.shape[:-1] + cols + t.shape
+        np.testing.assert_array_equal(got, reference_exp_phase_sum(w, f, t))
         for slab in slabs:
-            want = reference_exp_phase_sum(w, f, t, groups=groups, slab=slab)
+            want = reference_exp_phase_sum(w, f, t, slab=slab)
             for slab_tables in (tables, None):
                 np.testing.assert_array_equal(
-                    kernels.phase_sum(w, f, t, groups=groups, slab=slab, tables=slab_tables), want)
+                    kernels.phase_sum(w, f, t, slab=slab, tables=slab_tables), want)
 
 
 @pytest.mark.parametrize("n", [2001, 11])
@@ -292,10 +294,10 @@ def test_row_slabs_equal_the_full_phase_sum(grid, groups, cols, data, seed, one_
     chunk = kernels._CHUNK // groups
     per_group = 2 * chunk + 7 if data is None else data.draw(st.integers(0, 3 * chunk))
     w = rng.normal(size=(groups * per_group, cols)) + 1j * rng.normal(size=(groups * per_group, cols))
-    f = rng.uniform(-5.0, 5.0, size=groups * per_group)
-    full = kernels.phase_sum(w, f, t, groups=groups)
+    f = rng.uniform(-5.0, 5.0, size=(groups, per_group))
+    full = kernels.phase_sum(w, f, t)
     slabs = kernels.row_slabs(t)
-    tables = list(kernels.offset_tables(f, slabs[0].offsets, groups=groups))
+    tables = list(kernels.offset_tables(f, slabs[0].offsets))
     starts, offsets = kernels._uniform_split(t)
     n_rows, width = starts.shape[0], offsets.shape[0]
     if data is not None and width > 1 and cols * n_rows >= 2:
@@ -307,7 +309,7 @@ def test_row_slabs_equal_the_full_phase_sum(grid, groups, cols, data, seed, one_
                                   slice(b0 * width, min(b1 * width, t.shape[0]))))
     for slab in slabs:
         for slab_tables in (tables, None):
-            got = kernels.phase_sum(w, f, t, groups=groups, slab=slab, tables=slab_tables)
+            got = kernels.phase_sum(w, f, t, slab=slab, tables=slab_tables)
             np.testing.assert_array_equal(got, full[..., slab.points])
 
 

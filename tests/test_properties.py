@@ -120,10 +120,11 @@ def test_kernel_columns_and_groups_equal_one_dim_calls(grid, n_terms, n_cols, gr
     rng = np.random.default_rng(seed)
     t = GRIDS[grid]
     w = rng.normal(size=(groups * n_terms, n_cols)) + 1j * rng.normal(size=(groups * n_terms, n_cols))
-    f = rng.uniform(-5.0, 5.0, size=groups * n_terms)
+    runs = rng.uniform(-5.0, 5.0, size=(groups, n_terms))
+    f = runs.ravel()
     scale = 1e-13 * max(1.0, np.abs(w).sum())
     out = kernels.phase_sum(w, f, t)
-    grouped = kernels.phase_sum(w, f, t, groups=groups)
+    grouped = kernels.phase_sum(w, runs, t)
     assert out.shape == (n_cols, t.shape[0])
     assert grouped.shape == (groups, n_cols, t.shape[0])
     for c in range(n_cols):

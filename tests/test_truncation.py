@@ -174,7 +174,7 @@ def test_truncated_factors_at_harmonic_point(monkeypatch):
     # leak, keeps every level of nonzero thermal weight
     monkeypatch.setattr(dynamics, "NEGLIGIBLE_TERM_MASS", 0.0)
     for k in range(40):
-        w, _, _ = dynamics._block_terms(bath, 20.0, slice(k, k + 1))
+        w, _ = dynamics._block_terms(bath, 20.0, slice(k, k + 1))
         m = d if bath.g[k] > 0.0 else np.count_nonzero(bath.weights[0, k])
         assert w.shape == (m * m, 1), (k, w.shape)
 
